@@ -162,7 +162,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--algo", required=True, choices=["ef1", "efr", "goods", "fixed-n"]
     )
     solve.add_argument("--extend-round-robin", action="store_true")
-    solve.add_argument("--max-candidates", type=int, default=10**7)
+    solve.add_argument(
+        "--max-candidates",
+        type=int,
+        default=10**7,
+        help="fixed-n search budget; one unit is one joined tuple of "
+        "per-agent item sets or one screened (R, demand, tuple) candidate",
+    )
     solve.add_argument("-i", "--input", required=True)
     solve.add_argument("-o", "--output", required=True)
     solve.set_defaults(func=_cmd_solve)

@@ -1,16 +1,18 @@
 """Exhaustive search for an EFR-(n-1) and Pareto-optimal allocation.
 
-The search enumerates a reallocation set R, per-item demand sets over R,
-and per-agent-pair separating items; the separators determine ratio-filter
-sets whose intersection reconstructs each agent's uniquely-demanded
-bundle.  Candidates that partition the items are then screened with the
-reassignment-based envy-freeness test (under the original values) and an
-exact weight-vector feasibility check.
+Each ordered agent pair's (good, chore) separator options fix ratio-filter
+sets F_ij; intersecting them gives an agent's uniquely-demanded set I_i.
+The distinct I_i of each agent are enumerated once, joined into pairwise
+disjoint tuples, and grouped by the reallocation set R of items they leave
+uncovered.  For each R (by size, then lexicographic) and demand sets over
+R, the tuples are screened with the reassignment-based envy-freeness test
+(under the original values) and an exact weight-vector feasibility check.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -109,22 +111,15 @@ def _demand_options(n: int):
     return opts
 
 
-def _pair_guess_options(pert, i, j):
+def _pair_guesses(pert, i, j):
+    """Each optional (good, chore) separator choice for the pair (i, j)."""
     plus, minus, _ = _sign_sets(pert, i, j)
-    goods = [None] + sorted(plus)
-    chores = [None] + sorted(minus)
-    return [(g, c) for g in goods for c in chores]
-
-
-def _agent_guess_options(pert, i):
-    """Either the empty-I flag or one (good, chore) choice per other agent."""
-    n = pert.base.num_agents
-    others = [j for j in range(n) if j != i]
-    per_pair = [_pair_guess_options(pert, i, j) for j in others]
-    options = [None]  # None encodes the empty-I flag
-    for combo in itertools.product(*per_pair):
-        options.append(dict(zip(others, combo)))
-    return options
+    no_empty = (False,) * pert.base.num_agents
+    return [
+        SeparatorGuess({(i, j): g}, {(i, j): c}, no_empty)
+        for g in [None] + sorted(plus)
+        for c in [None] + sorted(minus)
+    ]
 
 
 def _efr_witnesses(inst, item_sets, realloc, demand):
@@ -158,6 +153,20 @@ def _efr_witnesses(inst, item_sets, realloc, demand):
     return None
 
 
+def _agent_item_sets(pert: PerturbedInstance, i: int) -> List[frozenset]:
+    """Agent i's distinct I_i: empty-flag set first, then first-seen order."""
+    per_pair = [
+        [build_f_ij(pert, i, j, guess) for guess in _pair_guesses(pert, i, j)]
+        for j in range(pert.base.num_agents)
+        if j != i
+    ]
+    all_items = frozenset(range(pert.base.num_items))
+    seen = dict.fromkeys([frozenset()])
+    for filters in itertools.product(*per_pair):
+        seen.setdefault(all_items.intersection(*filters))
+    return list(seen)
+
+
 def search_efr_po(
     inst: Instance,
     max_candidates: int = 10**7,
@@ -165,10 +174,12 @@ def search_efr_po(
 ):
     """Find an EFR-(n-1) and Pareto-optimal allocation by enumeration.
 
-    Returns (allocation, certificate, weight_vector).  Existence is
-    guaranteed, so exhausting the full candidate space indicates an
-    implementation bug; running out of `max_candidates` first raises
-    BudgetExceededError.
+    Returns (allocation, certificate, weight_vector).  Rational values are
+    scaled to integers before perturbing, which preserves EF, EFR and PO.
+    One unit of `max_candidates` is one joined I-tuple or one screened
+    (R, demand, I-tuple) candidate; running out raises BudgetExceededError.
+    Existence is guaranteed, so exhausting the full candidate space
+    indicates an implementation bug.
     """
     n, m = inst.num_agents, inst.num_items
     if n > agent_cap:
@@ -179,48 +190,39 @@ def search_efr_po(
         alloc = Allocation((frozenset(range(m)),))
         cert = EfrCertificate(alloc, frozenset(), (alloc,))
         return alloc, cert, WeightVector((Fraction(1),))
-    pert = perturb_nondegenerate(inst)
-    demand_opts = _demand_options(n)
-    agent_opts = [_agent_guess_options(pert, i) for i in range(n)]
-    all_items = set(range(m))
+    scale = math.lcm(*(v.denominator for row in inst.values for v in row))
+    pert = perturb_nondegenerate(
+        Instance(tuple(tuple(v * scale for v in row) for row in inst.values))
+    )
     budget = max_candidates
 
-    realloc_choices = []
-    for size in range(n):
-        realloc_choices.extend(itertools.combinations(range(m), size))
+    def spend():
+        nonlocal budget
+        budget -= 1
+        if budget < 0:
+            raise BudgetExceededError(
+                "candidate budget exhausted before a solution"
+            )
 
-    for realloc in realloc_choices:
-        rset = set(realloc)
+    # outcomes depend only on (I-tuple, R, demand) and R is forced; product
+    # order over distinct sets is their first-seen separator-product order
+    by_realloc: Dict[frozenset, list] = {}
+    all_items = frozenset(range(m))
+    for item_sets in itertools.product(
+        *(_agent_item_sets(pert, i) for i in range(n))
+    ):
+        spend()
+        claimed = frozenset().union(*item_sets)
+        if sum(map(len, item_sets)) == len(claimed) and m - len(claimed) < n:
+            by_realloc.setdefault(all_items - claimed, []).append(item_sets)
+
+    demand_opts = _demand_options(n)
+    for rset in sorted(by_realloc, key=lambda r: (len(r), sorted(r))):
+        realloc = tuple(sorted(rset))
         for demand_combo in itertools.product(demand_opts, repeat=len(realloc)):
             demand = dict(zip(realloc, demand_combo))
-            for agent_combo in itertools.product(*agent_opts):
-                budget -= 1
-                if budget < 0:
-                    raise BudgetExceededError(
-                        "candidate budget exhausted before a solution"
-                    )
-                goods = {}
-                chores = {}
-                empty = []
-                for i, pick in enumerate(agent_combo):
-                    if pick is None:
-                        empty.append(True)
-                        continue
-                    empty.append(False)
-                    for j, (g, c) in pick.items():
-                        goods[(i, j)] = g
-                        chores[(i, j)] = c
-                guess = SeparatorGuess(goods, chores, tuple(empty))
-                item_sets = reconstruct_I(pert, guess)
-                claimed = set()
-                ok = True
-                for s in item_sets:
-                    if s & claimed or s & rset:
-                        ok = False
-                        break
-                    claimed |= s
-                if not ok or claimed | rset != all_items:
-                    continue
+            for item_sets in by_realloc[rset]:
+                spend()
                 witnesses = _efr_witnesses(inst, item_sets, realloc, demand)
                 if witnesses is None:
                     continue
@@ -231,9 +233,7 @@ def search_efr_po(
                 for t in realloc:
                     bundles[min(demand[t])].add(t)
                 alloc = Allocation(tuple(bundles))
-                cert = EfrCertificate(
-                    alloc, frozenset(realloc), tuple(witnesses)
-                )
+                cert = EfrCertificate(alloc, rset, tuple(witnesses))
                 return alloc, cert, w
     raise AssertionError(
         "enumeration exhausted without a solution; existence is guaranteed"

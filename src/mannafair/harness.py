@@ -126,20 +126,34 @@ def serialize_instance(inst: Instance, metadata: Optional[Dict] = None) -> str:
     return _dump(doc)
 
 
-def parse_instance(text: str) -> Instance:
+def _load(text: str, keys: Sequence[str]) -> dict:
+    """Decode a JSON object with `keys`; a stated format_version must match."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}: {exc.msg}") from exc
-    for key in ("format_version", "agents", "items", "values"):
+    if not isinstance(doc, dict):
+        raise ParseError("top level: expected a JSON object")
+    for key in keys:
         if key not in doc:
             raise ParseError(f"missing field {key!r}")
+    version = doc.get("format_version", FORMAT_VERSION)
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ParseError(f"format_version: unsupported version {version!r}")
+    return doc
+
+
+def parse_instance(text: str) -> Instance:
+    doc = _load(text, ("format_version", "agents", "items", "values"))
+    for key in ("agents", "items"):
+        if type(doc[key]) is not int or doc[key] < 0:
+            raise ParseError(f"{key}: expected a non-negative integer")
     values = doc["values"]
-    if len(values) != doc["agents"]:
+    if not isinstance(values, list) or len(values) != doc["agents"]:
         raise ParseError("values: row count differs from agents")
     rows = []
     for i, row in enumerate(values):
-        if len(row) != doc["items"]:
+        if not isinstance(row, list) or len(row) != doc["items"]:
             raise ParseError(f"values[{i}]: length differs from items")
         rows.append(
             tuple(_rational_in(v, f"values[{i}][{t}]") for t, v in enumerate(row))
@@ -151,18 +165,22 @@ def _bundles_out(alloc: Allocation):
     return [sorted(t + 1 for t in b) for b in alloc.bundles]
 
 
+def _items_in(raw, where: str) -> frozenset:
+    """0-based items from a list of 1-based item ids (bools are not ids)."""
+    if not isinstance(raw, list):
+        raise ParseError(f"{where}: expected a list of item ids")
+    for t in raw:
+        if type(t) is not int or t < 1:
+            raise ParseError(f"{where}: bad item id {t!r}")
+    return frozenset(t - 1 for t in raw)
+
+
 def _bundles_in(raw, num_agents: int, where: str) -> Allocation:
-    if len(raw) != num_agents:
+    if not isinstance(raw, list) or len(raw) != num_agents:
         raise ParseError(f"{where}: expected {num_agents} bundles")
-    bundles = []
-    for i, b in enumerate(raw):
-        items = set()
-        for t in b:
-            if not isinstance(t, int) or t < 1:
-                raise ParseError(f"{where}[{i}]: bad item id {t!r}")
-            items.add(t - 1)
-        bundles.append(frozenset(items))
-    return Allocation(tuple(bundles))
+    return Allocation(
+        tuple(_items_in(b, f"{where}[{i}]") for i, b in enumerate(raw))
+    )
 
 
 def serialize_allocation(alloc: Allocation) -> str:
@@ -172,12 +190,7 @@ def serialize_allocation(alloc: Allocation) -> str:
 
 
 def parse_allocation(text: str, inst: Instance) -> Allocation:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno}: {exc.msg}") from exc
-    if "bundles" not in doc:
-        raise ParseError("missing field 'bundles'")
+    doc = _load(text, ("bundles",))
     return _bundles_in(doc["bundles"], inst.num_agents, "bundles")
 
 
@@ -193,15 +206,11 @@ def serialize_certificate(cert: EfrCertificate) -> str:
 
 
 def parse_certificate(text: str, inst: Instance) -> EfrCertificate:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno}: {exc.msg}") from exc
-    for key in ("base", "realloc_set", "witnesses"):
-        if key not in doc:
-            raise ParseError(f"missing field {key!r}")
+    doc = _load(text, ("base", "realloc_set", "witnesses"))
     base = _bundles_in(doc["base"], inst.num_agents, "base")
-    realloc = frozenset(t - 1 for t in doc["realloc_set"])
+    realloc = _items_in(doc["realloc_set"], "realloc_set")
+    if not isinstance(doc["witnesses"], list):
+        raise ParseError("witnesses: expected a list of allocations")
     witnesses = tuple(
         _bundles_in(w, inst.num_agents, f"witnesses[{i}]")
         for i, w in enumerate(doc["witnesses"])
@@ -230,13 +239,7 @@ def serialize_perturbed(pert: PerturbedInstance) -> str:
 
 
 def parse_perturbed(text: str) -> PerturbedInstance:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno}: {exc.msg}") from exc
-    for key in ("base", "eps", "params"):
-        if key not in doc:
-            raise ParseError(f"missing field {key!r}")
+    doc = _load(text, ("base", "eps", "params"))
     base = parse_instance(json.dumps(doc["base"]))
     eps = tuple(
         tuple(_rational_in(e, f"eps[{i}][{t}]") for t, e in enumerate(row))

@@ -147,6 +147,19 @@ class TestSolveAndVerify:
         )
         assert len(parsed.realloc_set) <= 1
 
+    def test_fixed_n_solver_accepts_rational_values(self, tmp_path):
+        inst = tmp_path / "half.json"
+        cert = tmp_path / "cert.json"
+        inst.write_text(
+            '{"format_version": 1, "agents": 2, "items": 3,'
+            ' "values": [["1/2", -3, "7/3"], [2, "-5/4", "1/6"]]}'
+        )
+        assert (
+            run(["solve", "--algo", "fixed-n", "-i", str(inst), "-o", str(cert)])
+            == 0
+        )
+        assert run(["verify", "--cert", str(cert), "-i", str(inst)]) == 0
+
 
 class TestExitCodes:
     def test_missing_file_is_input_error(self, tmp_path):
@@ -186,6 +199,38 @@ class TestExitCodes:
             )
             == 2
         )
+
+    def test_non_object_instance_is_input_error(self, tmp_path):
+        bad = tmp_path / "five.json"
+        bad.write_text("5")
+        out = str(tmp_path / "out.json")
+        assert run(["solve", "--algo", "efr", "-i", str(bad), "-o", out]) == 3
+
+    def test_bad_realloc_item_is_input_error(self, tmp_path, inst_file):
+        cert = tmp_path / "cert.json"
+        run(["solve", "--algo", "efr", "-i", str(inst_file), "-o", str(cert)])
+        doc = json.loads(cert.read_text())
+        doc["realloc_set"] = ["x"]
+        cert.write_text(json.dumps(doc))
+        assert run(["verify", "--cert", str(cert), "-i", str(inst_file)]) == 3
+
+    def test_bool_bundle_item_is_input_error(self, tmp_path, inst_file):
+        alloc = tmp_path / "alloc.json"
+        alloc.write_text(
+            '{"format_version": 1, "bundles": [[true, 2, 3, 4, 5], [], []]}'
+        )
+        assert (
+            run(["check-po", "-i", str(inst_file), "--alloc", str(alloc)])
+            == 3
+        )
+
+    def test_unknown_format_version_is_input_error(self, tmp_path, inst_file):
+        doc = json.loads(inst_file.read_text())
+        doc["format_version"] = 99
+        bad = tmp_path / "v99.json"
+        bad.write_text(json.dumps(doc))
+        out = str(tmp_path / "out.json")
+        assert run(["solve", "--algo", "efr", "-i", str(bad), "-o", out]) == 3
 
     def test_usage_error_maps_to_input_error(self):
         assert run(["solve", "--algo", "efr"]) == 3

@@ -187,6 +187,65 @@ class TestSearchEfrPo:
         assert is_pareto_optimal_bruteforce(inst, alloc)
         assert decide_efr_k(inst, alloc, 1).verdict
 
+    @pytest.mark.parametrize("m", [5, 6, 7])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_three_agent_instances(self, m, seed):
+        inst = gen_random(3, m, 9, F(1, 2), seed=seed)
+        alloc, cert, _ = search_efr_po(inst)
+        assert validate_certificate(inst, cert)
+        assert len(cert.realloc_set) <= 2
+        assert is_pareto_optimal_bruteforce(inst, alloc)
+        assert decide_efr_k(inst, alloc, 2).verdict
+
+    # (n, m, chore_prob, seed) -> (realloc set, bundles) as returned by the
+    # separator-product enumeration that the distinct-set join replaced;
+    # the join must keep its first hit
+    FIRST_HITS = [
+        ((3, 2, F(1), 0), {0, 1}, [{0, 1}, set(), set()]),
+        ((3, 2, F(1), 1), {0, 1}, [{0, 1}, set(), set()]),
+        ((3, 2, F(1), 2), {0, 1}, [{0, 1}, set(), set()]),
+        ((3, 2, F(1), 3), {0, 1}, [{0, 1}, set(), set()]),
+        ((3, 3, F(1), 3), {0, 1}, [{0, 1}, {2}, set()]),
+        ((3, 3, F(1, 2), 2), {2}, [{2}, set(), {0, 1}]),
+        ((3, 3, F(1, 2), 11), {1}, [{0, 2}, {1}, set()]),
+        ((2, 2, F(1, 2), 3), {1}, [{1}, {0}]),
+        ((2, 3, F(1), 4), {2}, [{2}, {0, 1}]),
+        ((2, 4, F(0), 6), {3}, [{1, 3}, {0, 2}]),
+        ((2, 4, F(1), 10), {1}, [{0, 1, 2}, {3}]),
+        ((2, 5, F(0), 3), {4}, [{0, 3, 4}, {1, 2}]),
+        ((2, 6, F(0), 9), {5}, [{0, 3, 5}, {1, 2, 4}]),
+        ((3, 5, F(1), 9), {1}, [{1, 2}, {3}, {0, 4}]),
+        ((3, 5, F(0), 4), set(), [{2}, {0}, {1, 3, 4}]),
+        ((3, 5, F(1, 2), 0), set(), [{0, 1, 3}, {2}, {4}]),
+        ((3, 4, F(1), 7), set(), [{2}, {1, 3}, {0}]),
+        ((2, 3, F(1, 2), 0), set(), [{2}, {0, 1}]),
+        ((2, 4, F(0), 4), set(), [{0, 2}, {1, 3}]),
+        ((2, 4, F(1, 2), 3), set(), [{0, 3}, {1, 2}]),
+    ]
+
+    @pytest.mark.parametrize("spec,realloc,bundles", FIRST_HITS)
+    def test_first_hit_follows_enumeration_order(self, spec, realloc, bundles):
+        n, m, chore_prob, seed = spec
+        alloc, cert, _ = search_efr_po(gen_random(n, m, 9, chore_prob, seed))
+        assert cert.realloc_set == realloc
+        assert alloc.bundles == tuple(frozenset(b) for b in bundles)
+
+    def test_rational_values_match_integer_scaled_copy(self):
+        base = gen_random(3, 5, 9, F(1, 2), seed=4)
+        rational = Instance(
+            tuple(
+                tuple(v / (2 + (i + t) % 3) for t, v in enumerate(row))
+                for i, row in enumerate(base.values)
+            )
+        )
+        scaled = Instance(
+            tuple(tuple(12 * v for v in row) for row in rational.values)
+        )
+        alloc, cert, w = search_efr_po(rational)
+        assert (alloc, cert, w) == search_efr_po(scaled)
+        assert validate_certificate(rational, cert)
+        assert is_pareto_optimal_bruteforce(rational, alloc)
+
     def test_agent_cap_enforced(self):
         inst = gen_random(4, 3, 9, F(1, 2), seed=0)
         with pytest.raises(ValueError):

@@ -202,3 +202,51 @@ class TestPerturbedFormat:
         assert parsed.base == pert.base
         assert parsed.eps_matrix == pert.eps_matrix
         assert parsed.params == pert.params
+
+
+class TestStrictParsing:
+    def test_top_level_must_be_an_object(self):
+        inst = gen_identical_chores(2)
+        for parse in (
+            parse_instance,
+            lambda text: parse_allocation(text, inst),
+            lambda text: parse_certificate(text, inst),
+            parse_perturbed,
+        ):
+            with pytest.raises(ParseError, match="top level"):
+                parse("5")
+
+    def test_realloc_set_entries_are_item_ids(self):
+        inst = gen_identical_chores(2)
+        doc = (
+            '{"base": [[1], []], "realloc_set": [%s],'
+            ' "witnesses": [[[1], []], [[], [1]]]}'
+        )
+        for bad in ('"x"', "true", "0"):
+            with pytest.raises(ParseError, match="realloc_set"):
+                parse_certificate(doc % bad, inst)
+        assert parse_certificate(doc % "1", inst).realloc_set == {0}
+
+    def test_bool_item_id_rejected(self):
+        inst = gen_identical_chores(2)
+        with pytest.raises(ParseError, match=r"bundles\[0\]"):
+            parse_allocation('{"bundles": [[true], []]}', inst)
+
+    def test_bool_counts_rejected(self):
+        with pytest.raises(ParseError, match="agents"):
+            parse_instance(
+                '{"format_version": 1, "agents": true, "items": 1,'
+                ' "values": [[1]]}'
+            )
+
+    def test_unknown_format_version_rejected(self):
+        inst = gen_identical_chores(2)
+        text = serialize_instance(inst).replace(
+            '"format_version": 1', '"format_version": 99'
+        )
+        with pytest.raises(ParseError, match="format_version"):
+            parse_instance(text)
+        with pytest.raises(ParseError, match="format_version"):
+            parse_allocation(
+                '{"format_version": 99, "bundles": [[1], []]}', inst
+            )
