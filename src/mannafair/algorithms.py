@@ -4,13 +4,17 @@ Pipeline for mixed manna: a double round-robin EF1 allocation, top-trading
 envy-cycle resolution to expose an envy-free agent, then a per-agent
 single-item move that certifies EFR-(n-1).  For goods-only instances the
 conflict-aware picking sequence yields an EFR-floor(n/2) certificate.
+
+Every choice reads the integer value kernel of `core` (`Instance.scaled`
+and `profile`).  Greedy picks walk each agent's preference order (highest
+value first, lowest index among ties) with a pointer that skips taken
+items, so a whole picking sequence costs O(nm) after an O(nm log m) sort.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
 from .core import (
     Allocation,
@@ -18,10 +22,41 @@ from .core import (
     EnvyGraph,
     Instance,
     build_envy_graph,
-    bundle_value,
-    is_ef1,
-    is_envy_free_for,
+    profile,
 )
+
+
+class _Preferences:
+    """Each agent's `items` (given in increasing order), best first and the
+    lowest index first among ties, with a pointer past items not in `free`.
+    """
+
+    def __init__(self, inst: Instance, items, free):
+        self.rows = rows = inst.scaled
+        self.orders = [sorted(items, key=r.__getitem__, reverse=True) for r in rows]
+        self.pos = [0] * len(rows)
+        self.free = free
+
+    def best(self, agent: int) -> int:
+        """The agent's most-valued free item; `free` must not be empty."""
+        order, p, free = self.orders[agent], self.pos[agent], self.free
+        while order[p] not in free:
+            p += 1
+        self.pos[agent] = p
+        return order[p]
+
+    def favorites(self, agent: int) -> set:
+        """Every free item the agent values as much as its best one."""
+        row, order = self.rows[agent], self.orders[agent]
+        top = row[self.best(agent)]
+        fav = set()
+        for p in range(self.pos[agent], len(order)):
+            t = order[p]
+            if row[t] != top:
+                break
+            if t in self.free:
+                fav.add(t)
+        return fav
 
 
 def double_round_robin_ef1(inst: Instance) -> Allocation:
@@ -35,35 +70,30 @@ def double_round_robin_ef1(inst: Instance) -> Allocation:
     them.
     """
     n, m = inst.num_agents, inst.num_items
-    values = inst.values
-    shared = {
-        t for t in range(m) if all(values[i][t] < 0 for i in range(n))
-    }
-    rest = set(range(m)) - shared
+    rows = inst.scaled
+    shared = [t for t in range(m) if all(row[t] < 0 for row in rows)]
+    rest = [t for t in range(m) if not all(row[t] < 0 for row in rows)]
     bundles = [set() for _ in range(n)]
 
     remaining = set(shared)
-    # dummies are worth 0, strictly above every shared chore, so the first
-    # `dummies` picks take them and the chores fall to the later turns
-    dummies = -len(shared) % n if shared else 0
-    turn = 0
+    prefs = _Preferences(inst, shared, remaining)
+    # the -|shared| mod n zero-valued dummies beat every shared chore, so
+    # agents 0, 1, ... take them and the chores start at the turn after
+    turn = -len(shared) % n
     while remaining:
-        i = turn % n
-        turn += 1
-        if dummies > 0:
-            dummies -= 1
-            continue
-        best = max(remaining, key=lambda t: (values[i][t], -t))
-        bundles[i].add(best)
+        best = prefs.best(turn % n)
+        bundles[turn % n].add(best)
         remaining.discard(best)
+        turn += 1
 
     remaining = set(rest)
+    prefs = _Preferences(inst, rest, remaining)
     while remaining:
         for i in reversed(range(n)):
             if not remaining:
                 break
-            best = max(remaining, key=lambda t: (values[i][t], -t))
-            if values[i][best] < 0:
+            best = prefs.best(i)
+            if rows[i][best] < 0:
                 continue  # pass: everything left is a chore for i
             bundles[i].add(best)
             remaining.discard(best)
@@ -78,52 +108,35 @@ def resolve_top_trading_cycles(inst: Instance, alloc: Allocation) -> Allocation:
     total utility strictly increases and termination is guaranteed.  An
     input that already has an envy-free agent is returned unchanged.
     """
-    n = inst.num_agents
     bundles = list(alloc.bundles)
-    while True:
-        vals = [
-            [bundle_value(inst, i, bundles[j]) for j in range(n)]
-            for i in range(n)
-        ]
-        if any(
-            all(vals[i][i] >= vals[i][j] for j in range(n)) for i in range(n)
-        ):
-            break
+    vals = profile(inst, alloc)
+    while not any(row[i] >= max(row) for i, row in enumerate(vals)):
         # everyone is envious: each agent points at the min-index holder of
         # its most-valued bundle, so the pointer graph contains a cycle
-        point = []
-        for i in range(n):
-            best = max(vals[i])
-            point.append(min(j for j in range(n) if vals[i][j] == best))
-        seen = {}
+        point = [row.index(max(row)) for row in vals]
+        seen = {}  # agent -> step at which the walk from agent 0 met it
         cur = 0
         while cur not in seen:
             seen[cur] = len(seen)
             cur = point[cur]
-        cycle = [a for a, rank in sorted(seen.items(), key=lambda kv: kv[1])]
-        cycle = cycle[cycle.index(cur):]
-        rotated = [bundles[point[i]] for i in cycle]
-        for agent, bundle in zip(cycle, rotated):
-            bundles[agent] = bundle
+        perm = list(range(len(bundles)))  # agent -> whose bundle it gets
+        for a in list(seen)[seen[cur]:]:
+            perm[a] = point[a]
+        bundles = [bundles[p] for p in perm]
+        vals = [[row[p] for p in perm] for row in vals]
     return Allocation(tuple(bundles))
 
 
 def _lowest_chore(inst, bundle, agent):
-    chores = [t for t in sorted(bundle) if inst.values[agent][t] < 0]
-    if not chores:
-        return None
-    return min(chores, key=lambda t: (inst.values[agent][t], t))
+    row = inst.scaled[agent]
+    chores = [t for t in bundle if row[t] < 0]
+    return min(chores, key=lambda t: (row[t], t), default=None)
 
 
 def _best_outside_good(inst, bundle, agent):
-    goods = [
-        t
-        for t in range(inst.num_items)
-        if t not in bundle and inst.values[agent][t] >= 0
-    ]
-    if not goods:
-        return None
-    return max(goods, key=lambda t: (inst.values[agent][t], -t))
+    row = inst.scaled[agent]
+    goods = [t for t in range(len(row)) if t not in bundle and row[t] >= 0]
+    return max(goods, key=lambda t: (row[t], -t), default=None)
 
 
 def efr_n_minus_1(inst: Instance) -> EfrCertificate:
@@ -142,32 +155,18 @@ def efr_n_minus_1(inst: Instance) -> EfrCertificate:
     realloc = set()
     witnesses: List[Allocation] = []
     for i in range(n):
-        if i == sink:
+        bundle, row = base.bundles[i], inst.scaled[i]
+        options = (_lowest_chore(inst, bundle, i), _best_outside_good(inst, bundle, i))
+        options = [t for t in options if t is not None]
+        if i == sink or not options:
+            # i is envy-free, or holds only goods and owns all its goods
             witnesses.append(base)
             continue
-        chore = _lowest_chore(inst, base.bundles[i], i)
-        good = _best_outside_good(inst, base.bundles[i], i)
-        if chore is None and good is None:
-            witnesses.append(base)  # i holds only goods, owns all its goods
-            continue
-        if chore is None:
-            chosen = good
-        elif good is None:
-            chosen = chore
-        else:
-            abs_c = -inst.values[i][chore]
-            abs_g = inst.values[i][good]
-            if abs_c > abs_g:
-                chosen = chore
-            elif abs_g > abs_c:
-                chosen = good
-            else:
-                chosen = min(chore, good)
+        # the larger in absolute value, the lower index on a tie
+        chosen = max(options, key=lambda t: (abs(row[t]), -t))
         realloc.add(chosen)
-        if chosen == chore:
-            witnesses.append(base.reassign({chosen: sink}))
-        else:
-            witnesses.append(base.reassign({chosen: i}))
+        target = sink if row[chosen] < 0 else i  # a chore goes to the sink
+        witnesses.append(base.reassign({chosen: target}))
     return EfrCertificate(base, frozenset(realloc), tuple(witnesses))
 
 
@@ -189,45 +188,43 @@ def run_picking_rounds(inst: Instance):
     PickingState per outer-loop iteration, recorded at iteration end.
     """
     n, m = inst.num_agents, inst.num_items
-    values = inst.values
-    if any(values[i][t] < 0 for i in range(n) for t in range(m)):
+    if any(v < 0 for row in inst.scaled for v in row):
         raise ValueError("conflict-aware picking requires nonnegative values")
 
     active = set(range(n))
     deferred = set()
     reserved = set()
     unallocated = set(range(m))
+    # sorting the set's own ints shares them instead of making n * m new ones
+    prefs = _Preferences(inst, sorted(unallocated), unallocated)
     bundles = [set() for _ in range(n)]
     trace: List[PickingState] = []
 
-    def favorites(agent):
-        best = max(values[agent][t] for t in unallocated)
-        return {t for t in unallocated if values[agent][t] == best}
-
     while unallocated:
-        prefs = {i: favorites(i) for i in active}
-        conflicts = {
-            g: {i for i in active if g in prefs[i]} for g in unallocated
-        }
-        while any(len(v) >= 2 for v in conflicts.values()):
-            hot = max(
-                (g for g in conflicts if len(conflicts[g]) >= 2),
-                key=lambda g: (len(conflicts[g]), -g),
-            )
+        favorites = {i: prefs.favorites(i) for i in active}
+        while True:
+            conflicts = {}
+            for i, fav in favorites.items():
+                for g in fav:
+                    conflicts.setdefault(g, set()).add(i)
+            contested = [g for g, who in conflicts.items() if len(who) >= 2]
+            if not contested:
+                break
+            hot = max(contested, key=lambda g: (len(conflicts[g]), -g))
             movers = conflicts[hot]
             unallocated.discard(hot)
             reserved.add(hot)
             deferred |= movers
             active -= movers
-            prefs = {i: favorites(i) for i in active} if unallocated else {}
-            conflicts = {
-                g: {i for i in active if g in prefs[i]} for g in unallocated
-            }
+            # the other active agents did not favor `hot`, so their
+            # favorites are unchanged
+            for i in movers:
+                del favorites[i]
         for group in (sorted(active), sorted(deferred)):
             for i in group:
                 if not unallocated:
                     break
-                pick = max(unallocated, key=lambda t: (values[i][t], -t))
+                pick = prefs.best(i)
                 bundles[i].add(pick)
                 unallocated.discard(pick)
         trace.append(
@@ -242,6 +239,14 @@ def run_picking_rounds(inst: Instance):
     return tuple(frozenset(b) for b in bundles), frozenset(reserved), trace
 
 
+def reserve_witnesses(partial, reserved) -> tuple:
+    """Witness i of a picking certificate: the tuple `partial`, R given to i."""
+    return tuple(
+        Allocation(partial[:i] + (partial[i] | reserved,) + partial[i + 1 :])
+        for i in range(len(partial))
+    )
+
+
 def conflict_aware_picking(inst: Instance) -> EfrCertificate:
     """EFR-floor(n/2) certificate for goods-only instances.
 
@@ -252,12 +257,7 @@ def conflict_aware_picking(inst: Instance) -> EfrCertificate:
     bundles = list(partial)
     bundles[0] = bundles[0] | reserved
     base = Allocation(tuple(bundles))
-    witnesses = []
-    for i in range(inst.num_agents):
-        w = list(partial)
-        w[i] = w[i] | reserved
-        witnesses.append(Allocation(tuple(w)))
-    return EfrCertificate(base, reserved, tuple(witnesses))
+    return EfrCertificate(base, reserved, reserve_witnesses(partial, reserved))
 
 
 def extend_with_round_robin(inst: Instance, partial, reserved) -> Allocation:
@@ -268,26 +268,21 @@ def extend_with_round_robin(inst: Instance, partial, reserved) -> Allocation:
     the result EF1 while the original reserve still certifies
     EFR-floor(n/2).
     """
-    n = inst.num_agents
     bundles = [set(b) for b in partial]
     remaining = set(reserved)
     if not remaining:
         return Allocation(tuple(bundles))
-    own = [bundle_value(inst, i, bundles[i]) for i in range(n)]
-    edges = frozenset(
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if i != j and own[i] < bundle_value(inst, i, bundles[j])
-    )
-    order = EnvyGraph(n, edges).topological_order()
+    # the partial allocation leaves R out, so it is no n-partition for
+    # build_envy_graph to validate; its profile is all the graph needs
+    order = EnvyGraph.of_profile(profile(inst, Allocation(partial))).topological_order()
     if order is None:
         raise RuntimeError("partial allocation envy graph has a cycle")
+    prefs = _Preferences(inst, sorted(remaining), remaining)
     while remaining:
         for i in order:
             if not remaining:
                 break
-            pick = max(remaining, key=lambda t: (inst.values[i][t], -t))
+            pick = prefs.best(i)
             bundles[i].add(pick)
             remaining.discard(pick)
     return Allocation(tuple(bundles))

@@ -31,12 +31,14 @@ def _write(path: str, text: str) -> None:
 
 
 def _cmd_gen(args) -> int:
-    if args.family == "identical-chores":
-        inst = harness.gen_identical_chores(args.n)
-        meta = {"family": "identical-chores", "n": args.n}
-    elif args.family == "paired-goods":
-        inst = harness.gen_paired_goods(args.n)
-        meta = {"family": "paired-goods", "n": args.n}
+    if args.family in ("identical-chores", "paired-goods"):
+        if args.n is None:
+            raise ValueError(f"--n is required for the {args.family} family")
+        if args.family == "identical-chores":
+            inst = harness.gen_identical_chores(args.n)
+        else:
+            inst = harness.gen_paired_goods(args.n)
+        meta = {"family": args.family, "n": args.n}
     elif args.family == "partition":
         if not args.set:
             raise ValueError("--set is required for the partition family")
@@ -76,14 +78,8 @@ def solve_instance(inst, algo: str, extend: bool = False, max_candidates=10**7):
             return algorithms.conflict_aware_picking(inst)
         partial, reserved, _ = algorithms.run_picking_rounds(inst)
         base = algorithms.extend_with_round_robin(inst, partial, reserved)
-        witnesses = []
-        for i in range(inst.num_agents):
-            w = [set(b) for b in partial]
-            w[i] |= set(reserved)
-            witnesses.append(
-                type(base)(tuple(frozenset(b) for b in w))
-            )
-        return EfrCertificate(base, reserved, tuple(witnesses))
+        witnesses = algorithms.reserve_witnesses(partial, reserved)
+        return EfrCertificate(base, reserved, witnesses)
     if algo == "fixed-n":
         _, cert, _ = fixed_n.search_efr_po(inst, max_candidates=max_candidates)
         return cert
@@ -133,6 +129,13 @@ def _cmd_perturb(args) -> int:
     return EXIT_OK
 
 
+def _budget(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mannafair",
@@ -164,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--extend-round-robin", action="store_true")
     solve.add_argument(
         "--max-candidates",
-        type=int,
+        type=_budget,
         default=10**7,
         help="fixed-n search budget; one unit is one joined tuple of "
         "per-agent item sets or one screened (R, demand, tuple) candidate",
@@ -182,13 +185,13 @@ def build_parser() -> argparse.ArgumentParser:
     decide.add_argument("-i", "--input", required=True)
     decide.add_argument("--alloc", required=True)
     decide.add_argument("--k", type=int, required=True)
-    decide.add_argument("--budget", type=int, default=oracles.DEFAULT_BUDGET)
+    decide.add_argument("--budget", type=_budget, default=oracles.DEFAULT_BUDGET)
     decide.set_defaults(func=_cmd_decide_efr)
 
     po = sub.add_parser("check-po", help="brute-force Pareto optimality")
     po.add_argument("-i", "--input", required=True)
     po.add_argument("--alloc", required=True)
-    po.add_argument("--budget", type=int, default=oracles.DEFAULT_BUDGET)
+    po.add_argument("--budget", type=_budget, default=oracles.DEFAULT_BUDGET)
     po.set_defaults(func=_cmd_check_po)
 
     perturb = sub.add_parser(

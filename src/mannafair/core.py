@@ -1,13 +1,19 @@
 """Exact-rational domain model for fair division of indivisible mixed manna.
 
-All values are `fractions.Fraction`; no floating point is used anywhere.
-Agents and items are 0-based internally.
+Values are exact rationals (`fractions.Fraction`), never floats; agents and
+items are 0-based.  The value kernel is `Instance.scaled`, each agent's row
+times the LCM of its denominators: every predicate compares values of one
+agent only, which a positive per-agent scale leaves exact.  The envy
+predicates read `profile`, the n x n matrix of scaled v_i(A_j).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import insort
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Fraction
@@ -68,6 +74,15 @@ class Instance:
     def value(self, agent: int, item: int) -> Fraction:
         return self.values[agent][item]
 
+    @cached_property
+    def scaled(self) -> tuple:
+        """Per-agent integer rows: agent i's values times its row's LCM."""
+        rows = []
+        for row in self.values:
+            d = lcm(*(v.denominator for v in row))
+            rows.append(tuple(v.numerator * (d // v.denominator) for v in row))
+        return tuple(rows)
+
     def all_items(self) -> frozenset:
         return frozenset(range(self.num_items))
 
@@ -109,6 +124,14 @@ class EnvyGraph:
     num_agents: int
     edges: frozenset  # frozenset[tuple[int, int]]
 
+    @classmethod
+    def of_profile(cls, prof) -> "EnvyGraph":
+        """Edge (i, j) iff prof[i][i] < prof[i][j]."""
+        edges = frozenset(
+            (i, j) for i, r in enumerate(prof) for j, v in enumerate(r) if r[i] < v
+        )
+        return cls(len(prof), edges)
+
     def out_neighbors(self, i: int):
         return sorted(j for (a, j) in self.edges if a == i)
 
@@ -138,11 +161,7 @@ class EnvyGraph:
             for j in self.out_neighbors(i):
                 indeg[j] -= 1
                 if indeg[j] == 0:
-                    # keep `ready` sorted for determinism
-                    lo = 0
-                    while lo < len(ready) and ready[lo] < j:
-                        lo += 1
-                    ready.insert(lo, j)
+                    insort(ready, j)  # keep `ready` sorted for determinism
         return order if len(order) == n else None
 
 
@@ -170,16 +189,17 @@ def validate_allocation(inst: Instance, alloc: Allocation) -> None:
             f"allocation has {alloc.num_agents} bundles for "
             f"{inst.num_agents} agents"
         )
+    m = inst.num_items
     seen = set()
     for b in alloc.bundles:
         for t in b:
-            if not (0 <= t < inst.num_items):
+            if not (0 <= t < m):
                 raise ValueError(f"item index {t} out of range")
             if t in seen:
                 raise ValueError(f"item {t} allocated twice")
             seen.add(t)
-    if len(seen) != inst.num_items:
-        missing = sorted(set(range(inst.num_items)) - seen)
+    if len(seen) != m:
+        missing = sorted(set(range(m)) - seen)
         raise ValueError(f"items {missing} unallocated")
 
 
@@ -196,62 +216,51 @@ def bundle_value(inst: Instance, agent: int, bundle: Iterable[int]) -> Fraction:
     return total
 
 
+def _row_profile(row, alloc: Allocation) -> list:
+    return [sum(map(row.__getitem__, b)) for b in alloc.bundles]
+
+
+def profile(inst: Instance, alloc: Allocation) -> list:
+    """n x n matrix of v_i(A_j) in agent i's scale (`Instance.scaled`)."""
+    return [_row_profile(row, alloc) for row in inst.scaled]
+
+
 def build_envy_graph(inst: Instance, alloc: Allocation) -> EnvyGraph:
     """Strict-envy graph of `alloc`: edge (i, j) iff v_i(A_i) < v_i(A_j)."""
     validate_allocation(inst, alloc)
-    n = inst.num_agents
-    own = [bundle_value(inst, i, alloc.bundles[i]) for i in range(n)]
-    edges = set()
-    for i in range(n):
-        for j in range(n):
-            if i != j and own[i] < bundle_value(inst, i, alloc.bundles[j]):
-                edges.add((i, j))
-    return EnvyGraph(n, frozenset(edges))
+    return EnvyGraph.of_profile(profile(inst, alloc))
 
 
 def is_envy_free_for(inst: Instance, alloc: Allocation, agent: int) -> bool:
     """True iff `agent` values its own bundle at least as much as every other."""
     validate_allocation(inst, alloc)
-    own = bundle_value(inst, agent, alloc.bundles[agent])
-    return all(
-        own >= bundle_value(inst, agent, alloc.bundles[j])
-        for j in range(inst.num_agents)
-        if j != agent
-    )
+    vals = _row_profile(inst.scaled[agent], alloc)
+    return vals[agent] >= max(vals)
 
 
 def is_envy_free(inst: Instance, alloc: Allocation) -> bool:
-    return all(is_envy_free_for(inst, alloc, i) for i in range(inst.num_agents))
+    validate_allocation(inst, alloc)
+    return all(row[i] >= max(row) for i, row in enumerate(profile(inst, alloc)))
 
 
 def is_ef1(inst: Instance, alloc: Allocation) -> bool:
     """Envy-freeness up to one item, for mixed manna.
 
     For every envying pair (i, j) some item t in A_i or A_j must satisfy
-    v_i(A_i \\ {t}) >= v_i(A_j \\ {t}).
+    v_i(A_i \\ {t}) >= v_i(A_j \\ {t}).  Removing i's lowest item in A_i or
+    i's highest item in A_j closes the most envy, so only those are tried.
     """
     validate_allocation(inst, alloc)
-    n = inst.num_agents
-    for i in range(n):
-        own = bundle_value(inst, i, alloc.bundles[i])
-        for j in range(n):
-            if i == j:
-                continue
-            other = bundle_value(inst, i, alloc.bundles[j])
+    bundles = alloc.bundles
+    for i, (row, vals) in enumerate(zip(inst.scaled, profile(inst, alloc))):
+        own = vals[i]
+        # an empty bundle offers 0, which cannot close positive envy
+        drop = -min(map(row.__getitem__, bundles[i]), default=0)
+        for j, other in enumerate(vals):
             if own >= other:
                 continue
-            # removing i's worst chore or j's best good (for i) is optimal
-            ok = False
-            for t in alloc.bundles[i]:
-                if own - inst.values[i][t] >= other:
-                    ok = True
-                    break
-            if not ok:
-                for t in alloc.bundles[j]:
-                    if own >= other - inst.values[i][t]:
-                        ok = True
-                        break
-            if not ok:
+            take = max(map(row.__getitem__, bundles[j]), default=0)
+            if max(drop, take) < other - own:
                 return False
     return True
 
@@ -268,15 +277,13 @@ def validate_certificate(inst: Instance, cert: EfrCertificate) -> bool:
         raise IncompleteCertificateError(
             f"certificate has {len(cert.witnesses)} witnesses for {n} agents"
         )
-    outside = inst.all_items() - cert.realloc_set
     for i, witness in enumerate(cert.witnesses):
         try:
-            validate_allocation(inst, witness)
-        except ValueError:
+            envy_free = is_envy_free_for(inst, witness, i)
+        except ValueError:  # not an n-partition
             return False
-        for t in outside:
-            if cert.base.holder(t) != witness.holder(t):
-                return False
-        if not is_envy_free_for(inst, witness, i):
+        # two n-partitions agree outside R iff every bundle differs only in R
+        moved = (b ^ w for b, w in zip(cert.base.bundles, witness.bundles))
+        if not envy_free or not all(d <= cert.realloc_set for d in moved):
             return False
     return True

@@ -22,7 +22,7 @@ from .core import (
     BudgetExceededError,
     EfrCertificate,
     Instance,
-    bundle_value,
+    profile,
 )
 from .welfare import (
     PerturbedInstance,
@@ -138,15 +138,8 @@ def _efr_witnesses(inst, item_sets, realloc, demand):
         for t, a in zip(rlist, assignment):
             bundles[a].add(t)
         alloc = Allocation(tuple(bundles))
-        own = [bundle_value(inst, i, alloc.bundles[i]) for i in range(n)]
-        for i in range(n):
-            if witnesses[i] is not None:
-                continue
-            if all(
-                own[i] >= bundle_value(inst, i, alloc.bundles[j])
-                for j in range(n)
-                if j != i
-            ):
+        for i, row in enumerate(profile(inst, alloc)):
+            if witnesses[i] is None and row[i] >= max(row):
                 witnesses[i] = alloc
         if all(w is not None for w in witnesses):
             return witnesses

@@ -126,17 +126,23 @@ def serialize_instance(inst: Instance, metadata: Optional[Dict] = None) -> str:
     return _dump(doc)
 
 
+def _fields(doc, keys: Sequence[str], where: str, prefix: str = "") -> dict:
+    """`doc` itself, once it is a JSON object holding every key in `keys`."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where}: expected a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise ParseError(f"missing field {prefix + key!r}")
+    return doc
+
+
 def _load(text: str, keys: Sequence[str]) -> dict:
     """Decode a JSON object with `keys`; a stated format_version must match."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("top level: expected a JSON object")
-    for key in keys:
-        if key not in doc:
-            raise ParseError(f"missing field {key!r}")
+    _fields(doc, keys, "top level")
     version = doc.get("format_version", FORMAT_VERSION)
     if type(version) is not int or version != FORMAT_VERSION:
         raise ParseError(f"format_version: unsupported version {version!r}")
@@ -148,17 +154,21 @@ def parse_instance(text: str) -> Instance:
     for key in ("agents", "items"):
         if type(doc[key]) is not int or doc[key] < 0:
             raise ParseError(f"{key}: expected a non-negative integer")
-    values = doc["values"]
-    if not isinstance(values, list) or len(values) != doc["agents"]:
-        raise ParseError("values: row count differs from agents")
+    return Instance(_matrix_in(doc["values"], doc["agents"], doc["items"], "values"))
+
+
+def _matrix_in(raw, n: int, m: int, where: str) -> tuple:
+    """An agents x items matrix of rationals from a list of lists."""
+    if not isinstance(raw, list) or len(raw) != n:
+        raise ParseError(f"{where}: row count differs from agents")
     rows = []
-    for i, row in enumerate(values):
-        if not isinstance(row, list) or len(row) != doc["items"]:
-            raise ParseError(f"values[{i}]: length differs from items")
+    for i, row in enumerate(raw):
+        if not isinstance(row, list) or len(row) != m:
+            raise ParseError(f"{where}[{i}]: length differs from items")
         rows.append(
-            tuple(_rational_in(v, f"values[{i}][{t}]") for t, v in enumerate(row))
+            tuple(_rational_in(v, f"{where}[{i}][{t}]") for t, v in enumerate(row))
         )
-    return Instance(tuple(rows))
+    return tuple(rows)
 
 
 def _bundles_out(alloc: Allocation):
@@ -241,16 +251,10 @@ def serialize_perturbed(pert: PerturbedInstance) -> str:
 def parse_perturbed(text: str) -> PerturbedInstance:
     doc = _load(text, ("base", "eps", "params"))
     base = parse_instance(json.dumps(doc["base"]))
-    eps = tuple(
-        tuple(_rational_in(e, f"eps[{i}][{t}]") for t, e in enumerate(row))
-        for i, row in enumerate(doc["eps"])
-    )
-    raw = doc["params"]
+    eps = _matrix_in(doc["eps"], base.num_agents, base.num_items, "eps")
+    names = ("lambda_lb", "Lambda", "omega_lb", "eta", "epsilon")
+    raw = _fields(doc["params"], names, "params", "params.")
     params = PerturbParams(
-        lambda_lb=_rational_in(raw["lambda_lb"], "params.lambda_lb"),
-        Lambda=_rational_in(raw["Lambda"], "params.Lambda"),
-        omega_lb=_rational_in(raw["omega_lb"], "params.omega_lb"),
-        eta=_rational_in(raw["eta"], "params.eta"),
-        epsilon=_rational_in(raw["epsilon"], "params.epsilon"),
+        **{key: _rational_in(raw[key], f"params.{key}") for key in names}
     )
     return PerturbedInstance(base, eps, params)

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
 from .core import (
@@ -20,7 +18,6 @@ from .core import (
     BudgetExceededError,
     EfrCertificate,
     Instance,
-    bundle_value,
     validate_allocation,
 )
 
@@ -45,12 +42,6 @@ class _Budget:
             raise BudgetExceededError("evaluation budget exhausted")
 
 
-def _int_row(row: Sequence[Fraction]):
-    """Scale a rational row to integers for fast witness-search arithmetic."""
-    denom = lcm(*(v.denominator for v in row)) if row else 1
-    return [int(v * denom) for v in row], denom
-
-
 def _find_witness(inst, alloc, agent, realloc, budget):
     """Lexicographically-least envy-free-for-`agent` placement of `realloc`.
 
@@ -60,7 +51,7 @@ def _find_witness(inst, alloc, agent, realloc, budget):
     placements.  Returns a {item: agent} mapping or None.
     """
     n = inst.num_agents
-    row, _ = _int_row(inst.values[agent])
+    row = inst.scaled[agent]
     base = [
         sum(row[t] for t in alloc.bundles[j] if t not in realloc)
         for j in range(n)
@@ -162,10 +153,12 @@ def is_pareto_optimal_bruteforce(
     n, m = inst.num_agents, inst.num_items
     if n**m > budget:
         raise BudgetExceededError(f"{n}^{m} allocations exceed budget {budget}")
-    current = [bundle_value(inst, i, alloc.bundles[i]) for i in range(n)]
-    values = inst.values
+    # each agent's utility is only compared with its own, so the per-agent
+    # integer scale keeps both tests exact
+    values = inst.scaled
+    current = [sum(values[i][t] for t in alloc.bundles[i]) for i in range(n)]
     for assignment in itertools.product(range(n), repeat=m):
-        profile = [Fraction(0)] * n
+        profile = [0] * n
         for t, a in enumerate(assignment):
             profile[a] += values[a][t]
         if all(profile[i] >= current[i] for i in range(n)) and any(

@@ -58,6 +58,15 @@ class TestGen:
         out = tmp_path / "x.json"
         assert run(["gen", "--family", "random", "-o", str(out)]) == 3
 
+    @pytest.mark.parametrize("family", ["identical-chores", "paired-goods"])
+    def test_missing_n_is_input_error_naming_the_flag(
+        self, tmp_path, capsys, family
+    ):
+        out = tmp_path / "x.json"
+        assert run(["gen", "--family", family, "-o", str(out)]) == 3
+        assert "--n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_odd_partition_sum_is_input_error(self, tmp_path):
         out = tmp_path / "x.json"
         assert (
@@ -199,6 +208,27 @@ class TestExitCodes:
             )
             == 2
         )
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_max_candidates_below_one_is_input_error(
+        self, tmp_path, capsys, inst_file, budget
+    ):
+        out = str(tmp_path / "out.json")
+        argv = ["solve", "--algo", "fixed-n", "-i", str(inst_file), "-o", out]
+        assert run([*argv, "--max-candidates", budget]) == 3
+        assert "--max-candidates" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check-po", "decide-efr"])
+    def test_budget_below_one_is_input_error(
+        self, tmp_path, capsys, inst_file, command
+    ):
+        alloc = tmp_path / "alloc.json"
+        run(["solve", "--algo", "ef1", "-i", str(inst_file), "-o", str(alloc)])
+        argv = [command, "-i", str(inst_file), "--alloc", str(alloc)]
+        if command == "decide-efr":
+            argv += ["--k", "1"]
+        assert run([*argv, "--budget", "-1"]) == 3
+        assert "--budget" in capsys.readouterr().err
 
     def test_non_object_instance_is_input_error(self, tmp_path):
         bad = tmp_path / "five.json"

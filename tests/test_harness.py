@@ -1,6 +1,7 @@
 """Instance generators and the canonical JSON file format."""
 
 import itertools
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -250,3 +251,22 @@ class TestStrictParsing:
             parse_allocation(
                 '{"format_version": 99, "bundles": [[1], []]}', inst
             )
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda doc: doc["params"].pop("lambda_lb"), "params.lambda_lb"),
+            (lambda doc: doc.update(eps=5), "eps"),
+            (lambda doc: doc.update(params=3), "params"),
+            (lambda doc: doc["eps"].pop(), "eps"),
+            (lambda doc: doc["eps"][1].append(0), r"eps\[1\]"),
+        ],
+        ids=["params-missing-key", "eps-number", "params-number", "eps-rows",
+             "eps-row-length"],
+    )
+    def test_perturbed_fields_are_checked(self, edit, field):
+        pert = perturb_nondegenerate(gen_random(2, 3, 9, F(1, 2), seed=4))
+        doc = json.loads(serialize_perturbed(pert))
+        edit(doc)
+        with pytest.raises(ParseError, match=field):
+            parse_perturbed(json.dumps(doc))
