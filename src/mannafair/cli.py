@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success / property true, 1 property false, 2 evaluation
-budget exceeded, 3 input error.  All output is deterministic given the
-inputs and seeds.
+budget exceeded, 3 input error, 4 internal error (any other exception,
+reported on stderr without a traceback).  All output is deterministic
+given the inputs and seeds.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_BUDGET = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 def _read(path: str) -> str:
@@ -219,6 +221,9 @@ def main(argv=None) -> int:
     except (harness.ParseError, ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:  # exit 1 would read as "property false"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry() -> None:  # console-script shim

@@ -44,6 +44,12 @@ def as_rational(x: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
+def scale_row(row) -> tuple:
+    """`row` times the LCM of its denominators: (the LCM, the integer row)."""
+    d = lcm(*(v.denominator for v in row))
+    return d, tuple(v.numerator * (d // v.denominator) for v in row)
+
+
 @dataclass(frozen=True)
 class Instance:
     """A fair division instance: n agents, m items, exact valuation matrix.
@@ -77,11 +83,7 @@ class Instance:
     @cached_property
     def scaled(self) -> tuple:
         """Per-agent integer rows: agent i's values times its row's LCM."""
-        rows = []
-        for row in self.values:
-            d = lcm(*(v.denominator for v in row))
-            rows.append(tuple(v.numerator * (d // v.denominator) for v in row))
-        return tuple(rows)
+        return tuple(scale_row(row)[1] for row in self.values)
 
     def all_items(self) -> frozenset:
         return frozenset(range(self.num_items))

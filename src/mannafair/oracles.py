@@ -108,12 +108,14 @@ def decide_efr_k(
     Scans candidate reallocation sets R by increasing size, then
     lexicographically; the first R for which every agent admits an
     envy-free witness (reassigning items of R only) is returned inside the
-    decision's certificate.
+    decision's certificate.  `budget` counts witness-search nodes; a
+    `_Budget` instead of a number is spent in place, so `min_efr_k` shares
+    one across all k.
     """
     validate_allocation(inst, alloc)
     if k < 0 or k > inst.num_items:
         raise ValueError(f"k={k} outside [0, m={inst.num_items}]")
-    tracker = _Budget(budget)
+    tracker = budget if isinstance(budget, _Budget) else _Budget(budget)
     n = inst.num_agents
     for size in range(k + 1):
         for realloc in itertools.combinations(range(inst.num_items), size):
@@ -136,10 +138,12 @@ def min_efr_k(
     """Smallest k for which `alloc` is EFR-k, with its certificate.
 
     k = m always suffices (each agent may reassign every item), so this
-    terminates within the budget or raises BudgetExceededError.
+    terminates within the budget, which all k share, or raises
+    BudgetExceededError.
     """
+    tracker = _Budget(budget)
     for k in range(inst.num_items + 1):
-        decision = decide_efr_k(inst, alloc, k, budget=budget)
+        decision = decide_efr_k(inst, alloc, k, budget=tracker)
         if decision.verdict:
             return k, decision.certificate
     raise AssertionError("EFR-m must hold for any allocation")

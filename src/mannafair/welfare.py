@@ -6,6 +6,13 @@ non-degenerate: no entry is zero and no agent-item cycle has an
 alternating value-ratio product of one.  Welfare maximization then uses
 eta-shifted weights, and Pareto optimality of a candidate partition is
 decided by exact rational linear-inequality feasibility.
+
+Cycles are walked depth-first over integer rows: each row is scaled by
+the LCM of its denominators (every agent of a cycle heads one numerator
+and one denominator edge, so the ratio product is unchanged), a path
+carries its running numerator and denominator, and a closing edge is one
+comparison of two integer products.  Cycles sharing a prefix share its
+multiplications, and no `Fraction` is built per step.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, factorial, gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (
@@ -20,6 +28,7 @@ from .core import (
     BudgetExceededError,
     Instance,
     as_rational,
+    scale_row,
 )
 
 CYCLE_BUDGET = 10**7
@@ -152,17 +161,28 @@ def compute_params(inst: Instance) -> PerturbParams:
 
 def _cycle_count(n: int, m: int) -> int:
     """Number of (directed, agent-anchored) bipartite cycle traversals."""
-    import math
-
     total = 0
     for k in range(2, min(n, m) + 1):
-        total += (
-            math.comb(n, k)
-            * math.factorial(k - 1)
-            * math.comb(m, k)
-            * math.factorial(k)
-        )
+        total += comb(n, k) * factorial(k - 1) * comb(m, k) * factorial(k)
     return total
+
+
+def _unit_cycle(rows, top, a, num, den, free, items) -> bool:
+    """Whether a path from row `top`'s agent to agent `a`, with ratio product
+    num/den, closes into a product-one cycle, alone or through `free` agents.
+    """
+    for i, v in enumerate(rows[a]):
+        if items >> i & 1:
+            continue
+        d = den * v
+        if num * top[i] == d:
+            return True
+        for b in range(len(rows) if free else 0):
+            if free >> b & 1 and _unit_cycle(
+                rows, top, b, num * rows[b][i], d, free ^ 1 << b, items | 1 << i
+            ):
+                return True
+    return False
 
 
 def check_nondegenerate(values, budget: int = CYCLE_BUDGET) -> bool:
@@ -170,88 +190,68 @@ def check_nondegenerate(values, budget: int = CYCLE_BUDGET) -> bool:
 
     ``values`` is an n x m matrix of rationals.  Condition (i): no zero
     entry.  Condition (ii): every simple cycle of the complete agent-item
-    bipartite graph has alternating value-ratio product != 1.
+    bipartite graph has alternating value-ratio product != 1.  Cycles are
+    walked from their lowest agent.
     """
     vals = [[as_rational(v) for v in row] for row in values]
-    n = len(vals)
-    m = len(vals[0]) if n else 0
     if any(v == 0 for row in vals for v in row):
         return False
+    n, m = len(vals), len(vals[0]) if vals else 0
     if _cycle_count(n, m) > budget:
         raise BudgetExceededError("too many bipartite cycles to enumerate")
-    for k in range(2, min(n, m) + 1):
-        for agents in itertools.combinations(range(n), k):
-            first, rest = agents[0], agents[1:]
-            for aperm in itertools.permutations(rest):
-                aseq = (first,) + aperm
-                for items in itertools.combinations(range(m), k):
-                    for iseq in itertools.permutations(items):
-                        prod = Fraction(1)
-                        for idx in range(k):
-                            nxt = aseq[(idx + 1) % k]
-                            prod *= Fraction(
-                                vals[nxt][iseq[idx]], 1
-                            ) / vals[aseq[idx]][iseq[idx]]
-                        if prod == 1:
-                            return False
+    rows = [scale_row(row)[1] for row in vals]
+    for first, top in enumerate(rows):
+        above = (1 << n) - (2 << first)
+        for i in range(m):
+            for b in range(first + 1, n):
+                if _unit_cycle(
+                    rows, top, b, rows[b][i], top[i], above ^ 1 << b, 1 << i
+                ):
+                    return False
     return True
 
 
-def _forbidden_eps(inst, pert, agent, item, is_set):
+def _forbid(walk, a, num, den, free, items) -> None:
+    """Add the eps values that the cycles extending this path rule out.
+
+    The path runs from (agent, item) through set rows to agent `a`, with
+    ratio product num/den; it closes on a set item of `agent`, one before
+    `item`, and may still visit the agents in `free`.
+    """
+    rows, top, item, vs_num, v_den, vs_den, forbidden = walk
+    for i, p in enumerate(rows[a] if free else rows[a][:item]):
+        if items >> i & 1 or not p:  # a zero denominator solves nothing
+            continue
+        d = den * p
+        if i < item:  # x = num * top[i] / (d * scale); eps = v - x
+            e_num, e_den = vs_num * d - num * top[i] * v_den, vs_den * d
+            if e_den < 0:
+                e_num, e_den = -e_num, -e_den
+            g = gcd(e_num, e_den)
+            forbidden.add((e_num // g, e_den // g))
+        for b in range(len(rows) if free else 0):
+            if free >> b & 1:
+                _forbid(walk, b, num * rows[b][i], d, free ^ 1 << b, items | 1 << i)
+
+
+def _forbidden_eps(inst, pert, agent, item):
     """Perturbation values for (agent, item) ruled out by already-set cycles.
 
-    Enumerates every simple bipartite cycle through the edge (agent, item)
-    whose other edges are all set, and solves the product-one equation for
-    the single unknown perturbed value.
+    Entries are set in row-major order, so a closable cycle through the
+    edge (agent, item) runs through rows before `agent` and returns on an
+    item before `item`.  Each solves the product-one equation for the
+    unknown perturbed value; values are (numerator, denominator) pairs in
+    lowest terms.
     """
-    n, m = inst.num_agents, inst.num_items
-    forbidden = {inst.values[agent][item]}  # eps = v would zero the entry
-    max_k = min(n, m)
-    # entries are set in row-major order, so only rows before `agent` are
-    # fully set and can participate in a closable cycle
-    other_agents = list(range(agent))
-    other_items = [b for b in range(m) if b != item]
-    for k in range(2, max_k + 1):
-        if len(other_agents) < k - 1 or len(other_items) < k - 1:
-            continue
-        for aperm in itertools.permutations(other_agents, k - 1):
-            aseq = (agent,) + aperm
-            for iperm in itertools.permutations(other_items, k - 1):
-                iseq = (item,) + iperm
-                # edges: (aseq[l], iseq[l]) and (aseq[l+1], iseq[l])
-                ok = True
-                for idx in range(k):
-                    nxt = aseq[(idx + 1) % k]
-                    if (aseq[idx], iseq[idx]) != (agent, item) and not is_set(
-                        aseq[idx], iseq[idx]
-                    ):
-                        ok = False
-                        break
-                    if not is_set(nxt, iseq[idx]) and (nxt, iseq[idx]) != (
-                        agent,
-                        item,
-                    ):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                # product over l of pert[aseq[l+1]][iseq[l]] / pert[aseq[l]][iseq[l]]
-                # equals 1; the unknown pert[agent][item] sits at l = 0 in the
-                # denominator, so solve for it directly
-                rest = Fraction(1)
-                degenerate = False
-                for idx in range(1, k):
-                    nxt = aseq[(idx + 1) % k]
-                    num = pert[nxt][iseq[idx]]
-                    den = pert[aseq[idx]][iseq[idx]]
-                    if den == 0:
-                        degenerate = True
-                        break
-                    rest *= Fraction(num) / den
-                if degenerate:
-                    continue
-                solved = pert[aseq[1]][iseq[0]] * rest
-                forbidden.add(inst.values[agent][item] - solved)
+    v = inst.values[agent][item]
+    forbidden = {(v.numerator, v.denominator)}  # eps = v would zero the entry
+    if agent and item:
+        rows = [scale_row(row)[1] for row in pert[:agent]]
+        scale, top = scale_row(pert[agent][:item])
+        v_num, v_den = v.numerator, v.denominator
+        walk = (rows, top, item, v_num * scale, v_den, v_den * scale, forbidden)
+        for b in range(agent):
+            _forbid(walk, b, rows[b][item], 1, (1 << agent) - 1 ^ 1 << b, 1 << item)
     return forbidden
 
 
@@ -262,28 +262,26 @@ def perturb_nondegenerate(
 
     Entries are set in row-major order; each already-closable cycle forbids
     one rational value, and the perturbation is picked from a uniform grid
-    in (0, epsilon) fine enough that an admissible point must exist.
+    in (0, epsilon) with more points than forbidden values.  The cycle
+    budget of `check_nondegenerate` applies, and `search_efr_po` inherits
+    it (at n = 3 it is reached at m = 172).
     """
+    n, m = inst.num_agents, inst.num_items
+    if _cycle_count(n, m) > CYCLE_BUDGET:
+        raise BudgetExceededError("too many bipartite cycles to enumerate")
     if params is None:
         params = compute_params(inst)
-    n, m = inst.num_agents, inst.num_items
     eps_matrix = [[None] * m for _ in range(n)]
     pert = [[None] * m for _ in range(n)]
-
-    def is_set(a, b):
-        return eps_matrix[a][b] is not None
-
     for i in range(n):
         for t in range(m):
-            forbidden = _forbidden_eps(inst, pert, i, t, is_set)
-            grid_size = len(forbidden) + 1
-            chosen = None
-            for k in range(1, grid_size + 1):
-                candidate = params.epsilon * k / (grid_size + 1)
-                if candidate not in forbidden:
-                    chosen = candidate
+            forbidden = _forbidden_eps(inst, pert, i, t)
+            grid = len(forbidden) + 2
+            for k in range(1, grid):  # grid - 1 points, so one is admissible
+                chosen = params.epsilon * k / grid
+                if (chosen.numerator, chosen.denominator) not in forbidden:
                     break
-            assert chosen is not None, "grid larger than forbidden set"
+            del forbidden  # else it lives on while the next entry's set grows
             eps_matrix[i][t] = chosen
             pert[i][t] = inst.values[i][t] - chosen
     return PerturbedInstance(

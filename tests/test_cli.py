@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from mannafair import cli
 from mannafair.cli import main
 from mannafair.harness import parse_certificate, parse_instance
 
@@ -265,6 +266,18 @@ class TestExitCodes:
     def test_usage_error_maps_to_input_error(self):
         assert run(["solve", "--algo", "efr"]) == 3
         assert run(["bogus"]) == 3
+
+    def test_unexpected_exception_is_internal_error(
+        self, tmp_path, capsys, monkeypatch, inst_file
+    ):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_perturb", broken)
+        out = str(tmp_path / "pert.json")
+        assert run(["perturb", "-i", str(inst_file), "-o", out]) == 4
+        err = capsys.readouterr().err
+        assert err == "internal error: RuntimeError: boom\n"
 
 
 class TestDeterminism:

@@ -14,6 +14,7 @@ from mannafair.core import (
     validate_certificate,
 )
 from mannafair.oracles import (
+    _Budget,
     decide_efr_k,
     is_pareto_optimal_bruteforce,
     min_efr_k,
@@ -102,6 +103,22 @@ class TestMinEfrK:
     def test_paired_goods_any_allocation_is_two(self):
         for alloc in all_allocations(4, 2):
             assert min_efr_k(PAIRED4, alloc)[0] == 2
+
+    def test_budget_is_shared_across_k(self):
+        # CHORES4_ALLOC needs k = 3; each decision fits the budget alone,
+        # but the four of them together do not
+        spent = []
+        for k in range(4):
+            tracker = _Budget(10**6)
+            decide_efr_k(CHORES4, CHORES4_ALLOC, k, budget=tracker)
+            spent.append(10**6 - tracker.remaining)
+        budget = max(spent)
+        assert sum(spent) > budget
+        for k in range(4):
+            decide_efr_k(CHORES4, CHORES4_ALLOC, k, budget=budget)
+        with pytest.raises(BudgetExceededError):
+            min_efr_k(CHORES4, CHORES4_ALLOC, budget=budget)
+        assert min_efr_k(CHORES4, CHORES4_ALLOC, budget=sum(spent))[0] == 3
 
 
 class TestParetoBruteforce:
