@@ -32,6 +32,13 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _set_entry(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"--set entry {text.strip()!r} is not an integer") from None
+
+
 def _cmd_gen(args) -> int:
     if args.family in ("identical-chores", "paired-goods"):
         if args.n is None:
@@ -44,7 +51,7 @@ def _cmd_gen(args) -> int:
     elif args.family == "partition":
         if not args.set:
             raise ValueError("--set is required for the partition family")
-        values = [int(x) for x in args.set.split(",") if x.strip()]
+        values = [_set_entry(x) for x in args.set.split(",") if x.strip()]
         inst, alloc, k = harness.gen_partition_reduction(values)
         meta = {"family": "partition", "set": values, "k": k}
         if args.alloc_out:

@@ -77,6 +77,10 @@ def gen_random(
     Each value is drawn uniformly and independently negated with
     probability `chore_prob`.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    if m < 0:
+        raise ValueError(f"m must be at least 0, got {m}")
     if value_range < 1:
         raise ValueError("value_range must be positive")
     chore_prob = as_rational(chore_prob)

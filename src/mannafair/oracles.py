@@ -5,6 +5,14 @@ against: an exact EFR-k decision procedure, a Pareto-optimality scan over
 all n^m allocations, and a Partition solver.  Everything here is
 deterministic: subsets and assignments are enumerated in lexicographic
 order so failing cases are reproducible.
+
+The EFR-k decision is one incremental witness kernel.  `decide_efr_k`
+builds an item -> owner vector and the `core.profile` matrix once; for
+each candidate R and agent, `_find_witness` takes the bundle values from
+the agent's profile row less the R items, O(n + |R|), and `_place` searches
+chore placements with the overload carried incrementally, so each DFS node
+is O(1) work plus its branching.  Witness allocations are built only once
+every agent has a placement for the same R.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from .core import (
     BudgetExceededError,
     EfrCertificate,
     Instance,
+    profile,
     validate_allocation,
 )
 
@@ -42,58 +51,69 @@ class _Budget:
             raise BudgetExceededError("evaluation budget exhausted")
 
 
-def _find_witness(inst, alloc, agent, realloc, budget):
+def _place(costs, suffix, gaps, over, idx, picks, budget) -> bool:
+    """Whether chores idx.. fit into the other bundles, first fit in order.
+
+    `costs` are the chores' positive costs in placement order and
+    `suffix[idx]` the sum of costs[idx:]; `gaps[p]` is the p-th other
+    bundle's value minus the agent's own and `over` the sum of the positive
+    gaps.  The chores left can close at most `suffix[idx]` of that overload,
+    so one comparison prunes a node and, with suffix 0, decides a leaf.
+    On success `picks[idx]` holds the chosen position of each chore.
+    """
+    budget.spend()
+    if over > suffix[idx]:
+        return False
+    if idx == len(costs):
+        return True
+    c = costs[idx]
+    for p, g in enumerate(gaps):
+        gaps[p] = g - c
+        if _place(
+            costs, suffix, gaps, over - min(g, c) if g > 0 else over,
+            idx + 1, picks, budget,
+        ):
+            picks[idx] = p
+            return True
+        gaps[p] = g
+    return False
+
+
+def _find_witness(row, prof_row, owner, agent, others, realloc, budget):
     """Lexicographically-least envy-free-for-`agent` placement of `realloc`.
 
     Items the agent weakly likes always go to the agent itself and the
     agent's chores never do -- both moves are dominant, so this restricted
     search is a sound and complete replacement for scanning all n^|R|
-    placements.  Returns a {item: agent} mapping or None.
+    placements.
+
+    `row` is the agent's scaled row, `prof_row` its row of the profile
+    v(A_j) and `owner[t]` the holder of item t, both built once per
+    decision; the bundle values without R are `prof_row` less the R items,
+    O(n + |R|).  Chores are placed costliest first, ties in the iteration
+    order of the frozenset `realloc`, by `_place`, which carries the total
+    overload from node to node.  Returns the {item: agent} moves or None;
+    the caller turns moves into a witness allocation only once every agent
+    has them.
     """
-    n = inst.num_agents
-    row = inst.scaled[agent]
-    base = [
-        sum(row[t] for t in alloc.bundles[j] if t not in realloc)
-        for j in range(n)
-    ]
+    loads = list(prof_row)
+    for t in realloc:
+        loads[owner[t]] -= row[t]
     goods = [t for t in realloc if row[t] >= 0]
-    chores = sorted((t for t in realloc if row[t] < 0), key=lambda t: row[t])
-    own = base[agent] + sum(row[t] for t in goods)
-    others = [j for j in range(n) if j != agent]
+    chores = sorted((t for t in realloc if row[t] < 0), key=row.__getitem__)
     if not others:
         return {t: agent for t in realloc}
-    loads = base[:]
-
-    placement = {}
-
-    def feasible_suffix(idx: int) -> bool:
-        # every overloaded bundle must be fixable by the remaining chores
-        slack_needed = sum(
-            loads[j] - own for j in others if loads[j] > own
-        )
-        available = -sum(row[t] for t in chores[idx:])
-        return slack_needed <= available
-
-    def dfs(idx: int) -> bool:
-        budget.spend()
-        if idx == len(chores):
-            return all(loads[j] <= own for j in others)
-        if not feasible_suffix(idx):
-            return False
-        t = chores[idx]
-        for j in others:
-            loads[j] += row[t]
-            placement[t] = j
-            if dfs(idx + 1):
-                return True
-            loads[j] -= row[t]
-            del placement[t]
-        return False
-
-    if not dfs(0):
+    own = loads[agent] + sum(row[t] for t in goods)
+    gaps = [loads[j] - own for j in others]
+    costs = [-row[t] for t in chores]
+    suffix = list(itertools.accumulate(reversed(costs), initial=0))[::-1]
+    picks = [0] * len(chores)
+    if not _place(
+        costs, suffix, gaps, sum(g for g in gaps if g > 0), 0, picks, budget
+    ):
         return None
     result = {t: agent for t in goods}
-    result.update(placement)
+    result.update((t, others[p]) for t, p in zip(chores, picks))
     return result
 
 
@@ -117,18 +137,26 @@ def decide_efr_k(
         raise ValueError(f"k={k} outside [0, m={inst.num_items}]")
     tracker = budget if isinstance(budget, _Budget) else _Budget(budget)
     n = inst.num_agents
+    owner = [0] * inst.num_items
+    for j, bundle in enumerate(alloc.bundles):
+        for t in bundle:
+            owner[t] = j
+    rows, prof = inst.scaled, profile(inst, alloc)
+    others = [[j for j in range(n) if j != i] for i in range(n)]
     for size in range(k + 1):
         for realloc in itertools.combinations(range(inst.num_items), size):
-            rset = frozenset(realloc)
-            witnesses = []
+            rset = frozenset(realloc)  # its iteration order breaks chore ties
+            moves = []
             for i in range(n):
-                moves = _find_witness(inst, alloc, i, rset, tracker)
-                if moves is None:
+                found = _find_witness(
+                    rows[i], prof[i], owner, i, others[i], rset, tracker
+                )
+                if found is None:
                     break
-                witnesses.append(alloc.reassign(moves))
+                moves.append(found)
             else:
-                cert = EfrCertificate(alloc, rset, tuple(witnesses))
-                return EfrDecision(True, cert)
+                witnesses = tuple(map(alloc.reassign, moves))
+                return EfrDecision(True, EfrCertificate(alloc, rset, witnesses))
     return EfrDecision(False, None)
 
 

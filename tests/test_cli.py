@@ -68,6 +68,26 @@ class TestGen:
         assert "--n" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--m", "-1"), ("--n", "0"), ("--n", "-2")]
+    )
+    def test_random_bad_size_is_input_error_naming_it(
+        self, tmp_path, capsys, flag, value
+    ):
+        out = tmp_path / "x.json"
+        sizes = {"--n": "2", "--m": "3", flag: value}
+        argv = ["gen", "--family", "random", "--seed", "1", "-o", str(out)]
+        assert run([*argv, "--n", sizes["--n"], "--m", sizes["--m"]]) == 3
+        assert f"{flag[2:]} must be at least" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_partition_bad_entry_names_the_flag(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        argv = ["gen", "--family", "partition", "--set", "1,x", "-o", str(out)]
+        assert run(argv) == 3
+        assert "--set entry 'x' is not an integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_odd_partition_sum_is_input_error(self, tmp_path):
         out = tmp_path / "x.json"
         assert (

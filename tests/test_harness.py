@@ -138,6 +138,13 @@ class TestGenRandom:
         inst = gen_random(4, 10, 5, F(1, 3), seed=7)
         assert all(1 <= abs(v) <= 5 for row in inst.values for v in row)
 
+    def test_rejects_negative_m_and_no_agents(self):
+        with pytest.raises(ValueError, match="m must be at least 0"):
+            gen_random(2, -1, 9, F(1, 2), seed=1)
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            gen_random(0, 3, 9, F(1, 2), seed=1)
+        assert gen_random(1, 0, 9, F(1, 2), seed=1).num_items == 0
+
 
 class TestInstanceFormat:
     def test_empty_items_round_trip(self):
