@@ -42,7 +42,7 @@ from .welfare import (
     perturb_nondegenerate,
     po_certificate_lp,
 )
-from .fixed_n import SeparatorGuess, build_f_ij, reconstruct_I, search_efr_po
+from .fixed_n import build_f_ij, reconstruct_I, search_efr_po
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

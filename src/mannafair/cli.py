@@ -52,7 +52,10 @@ def _cmd_gen(args) -> int:
         if not args.set:
             raise ValueError("--set is required for the partition family")
         values = [_set_entry(x) for x in args.set.split(",") if x.strip()]
-        inst, alloc, k = harness.gen_partition_reduction(values)
+        try:
+            inst, alloc, k = harness.gen_partition_reduction(values)
+        except ValueError as exc:
+            raise ValueError(f"--set: {exc}") from None
         meta = {"family": "partition", "set": values, "k": k}
         if args.alloc_out:
             _write(args.alloc_out, harness.serialize_allocation(alloc))

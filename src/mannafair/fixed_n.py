@@ -1,21 +1,31 @@
 """Exhaustive search for an EFR-(n-1) and Pareto-optimal allocation.
 
 Each ordered agent pair's (good, chore) separator options fix ratio-filter
-sets F_ij; intersecting them gives an agent's uniquely-demanded set I_i.
-The distinct I_i of each agent are enumerated once, joined into pairwise
-disjoint tuples, and grouped by the reallocation set R of items they leave
-uncovered.  For each R (by size, then lexicographic) and demand sets over
-R, the tuples are screened with the reassignment-based envy-freeness test
-(under the original values) and an exact weight-vector feasibility check.
+sets F_ij; intersecting one per pair gives an agent's uniquely-demanded set
+I_i.  `build_f_ij` sorts a pair's common goods and chores by value ratio
+once and reads every option's F_ij as prefixes of those orders;
+`reconstruct_I` lists an agent's distinct I_i.  The I_i are joined into
+pairwise disjoint tuples and grouped by the reallocation set R of items
+they leave uncovered.
+
+A candidate is one demand map: for each item t the tuple of agents
+demanding it, (i,) for t in I_i and a set D(t) of at least two agents for
+t in R.  For each R (by size, then lexicographic), demand sets over R and
+joined tuple, the map is screened with the reassignment-based envy-freeness
+test (under the original values) and the weighted-welfare LP.  The base is
+the map's first placement, every item to its lowest demander, and each
+witness another placement of R among its demanders; the LP certifies that
+every placement maximizes eta-shifted weighted welfare under the perturbed
+values, so the base and every witness are Pareto optimal.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .core import (
     Allocation,
@@ -34,73 +44,64 @@ from .welfare import (
 HARD_AGENT_CAP = 3
 
 
-@dataclass(frozen=True)
-class SeparatorGuess:
-    """Optional separating good/chore per ordered agent pair, plus empty flags."""
-
-    goods: Dict[Tuple[int, int], Optional[int]]
-    chores: Dict[Tuple[int, int], Optional[int]]
-    empty: tuple  # tuple[bool, ...] per agent
-
-
-def _sign_sets(pert: PerturbedInstance, i: int, j: int):
-    """Items that are common goods, common chores, and i-good/j-chore."""
-    m = pert.base.num_items
-    plus, minus, q = [], [], []
-    for t in range(m):
-        vi, vj = pert.pert_value(i, t), pert.pert_value(j, t)
-        if vi > 0 and vj > 0:
-            plus.append(t)
-        elif vi < 0 and vj < 0:
-            minus.append(t)
-        elif vi > 0 and vj < 0:
-            q.append(t)
-    return plus, minus, q
+def _prefixes(ratio):
+    """Each item's filter set: the items whose ratio is at most its own."""
+    order = sorted(ratio, key=ratio.__getitem__)
+    ratios = [ratio[t] for t in order]
+    return {
+        t: frozenset(order[: bisect_right(ratios, r)]) for t, r in ratio.items()
+    }
 
 
 def build_f_ij(
-    pert: PerturbedInstance, i: int, j: int, guess: SeparatorGuess
-) -> frozenset:
-    """Ratio-filter set F_ij = Q_ij | G_ij | B_ij for the guessed separators."""
-    plus, minus, q = _sign_sets(pert, i, j)
-    out = set(q)
-    g = guess.goods.get((i, j))
-    if g is not None:
-        if g not in plus:
-            raise ValueError(f"separating good {g} is not a common good")
-        bound = Fraction(pert.pert_value(j, g)) / pert.pert_value(i, g)
-        for t in plus:
-            if Fraction(pert.pert_value(j, t)) / pert.pert_value(i, t) <= bound:
-                out.add(t)
-    c = guess.chores.get((i, j))
-    if c is not None:
-        if c not in minus:
-            raise ValueError(f"separating chore {c} is not a common chore")
-        bound = Fraction(abs(pert.pert_value(i, c))) / abs(pert.pert_value(j, c))
-        for t in minus:
-            ratio = Fraction(abs(pert.pert_value(i, t))) / abs(
-                pert.pert_value(j, t)
-            )
-            if ratio <= bound:
-                out.add(t)
-    return frozenset(out)
+    pert: PerturbedInstance, i: int, j: int
+) -> Dict[Tuple[Optional[int], Optional[int]], frozenset]:
+    """Ratio-filter sets F_ij = Q_ij | G_ij | B_ij of every separator option.
+
+    Keys are (good, chore) separator options, each None or a common good
+    (chore) of i and j, in the order `[None] + goods` by `[None] + chores`
+    with goods and chores by increasing item.  Q_ij holds the items that
+    are goods for i and chores for j; G_ij the common goods whose ratio
+    vbar_j/vbar_i is at most the separating good's, B_ij the common chores
+    whose |vbar_i|/|vbar_j| is at most the separating chore's.  Each order
+    is sorted once per pair, so equal ratios fall on the same side.
+    """
+    vi, vj = pert.pert_values[i], pert.pert_values[j]
+    goods, chores, q = [], [], []
+    for t, (a, b) in enumerate(zip(vi, vj)):
+        if a > 0 and b > 0:
+            goods.append(t)
+        elif a < 0 and b < 0:
+            chores.append(t)
+        elif a > 0 > b:
+            q.append(t)
+    good_sets = _prefixes({t: vj[t] / vi[t] for t in goods})
+    chore_sets = _prefixes({t: vi[t] / vj[t] for t in chores})
+    base = frozenset(q)
+    return {
+        (g, c): base.union(good_sets.get(g, ()), chore_sets.get(c, ()))
+        for g in [None] + goods
+        for c in [None] + chores
+    }
 
 
-def reconstruct_I(pert: PerturbedInstance, guess: SeparatorGuess):
-    """Per-agent uniquely-demanded sets from the separator guess."""
-    n = pert.base.num_agents
+def reconstruct_I(pert: PerturbedInstance, i: int) -> List[frozenset]:
+    """Agent i's distinct uniquely-demanded sets I_i.
+
+    The empty set (agent i claims nothing) comes first, then each
+    intersection of one F_ij per other agent j, in first-seen order over
+    the product of the pairs' option orders.
+    """
+    per_pair = [
+        build_f_ij(pert, i, j).values()
+        for j in range(pert.base.num_agents)
+        if j != i
+    ]
     all_items = frozenset(range(pert.base.num_items))
-    result = []
-    for i in range(n):
-        if guess.empty[i]:
-            result.append(frozenset())
-            continue
-        acc = all_items
-        for j in range(n):
-            if j != i:
-                acc = acc & build_f_ij(pert, i, j, guess)
-        result.append(acc)
-    return result
+    seen = dict.fromkeys([frozenset()])
+    for filters in itertools.product(*per_pair):
+        seen.setdefault(all_items.intersection(*filters))
+    return list(seen)
 
 
 def _demand_options(n: int):
@@ -111,53 +112,32 @@ def _demand_options(n: int):
     return opts
 
 
-def _pair_guesses(pert, i, j):
-    """Each optional (good, chore) separator choice for the pair (i, j)."""
-    plus, minus, _ = _sign_sets(pert, i, j)
-    no_empty = (False,) * pert.base.num_agents
-    return [
-        SeparatorGuess({(i, j): g}, {(i, j): c}, no_empty)
-        for g in [None] + sorted(plus)
-        for c in [None] + sorted(minus)
-    ]
+def _placement(n: int, owners) -> Allocation:
+    """The allocation giving item t to agent owners[t]."""
+    bundles = [set() for _ in range(n)]
+    for t, a in enumerate(owners):
+        bundles[a].add(t)
+    return Allocation(tuple(bundles))
 
 
-def _efr_witnesses(inst, item_sets, realloc, demand):
-    """Per-agent envy-free witnesses over D(t)-respecting placements of R.
+def _efr_witnesses(inst, demand):
+    """Per-agent envy-free witnesses over the placements of a demand map.
 
-    Returns the list of witness allocations, or None when some agent has
-    no envy-free placement.  Envy-freeness is evaluated under the
-    original values.
+    Placements give each item to one of its demanders, in product order
+    over `demand`; the first is the base.  Returns the list of witness
+    allocations, or None when some agent has no envy-free placement.
+    Envy-freeness is evaluated under the original values.
     """
     n = inst.num_agents
-    rlist = sorted(realloc)
-    choices = [sorted(demand[t]) for t in rlist]
     witnesses: List[Optional[Allocation]] = [None] * n
-    for assignment in itertools.product(*choices):
-        bundles = [set(s) for s in item_sets]
-        for t, a in zip(rlist, assignment):
-            bundles[a].add(t)
-        alloc = Allocation(tuple(bundles))
+    for owners in itertools.product(*demand):
+        alloc = _placement(n, owners)
         for i, row in enumerate(profile(inst, alloc)):
             if witnesses[i] is None and row[i] >= max(row):
                 witnesses[i] = alloc
         if all(w is not None for w in witnesses):
             return witnesses
     return None
-
-
-def _agent_item_sets(pert: PerturbedInstance, i: int) -> List[frozenset]:
-    """Agent i's distinct I_i: empty-flag set first, then first-seen order."""
-    per_pair = [
-        [build_f_ij(pert, i, j, guess) for guess in _pair_guesses(pert, i, j)]
-        for j in range(pert.base.num_agents)
-        if j != i
-    ]
-    all_items = frozenset(range(pert.base.num_items))
-    seen = dict.fromkeys([frozenset()])
-    for filters in itertools.product(*per_pair):
-        seen.setdefault(all_items.intersection(*filters))
-    return list(seen)
 
 
 def search_efr_po(
@@ -197,37 +177,39 @@ def search_efr_po(
                 "candidate budget exhausted before a solution"
             )
 
-    # outcomes depend only on (I-tuple, R, demand) and R is forced; product
+    # outcomes depend only on the demand map and R is forced; product
     # order over distinct sets is their first-seen separator-product order
     by_realloc: Dict[frozenset, list] = {}
     all_items = frozenset(range(m))
     for item_sets in itertools.product(
-        *(_agent_item_sets(pert, i) for i in range(n))
+        *(reconstruct_I(pert, i) for i in range(n))
     ):
         spend()
         claimed = frozenset().union(*item_sets)
         if sum(map(len, item_sets)) == len(claimed) and m - len(claimed) < n:
-            by_realloc.setdefault(all_items - claimed, []).append(item_sets)
+            held: List[Optional[tuple]] = [None] * m  # R items stay None
+            for i, items in enumerate(item_sets):
+                for t in items:
+                    held[t] = (i,)
+            by_realloc.setdefault(all_items - claimed, []).append(held)
 
     demand_opts = _demand_options(n)
     for rset in sorted(by_realloc, key=lambda r: (len(r), sorted(r))):
-        realloc = tuple(sorted(rset))
+        realloc = sorted(rset)
         for demand_combo in itertools.product(demand_opts, repeat=len(realloc)):
-            demand = dict(zip(realloc, demand_combo))
-            for item_sets in by_realloc[rset]:
+            for held in by_realloc[rset]:
                 spend()
-                witnesses = _efr_witnesses(inst, item_sets, realloc, demand)
+                demand = list(held)
+                for t, d in zip(realloc, demand_combo):
+                    demand[t] = d
+                witnesses = _efr_witnesses(inst, demand)
                 if witnesses is None:
                     continue
-                w = po_certificate_lp(pert, item_sets, realloc, demand)
+                w = po_certificate_lp(pert, demand)
                 if w is None:
                     continue
-                bundles = [set(s) for s in item_sets]
-                for t in realloc:
-                    bundles[min(demand[t])].add(t)
-                alloc = Allocation(tuple(bundles))
-                cert = EfrCertificate(alloc, rset, tuple(witnesses))
-                return alloc, cert, w
+                alloc = _placement(n, [d[0] for d in demand])
+                return alloc, EfrCertificate(alloc, rset, tuple(witnesses)), w
     raise AssertionError(
         "enumeration exhausted without a solution; existence is guaranteed"
     )

@@ -128,14 +128,12 @@ def decide_efr_k(
     Scans candidate reallocation sets R by increasing size, then
     lexicographically; the first R for which every agent admits an
     envy-free witness (reassigning items of R only) is returned inside the
-    decision's certificate.  `budget` counts witness-search nodes; a
-    `_Budget` instead of a number is spent in place, so `min_efr_k` shares
-    one across all k.
+    decision's certificate.  `budget` counts witness-search nodes.
     """
     validate_allocation(inst, alloc)
     if k < 0 or k > inst.num_items:
         raise ValueError(f"k={k} outside [0, m={inst.num_items}]")
-    tracker = budget if isinstance(budget, _Budget) else _Budget(budget)
+    tracker = _Budget(budget)
     n = inst.num_agents
     owner = [0] * inst.num_items
     for j, bundle in enumerate(alloc.bundles):
@@ -165,16 +163,16 @@ def min_efr_k(
 ):
     """Smallest k for which `alloc` is EFR-k, with its certificate.
 
-    k = m always suffices (each agent may reassign every item), so this
-    terminates within the budget, which all k share, or raises
-    BudgetExceededError.
+    One scan: `decide_efr_k` with k = m tries R by increasing size, so its
+    first R has the least size k, and k = m always suffices (each agent may
+    reassign every item).  `budget` counts the witness-search nodes of that
+    scan, the same spend as `decide_efr_k` at the returned k; running out
+    raises BudgetExceededError.
     """
-    tracker = _Budget(budget)
-    for k in range(inst.num_items + 1):
-        decision = decide_efr_k(inst, alloc, k, budget=tracker)
-        if decision.verdict:
-            return k, decision.certificate
-    raise AssertionError("EFR-m must hold for any allocation")
+    decision = decide_efr_k(inst, alloc, inst.num_items, budget)
+    if not decision.verdict:
+        raise AssertionError("EFR-m must hold for any allocation")
+    return len(decision.certificate.realloc_set), decision.certificate
 
 
 def is_pareto_optimal_bruteforce(

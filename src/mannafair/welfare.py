@@ -4,8 +4,12 @@ Integer-valued instances are perturbed by small per-entry rational
 subtractions chosen deterministically so that the perturbed values are
 non-degenerate: no entry is zero and no agent-item cycle has an
 alternating value-ratio product of one.  Welfare maximization then uses
-eta-shifted weights, and Pareto optimality of a candidate partition is
-decided by exact rational linear-inequality feasibility.
+eta-shifted weights.  A demand map (the agents each item may go to) is
+certified by exact rational linear-inequality feasibility: a weight
+vector under which each item's demanders tie and beat every other agent
+makes every placement among the demanders Pareto optimal, the
+weighted-welfare (fPO) certificate of Barman, Krishnamurthy and Vaish
+(EC 2018).
 
 Cycles are walked depth-first over integer rows: each row is scaled by
 the LCM of its denominators (every agent of a cycle heads one numerator
@@ -17,7 +21,6 @@ multiplications, and no `Fraction` is built per step.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd
@@ -405,78 +408,50 @@ def solve_leq_system(constraints: List[Tuple[List[Fraction], Fraction]], nvars: 
 
 
 def po_certificate_lp(
-    pert: PerturbedInstance,
-    item_sets: Sequence,
-    realloc,
-    demand: Dict[int, Sequence[int]],
+    pert: PerturbedInstance, demand: Sequence[Sequence[int]]
 ) -> Optional[WeightVector]:
-    """Weight vector certifying the partition is shifted-welfare optimal.
+    """Weight vector under which every item goes to one of its demanders.
 
-    Feasibility of the system { (w_i+eta) vbar_i(t) >= (w_j+eta) vbar_j(t)
-    for t in I_i, j != i;  equality for t in R across D(t);  w in the
-    simplex } is decided exactly; a feasible w means the induced allocation
-    is PO with respect to the original values.
+    `demand[t]` lists the agents that item t may go to, for every item t
+    in range(m): one agent for an item it holds alone, at least two for a
+    reallocated item.  Feasibility of the system { (w_j+eta) vbar_j(t) <=
+    (w_i+eta) vbar_i(t) for each t, i in demand[t], j != i;  w in the
+    simplex } is decided exactly.  Two demanders of one item get both
+    rows, so they tie.  A feasible w makes every placement of the items
+    among their demanders maximize eta-shifted weighted welfare under the
+    perturbed values, hence Pareto optimal under the original values.
     """
     n, m = pert.base.num_agents, pert.base.num_items
-    if len(item_sets) != n:
-        raise ValueError("need one item set per agent")
-    covered = set(realloc)
-    for s in item_sets:
-        for t in s:
-            if t in covered:
-                raise ValueError("item sets and realloc set must be disjoint")
-            covered.add(t)
-    if covered != set(range(m)):
-        raise ValueError("item sets plus realloc set must cover all items")
+    if len(demand) != m:
+        raise ValueError("demand map must cover every item")
     eta = pert.params.eta
 
-    # variables x_0 .. x_{n-2}; w_n-1 = 1 - sum(x)
+    # variables x_0 .. x_{n-2}; w_{n-1} = 1 - sum(x); w_i = c_i . x + d_i
     nv = n - 1
-    constraints: List[Tuple[List[Fraction], Fraction]] = []
-
-    def weight_coeffs(i):
-        """Coefficient vector and constant so that w_i = c . x + d."""
-        if i < nv:
-            c = [Fraction(0)] * nv
-            c[i] = Fraction(1)
-            return c, Fraction(0)
-        return [Fraction(-1)] * nv, Fraction(1)
-
-    def add_leq(ci, di, cj, dj, vi, vj):
-        # (w_i + eta) vj-side dominated: (w_j+eta) vbar_j - (w_i+eta) vbar_i <= 0
-        coeffs = [cj[k] * vj - ci[k] * vi for k in range(nv)]
-        rhs = (di + eta) * vi - (dj + eta) * vj
-        constraints.append((coeffs, rhs))
-
-    for i in range(n):
-        ci, di = weight_coeffs(i)
-        for t in item_sets[i]:
-            vi = pert.pert_value(i, t)
+    affine = [
+        ([Fraction(int(k == i)) for k in range(nv)], Fraction(0))
+        for i in range(nv)
+    ] + [([Fraction(-1)] * nv, Fraction(1))]
+    constraints: List[Tuple[List[Fraction], Fraction]] = [
+        ([-c for c in ci], di) for ci, di in affine  # w_i >= 0
+    ]
+    for t in range(m):
+        if not demand[t] or not set(demand[t]) <= set(range(n)):
+            raise ValueError(f"item {t} needs demanders among the agents")
+        col = [pert.pert_value(a, t) for a in range(n)]
+        for i in demand[t]:
+            ci, di = affine[i]
             for j in range(n):
-                if j == i:
-                    continue
-                cj, dj = weight_coeffs(j)
-                add_leq(ci, di, cj, dj, vi, pert.pert_value(j, t))
-    for t in realloc:
-        d = sorted(demand[t])
-        if len(d) < 2:
-            raise ValueError(f"realloc item {t} needs at least two demanders")
-        for i, j in itertools.combinations(d, 2):
-            ci, di = weight_coeffs(i)
-            cj, dj = weight_coeffs(j)
-            vi, vj = pert.pert_value(i, t), pert.pert_value(j, t)
-            add_leq(ci, di, cj, dj, vi, vj)
-            add_leq(cj, dj, ci, di, vj, vi)
-    for i in range(n):
-        ci, di = weight_coeffs(i)
-        constraints.append(([-c for c in ci], di))  # w_i >= 0
+                if j != i:
+                    # (w_j+eta) vbar_j(t) - (w_i+eta) vbar_i(t) <= 0
+                    cj, dj = affine[j]
+                    constraints.append((
+                        [cj[k] * col[j] - ci[k] * col[i] for k in range(nv)],
+                        (di + eta) * col[i] - (dj + eta) * col[j],
+                    ))
     if nv == 0:
-        for coeffs, rhs in constraints:
-            if rhs < 0:
-                return None
         return WeightVector((Fraction(1),))
     point = solve_leq_system(constraints, nv)
     if point is None:
         return None
-    weights = list(point) + [Fraction(1) - sum(point)]
-    return WeightVector(tuple(weights))
+    return WeightVector(tuple(point) + (Fraction(1) - sum(point),))

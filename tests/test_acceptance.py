@@ -34,7 +34,7 @@ from mannafair.welfare import (
     max_weighted_welfare,
     perturb_nondegenerate,
 )
-from mannafair.fixed_n import SeparatorGuess, reconstruct_I, search_efr_po
+from mannafair.fixed_n import search_efr_po
 from mannafair.cli import main
 from mannafair.harness import (
     gen_identical_chores,
@@ -43,7 +43,7 @@ from mannafair.harness import (
     gen_random,
 )
 
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, separators_recover
 
 
 def report(num, title, ok, elapsed=None):
@@ -289,41 +289,7 @@ def test_09_separator_reconstruction_identity():
         _, ties, _ = demand_sets(pert, w)
         tie_set = frozenset(ties)
         true_i = [frozenset(alloc.bundles[i]) - tie_set for i in range(n)]
-        goods, chores, empty = {}, {}, []
-        for i in range(n):
-            empty.append(not true_i[i])
-            for j in range(n):
-                if j == i:
-                    continue
-                cg = [
-                    t
-                    for t in true_i[i]
-                    if pert.pert_value(i, t) > 0 and pert.pert_value(j, t) > 0
-                ]
-                cc = [
-                    t
-                    for t in true_i[i]
-                    if pert.pert_value(i, t) < 0 and pert.pert_value(j, t) < 0
-                ]
-                if cg:
-                    goods[(i, j)] = max(
-                        cg,
-                        key=lambda t: (
-                            pert.pert_value(j, t) / pert.pert_value(i, t),
-                            -t,
-                        ),
-                    )
-                if cc:
-                    chores[(i, j)] = max(
-                        cc,
-                        key=lambda t: (
-                            abs(pert.pert_value(i, t))
-                            / abs(pert.pert_value(j, t)),
-                            -t,
-                        ),
-                    )
-        guess = SeparatorGuess(goods, chores, tuple(empty))
-        ok = ok and reconstruct_I(pert, guess) == true_i
+        ok = ok and separators_recover(pert, true_i)
         if not ok:
             break
     elapsed = time.time() - start

@@ -95,6 +95,20 @@ class TestGen:
             == 3
         )
 
+    @pytest.mark.parametrize(
+        "values,reason",
+        [("1,-2", "values must be positive"), ("1,2", "must have an even sum")],
+    )
+    def test_partition_bad_set_names_the_flag(
+        self, tmp_path, capsys, values, reason
+    ):
+        out = tmp_path / "x.json"
+        argv = ["gen", "--family", "partition", "--set", values, "-o", str(out)]
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input error: --set: ") and reason in err
+        assert not out.exists()
+
 
 class TestSolveAndVerify:
     def test_efr_pipeline(self, tmp_path, inst_file):
@@ -176,6 +190,28 @@ class TestSolveAndVerify:
             cert.read_text(), parse_instance(inst.read_text())
         )
         assert len(parsed.realloc_set) <= 1
+
+    def test_fixed_n_base_and_witnesses_are_pareto_optimal(
+        self, tmp_path, capsys
+    ):
+        # values [[3,5,8],[8,4,8],[7,1,5]]: the search once returned the
+        # base {1,2},{3},{} here, which check-po calls dominated
+        inst = tmp_path / "inst.json"
+        cert = tmp_path / "cert.json"
+        argv = ["gen", "--family", "random", "--n", "3", "--m", "3"]
+        argv += ["--seed", "1", "--chore-prob", "0", "-o", str(inst)]
+        assert run(argv) == 0
+        assert (
+            run(["solve", "--algo", "fixed-n", "-i", str(inst), "-o", str(cert)])
+            == 0
+        )
+        doc = json.loads(cert.read_text())
+        for bundles in (doc["base"], *doc["witnesses"]):
+            alloc = tmp_path / "alloc.json"
+            alloc.write_text(json.dumps({"format_version": 1, "bundles": bundles}))
+            capsys.readouterr()
+            assert run(["check-po", "-i", str(inst), "--alloc", str(alloc)]) == 0
+            assert capsys.readouterr().out == "pareto-optimal\n"
 
     def test_fixed_n_solver_accepts_rational_values(self, tmp_path):
         inst = tmp_path / "half.json"

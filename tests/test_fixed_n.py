@@ -1,17 +1,11 @@
 """Enumeration search for allocations that are both EFR-(n-1) and PO."""
 
-import itertools
 from fractions import Fraction as F
 
 import pytest
 
 from mannafair.core import Allocation, Instance, validate_certificate
-from mannafair.fixed_n import (
-    SeparatorGuess,
-    build_f_ij,
-    reconstruct_I,
-    search_efr_po,
-)
+from mannafair.fixed_n import build_f_ij, reconstruct_I, search_efr_po
 from mannafair.oracles import decide_efr_k, is_pareto_optimal_bruteforce
 from mannafair.welfare import (
     WeightVector,
@@ -21,13 +15,11 @@ from mannafair.welfare import (
 )
 from mannafair.harness import gen_random
 
+from conftest import separators_recover
+
 
 def make_instance(rows):
     return Instance(tuple(tuple(F(v) for v in row) for row in rows))
-
-
-def empty_guess(n):
-    return SeparatorGuess({}, {}, tuple(False for _ in range(n)))
 
 
 class TestBuildFij:
@@ -36,13 +28,13 @@ class TestBuildFij:
         # common goods, no common chores, and no good-for-0/chore-for-1 items
         inst = make_instance([[-1, -2], [1, 2]])
         pert = perturb_nondegenerate(inst)
-        assert build_f_ij(pert, 0, 1, empty_guess(2)) == frozenset()
+        assert build_f_ij(pert, 0, 1) == {(None, None): frozenset()}
 
     def test_q_items_always_included(self):
         # good for agent 0, chore for agent 1
         inst = make_instance([[3, 1], [-2, -5]])
         pert = perturb_nondegenerate(inst)
-        assert build_f_ij(pert, 0, 1, empty_guess(2)) == frozenset({0, 1})
+        assert build_f_ij(pert, 0, 1) == {(None, None): frozenset({0, 1})}
 
     def test_max_ratio_good_admits_all_common_goods(self):
         inst = make_instance([[1, 2, 3], [5, 2, 1]])
@@ -51,29 +43,28 @@ class TestBuildFij:
             t: pert.pert_value(1, t) / pert.pert_value(0, t) for t in range(3)
         }
         gmax = max(range(3), key=lambda t: (ratios[t], -t))
-        guess = SeparatorGuess({(0, 1): gmax}, {}, (False, False))
-        assert build_f_ij(pert, 0, 1, guess) == frozenset({0, 1, 2})
+        assert build_f_ij(pert, 0, 1)[gmax, None] == frozenset({0, 1, 2})
 
     def test_good_filter_matches_direct_ratio_scan(self):
         inst = gen_random(2, 6, 9, F(0), seed=5)  # all goods
         pert = perturb_nondegenerate(inst)
+        sets = build_f_ij(pert, 0, 1)
+        assert list(sets) == [(g, None) for g in [None, *range(6)]]
         for g in range(6):
-            guess = SeparatorGuess({(0, 1): g}, {}, (False, False))
-            got = build_f_ij(pert, 0, 1, guess)
             bound = pert.pert_value(1, g) / pert.pert_value(0, g)
             expected = frozenset(
                 t
                 for t in range(6)
                 if pert.pert_value(1, t) / pert.pert_value(0, t) <= bound
             )
-            assert got == expected
+            assert sets[g, None] == expected
 
     def test_chore_filter_matches_direct_ratio_scan(self):
         inst = gen_random(2, 6, 9, F(1), seed=5)  # all chores
         pert = perturb_nondegenerate(inst)
+        sets = build_f_ij(pert, 0, 1)
+        assert list(sets) == [(None, c) for c in [None, *range(6)]]
         for c in range(6):
-            guess = SeparatorGuess({}, {(0, 1): c}, (False, False))
-            got = build_f_ij(pert, 0, 1, guess)
             bound = abs(pert.pert_value(0, c)) / abs(pert.pert_value(1, c))
             expected = frozenset(
                 t
@@ -81,35 +72,34 @@ class TestBuildFij:
                 if abs(pert.pert_value(0, t)) / abs(pert.pert_value(1, t))
                 <= bound
             )
-            assert got == expected
+            assert sets[None, c] == expected
 
     def test_wrong_sign_separator_rejected(self):
+        # item 0 is a common good and item 1 a common chore, so neither can
+        # separate with the other's role
         inst = make_instance([[3, -1], [2, -5]])
         pert = perturb_nondegenerate(inst)
-        with pytest.raises(ValueError):
-            build_f_ij(
-                pert, 0, 1, SeparatorGuess({(0, 1): 1}, {}, (False, False))
-            )
-        with pytest.raises(ValueError):
-            build_f_ij(
-                pert, 0, 1, SeparatorGuess({}, {(0, 1): 0}, (False, False))
-            )
+        sets = build_f_ij(pert, 0, 1)
+        assert list(sets) == [(None, None), (None, 1), (0, None), (0, 1)]
+        assert (1, None) not in sets and (None, 0) not in sets
 
 
 class TestReconstructI:
     def test_two_agents_single_term_intersections(self):
         inst = make_instance([[3, -1], [-2, -5]])
         pert = perturb_nondegenerate(inst)
-        guess = empty_guess(2)
-        sets = reconstruct_I(pert, guess)
-        assert sets[0] == build_f_ij(pert, 0, 1, guess)
-        assert sets[1] == build_f_ij(pert, 1, 0, guess)
+        for i, j in ((0, 1), (1, 0)):
+            options = build_f_ij(pert, i, j).values()
+            expected = list(dict.fromkeys([frozenset(), *options]))
+            assert reconstruct_I(pert, i) == expected
 
     def test_empty_flags_give_empty_sets(self):
         inst = make_instance([[3, 1], [2, 5]])
         pert = perturb_nondegenerate(inst)
-        sets = reconstruct_I(pert, SeparatorGuess({}, {}, (True, True)))
-        assert sets == [frozenset(), frozenset()]
+        for i in range(2):
+            sets = reconstruct_I(pert, i)
+            assert sets[0] == frozenset()
+            assert len(set(sets)) == len(sets)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_true_separators_recover_unique_demand_sets(self, seed):
@@ -124,43 +114,7 @@ class TestReconstructI:
         _, ties, _ = demand_sets(pert, w)
         tie_set = frozenset(ties)
         true_i = [frozenset(alloc.bundles[i]) - tie_set for i in range(n)]
-
-        goods, chores = {}, {}
-        empty = []
-        for i in range(n):
-            empty.append(not true_i[i])
-            for j in range(n):
-                if j == i:
-                    continue
-                common_goods = [
-                    t
-                    for t in true_i[i]
-                    if pert.pert_value(i, t) > 0 and pert.pert_value(j, t) > 0
-                ]
-                common_chores = [
-                    t
-                    for t in true_i[i]
-                    if pert.pert_value(i, t) < 0 and pert.pert_value(j, t) < 0
-                ]
-                if common_goods:
-                    goods[(i, j)] = max(
-                        common_goods,
-                        key=lambda t: (
-                            pert.pert_value(j, t) / pert.pert_value(i, t),
-                            -t,
-                        ),
-                    )
-                if common_chores:
-                    chores[(i, j)] = max(
-                        common_chores,
-                        key=lambda t: (
-                            abs(pert.pert_value(i, t))
-                            / abs(pert.pert_value(j, t)),
-                            -t,
-                        ),
-                    )
-        guess = SeparatorGuess(goods, chores, tuple(empty))
-        assert reconstruct_I(pert, guess) == true_i
+        assert separators_recover(pert, true_i)
 
 
 class TestSearchEfrPo:
@@ -199,13 +153,16 @@ class TestSearchEfrPo:
 
     # (n, m, chore_prob, seed) -> (realloc set, bundles) as returned by the
     # separator-product enumeration that the distinct-set join replaced;
-    # the join must keep its first hit
+    # the join must keep its first hit.  Rows (3, 2, 1, 0), (3, 3, 1, 3)
+    # and (3, 5, 1, 9) are the first hits once the LP also makes each
+    # item's demanders beat the other agents (the earlier rows gave an R
+    # item a single demander under their own weights)
     FIRST_HITS = [
-        ((3, 2, F(1), 0), {0, 1}, [{0, 1}, set(), set()]),
+        ((3, 2, F(1), 0), {0, 1}, [{1}, {0}, set()]),
         ((3, 2, F(1), 1), {0, 1}, [{0, 1}, set(), set()]),
         ((3, 2, F(1), 2), {0, 1}, [{0, 1}, set(), set()]),
         ((3, 2, F(1), 3), {0, 1}, [{0, 1}, set(), set()]),
-        ((3, 3, F(1), 3), {0, 1}, [{0, 1}, {2}, set()]),
+        ((3, 3, F(1), 3), {0, 1}, [{0}, {1, 2}, set()]),
         ((3, 3, F(1, 2), 2), {2}, [{2}, set(), {0, 1}]),
         ((3, 3, F(1, 2), 11), {1}, [{0, 2}, {1}, set()]),
         ((2, 2, F(1, 2), 3), {1}, [{1}, {0}]),
@@ -214,7 +171,7 @@ class TestSearchEfrPo:
         ((2, 4, F(1), 10), {1}, [{0, 1, 2}, {3}]),
         ((2, 5, F(0), 3), {4}, [{0, 3, 4}, {1, 2}]),
         ((2, 6, F(0), 9), {5}, [{0, 3, 5}, {1, 2, 4}]),
-        ((3, 5, F(1), 9), {1}, [{1, 2}, {3}, {0, 4}]),
+        ((3, 5, F(1), 9), {1}, [{1, 2, 4}, {3}, {0}]),
         ((3, 5, F(0), 4), set(), [{2}, {0}, {1, 3, 4}]),
         ((3, 5, F(1, 2), 0), set(), [{0, 1, 3}, {2}, {4}]),
         ((3, 4, F(1), 7), set(), [{2}, {1, 3}, {0}]),
@@ -257,3 +214,29 @@ class TestSearchEfrPo:
         inst = gen_random(2, 6, 9, F(1, 2), seed=3)
         with pytest.raises(BudgetExceededError):
             search_efr_po(inst, max_candidates=1)
+
+
+# the sweep on which the search once returned non-PO bases and witnesses
+SWEEP = [(2, m) for m in range(1, 9)] + [(3, m) for m in range(1, 8)]
+
+
+@pytest.mark.parametrize("chore_prob", [F(0), F(1, 2), F(1)], ids=str)
+@pytest.mark.parametrize("n,m", SWEEP)
+def test_search_output_is_supported_by_its_weights(n, m, chore_prob):
+    """The base and every witness are PO, placed as the weights demand.
+
+    Under `demand_sets` for the returned w, each R item has at least two
+    demanders, and the base and every witness give each item to one of its
+    demanders, so each of them maximizes shifted weighted welfare.
+    """
+    for seed in range(10):
+        inst = gen_random(n, m, 9, chore_prob, seed)
+        alloc, cert, w = search_efr_po(inst)
+        demand, _, _ = demand_sets(perturb_nondegenerate(inst), w)
+        assert all(len(demand[t]) >= 2 for t in cert.realloc_set)
+        for placed in (alloc, *cert.witnesses):
+            assert all(
+                placed.holder(t) in demand[t] for t in range(m)
+            ), (seed, placed)
+            assert is_pareto_optimal_bruteforce(inst, placed), (seed, placed)
+

@@ -100,17 +100,28 @@ def ref_decide_efr_k(inst, alloc, k, budget):
     return EfrDecision(False, None)
 
 
-def run(decide, inst, alloc, k, limit):
+def run_reference(inst, alloc, k, limit):
     """(decision or None if the budget ran out, units spent)."""
     budget = _Budget(limit)
     try:
-        return decide(inst, alloc, k, budget), limit - budget.remaining
+        return ref_decide_efr_k(inst, alloc, k, budget), limit - budget.remaining
     except BudgetExceededError:
         return None, None
 
 
+def run_kernel(inst, alloc, k, limit):
+    """The kernel's decision, or None if the budget ran out."""
+    try:
+        return decide_efr_k(inst, alloc, k, budget=limit)
+    except BudgetExceededError:
+        return None
+
+
 def assert_same_budgets(inst, alloc, k, spent, draw_below):
-    """The kernel raises below the reference spend and not at it."""
+    """The kernel raises below the reference spend and not at it.
+
+    So the kernel spends exactly `spent` units.
+    """
     below = {spent - 1, draw_below(spent)} if spent else set()
     for limit in below:
         with pytest.raises(BudgetExceededError):
@@ -145,9 +156,8 @@ def cases(draw):
 @given(cases(), st.data())
 def test_decide_matches_reference(case, data):
     inst, alloc, k = case
-    expected, spent = run(ref_decide_efr_k, inst, alloc, k, LIMIT)
-    got, got_spent = run(decide_efr_k, inst, alloc, k, LIMIT)
-    assert (got, got_spent) == (expected, spent)
+    expected, spent = run_reference(inst, alloc, k, LIMIT)
+    assert run_kernel(inst, alloc, k, LIMIT) == expected
     if spent is not None:
         assert_same_budgets(
             inst, alloc, k, spent, lambda s: data.draw(st.integers(0, s - 1))
@@ -158,12 +168,13 @@ def test_decide_matches_reference(case, data):
 @given(cases())
 def test_min_efr_k_matches_reference(case):
     inst, alloc, _ = case
-    budget = _Budget(LIMIT)
-    for k in range(inst.num_items + 1):  # min_efr_k's loop on the reference
-        decision = ref_decide_efr_k(inst, alloc, k, budget)
-        if decision.verdict:
-            break
-    spent = LIMIT - budget.remaining
+    # min_efr_k is one scan: the reference decision at k = m, whose spend
+    # is that of the decision at the returned k alone
+    decision, spent = run_reference(inst, alloc, inst.num_items, LIMIT)
+    k = len(decision.certificate.realloc_set)
+    assert run_reference(inst, alloc, k, LIMIT) == (decision, spent)
+    if k:  # deciding k = 0, 1, ... in turn stops at the same k
+        assert not run_reference(inst, alloc, k - 1, LIMIT)[0].verdict
     assert min_efr_k(inst, alloc, budget=spent) == (k, decision.certificate)
     if spent:  # n = 1 searches no nodes
         with pytest.raises(BudgetExceededError):
@@ -206,8 +217,7 @@ PARTITIONS = [
 @pytest.mark.parametrize("values", PARTITIONS, ids=lambda v: ",".join(map(str, v)))
 def test_partition_reductions_match_reference(values):
     inst, alloc, k = gen_partition_reduction(values)
-    expected, spent = run(ref_decide_efr_k, inst, alloc, k, 10**9)
-    got, got_spent = run(decide_efr_k, inst, alloc, k, 10**9)
-    assert (got, got_spent) == (expected, spent)
-    assert got.verdict == (solve_partition(values) is not None)
+    expected, spent = run_reference(inst, alloc, k, 10**9)
+    assert run_kernel(inst, alloc, k, 10**9) == expected
+    assert expected.verdict == (solve_partition(values) is not None)
     assert_same_budgets(inst, alloc, k, spent, lambda s: s // 2)

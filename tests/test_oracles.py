@@ -14,7 +14,6 @@ from mannafair.core import (
     validate_certificate,
 )
 from mannafair.oracles import (
-    _Budget,
     decide_efr_k,
     is_pareto_optimal_bruteforce,
     min_efr_k,
@@ -105,20 +104,19 @@ class TestMinEfrK:
             assert min_efr_k(PAIRED4, alloc)[0] == 2
 
     def test_budget_is_shared_across_k(self):
-        # CHORES4_ALLOC needs k = 3; each decision fits the budget alone,
-        # but the four of them together do not
-        spent = []
-        for k in range(4):
-            tracker = _Budget(10**6)
-            decide_efr_k(CHORES4, CHORES4_ALLOC, k, budget=tracker)
-            spent.append(10**6 - tracker.remaining)
-        budget = max(spent)
-        assert sum(spent) > budget
-        for k in range(4):
-            decide_efr_k(CHORES4, CHORES4_ALLOC, k, budget=budget)
+        # CHORES4_ALLOC needs k = 3.  min_efr_k is one scan by increasing
+        # |R|, so its budget is the 34 nodes of decide_efr_k at k = 3, not
+        # the 1 + 6 + 18 + 34 that deciding each k in turn would spend
+        for k, spend in enumerate((1, 6, 18, 34)):
+            decide_efr_k(CHORES4, CHORES4_ALLOC, k, budget=spend)
+            with pytest.raises(BudgetExceededError):
+                decide_efr_k(CHORES4, CHORES4_ALLOC, k, budget=spend - 1)
+        decision = decide_efr_k(CHORES4, CHORES4_ALLOC, 3)
+        assert min_efr_k(CHORES4, CHORES4_ALLOC, budget=34) == (
+            3, decision.certificate
+        )
         with pytest.raises(BudgetExceededError):
-            min_efr_k(CHORES4, CHORES4_ALLOC, budget=budget)
-        assert min_efr_k(CHORES4, CHORES4_ALLOC, budget=sum(spent))[0] == 3
+            min_efr_k(CHORES4, CHORES4_ALLOC, budget=33)
 
 
 class TestParetoBruteforce:

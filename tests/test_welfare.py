@@ -264,7 +264,7 @@ class TestSolveLeqSystem:
 class TestPoCertificateLp:
     def test_single_agent_always_feasible(self):
         pert = perturb_nondegenerate(make_instance([[1, -2]]))
-        w = po_certificate_lp(pert, [frozenset({0, 1})], frozenset(), {})
+        w = po_certificate_lp(pert, [(0,), (0,)])
         assert w is not None
         assert w.weights == (F(1),)
 
@@ -274,14 +274,12 @@ class TestPoCertificateLp:
         inst = gen_random(n, 5, 9, F(1, 2), seed=seed)
         pert = perturb_nondegenerate(inst)
         for w0 in weight_grid(n):
-            alloc = max_weighted_welfare(pert, w0)
-            demand, ties, _ = demand_sets(pert, w0)
-            tie_set = frozenset(ties)
-            item_sets = [
-                frozenset(alloc.bundles[i]) - tie_set for i in range(n)
-            ]
-            w = po_certificate_lp(pert, item_sets, tie_set, demand)
+            demand, _, _ = demand_sets(pert, w0)
+            w = po_certificate_lp(pert, [demand[t] for t in range(5)])
             assert w is not None
+            # the returned weights support the same demand map
+            supported, _, _ = demand_sets(pert, w)
+            assert all(set(demand[t]) <= set(supported[t]) for t in range(5))
 
     def test_forced_contradiction_is_infeasible(self):
         # item 0 strictly better for agent 1 at every weight: demanding it
@@ -292,9 +290,7 @@ class TestPoCertificateLp:
             ((F(0), F(1, 100)), (F(1, 200), F(1, 300))),
             compute_params(inst),
         )
-        w = po_certificate_lp(
-            pert, [frozenset({0}), frozenset({1})], frozenset(), {}
-        )
+        w = po_certificate_lp(pert, [(0,), (1,)])
         # (w_0+eta) * vbar_0(0) >= (w_1+eta) * vbar_1(0) needs w_0 >= 9 w_1
         # roughly; the reverse item allows it, so check the hand oracle
         eta = pert.params.eta
@@ -308,14 +304,22 @@ class TestPoCertificateLp:
                 feasible_by_hand = True
         assert (w is not None) == feasible_by_hand
 
+    def test_demanders_must_beat_the_other_agents(self):
+        # values [[3, 5, 8], [8, 4, 8], [7, 1, 5]]: agents 0 and 2 tying on
+        # item 0 while agent 0 takes item 1 and agent 1 item 2 satisfies
+        # the equality between the demanders, but agent 1 values item 0
+        # more than both; giving it to agent 1 and item 2 to agent 0
+        # dominates the base (8, 8, 0) with (13, 8, 0)
+        inst = gen_random(3, 3, 9, F(0), seed=1)
+        assert inst == make_instance([[3, 5, 8], [8, 4, 8], [7, 1, 5]])
+        pert = perturb_nondegenerate(inst)
+        assert po_certificate_lp(pert, [(0, 2), (0,), (1,)]) is None
+
     def test_malformed_partition_rejected(self):
         pert = perturb_nondegenerate(make_instance([[1, 2], [3, 4]]))
-        with pytest.raises(ValueError):
-            po_certificate_lp(
-                pert, [frozenset({0}), frozenset({0})], frozenset({1}), {}
-            )
-        with pytest.raises(ValueError):
-            po_certificate_lp(pert, [frozenset({0})], frozenset({1}), {})
+        for demand in ([(0,)], [(0,), ()], [(0,), (2,)], [(0, 1), (-1,)]):
+            with pytest.raises(ValueError):
+                po_certificate_lp(pert, demand)
 
 
 class TestParamValidation:
