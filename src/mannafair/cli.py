@@ -10,10 +10,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import algorithms, fixed_n, harness, oracles, welfare
-from .core import BudgetExceededError, EfrCertificate, validate_certificate
+from .core import (
+    BudgetExceededError,
+    EfrCertificate,
+    as_rational,
+    validate_certificate,
+)
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -62,8 +66,12 @@ def _cmd_gen(args) -> int:
     elif args.family == "random":
         if args.n is None or args.m is None or args.seed is None:
             raise ValueError("--n, --m, and --seed are required for random")
+        try:
+            chore_prob = as_rational(args.chore_prob)
+        except ValueError as exc:
+            raise ValueError(f"--chore-prob: {exc}") from None
         inst = harness.gen_random(
-            args.n, args.m, args.values, Fraction(args.chore_prob), args.seed
+            args.n, args.m, args.values, chore_prob, args.seed
         )
         meta = {
             "family": "random",

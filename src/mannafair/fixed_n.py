@@ -17,6 +17,9 @@ the map's first placement, every item to its lowest demander, and each
 witness another placement of R among its demanders; the LP certifies that
 every placement maximizes eta-shifted weighted welfare under the perturbed
 values, so the base and every witness are Pareto optimal.
+
+The search takes at most `HARD_AGENT_CAP` = 4 agents: each agent's
+separator product grows like m^(2(n-1)), and the join multiplies them.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .welfare import (
     po_certificate_lp,
 )
 
-HARD_AGENT_CAP = 3
+HARD_AGENT_CAP = 4
 
 
 def _prefixes(ratio):
@@ -140,11 +143,7 @@ def _efr_witnesses(inst, demand):
     return None
 
 
-def search_efr_po(
-    inst: Instance,
-    max_candidates: int = 10**7,
-    agent_cap: int = HARD_AGENT_CAP,
-):
+def search_efr_po(inst: Instance, max_candidates: int = 10**7):
     """Find an EFR-(n-1) and Pareto-optimal allocation by enumeration.
 
     Returns (allocation, certificate, weight_vector).  Rational values are
@@ -155,9 +154,10 @@ def search_efr_po(
     indicates an implementation bug.
     """
     n, m = inst.num_agents, inst.num_items
-    if n > agent_cap:
+    if n > HARD_AGENT_CAP:
         raise ValueError(
-            f"search is exponential in n; capped at {agent_cap} agents"
+            f"the fixed-n search takes at most {HARD_AGENT_CAP} agents "
+            f"(its cost is exponential in n), got {n}"
         )
     if n == 1:
         alloc = Allocation((frozenset(range(m)),))

@@ -5,11 +5,12 @@ subtractions chosen deterministically so that the perturbed values are
 non-degenerate: no entry is zero and no agent-item cycle has an
 alternating value-ratio product of one.  Welfare maximization then uses
 eta-shifted weights.  A demand map (the agents each item may go to) is
-certified by exact rational linear-inequality feasibility: a weight
-vector under which each item's demanders tie and beat every other agent
-makes every placement among the demanders Pareto optimal, the
-weighted-welfare (fPO) certificate of Barman, Krishnamurthy and Vaish
-(EC 2018).
+certified by an exact linear program: a weight vector under which each
+item's demanders tie and beat every other agent makes every placement
+among the demanders Pareto optimal, the weighted-welfare (fPO)
+certificate of Barman, Krishnamurthy and Vaish (EC 2018).  The LP has
+one variable per agent and is decided by an exact simplex over integer
+rows with fraction-free pivots.
 
 Cycles are walked depth-first over integer rows: each row is scaled by
 the LCM of its denominators (every agent of a cycle heads one numerator
@@ -330,80 +331,67 @@ def max_weighted_welfare(pert: PerturbedInstance, w: WeightVector) -> Allocation
     return Allocation(tuple(frozenset(b) for b in bundles))
 
 
-# --- exact linear feasibility (Fourier-Motzkin over rationals) ---------------
+# --- exact linear feasibility (integer simplex) ------------------------------
 
 
-def _normalize(coeffs, rhs):
-    """Scale a <=-constraint so its first nonzero coefficient is +/-1."""
-    for c in coeffs:
-        if c != 0:
-            scale = abs(c)
-            return tuple(x / scale for x in coeffs), rhs / scale
-    return tuple(coeffs), rhs
+def _pivot(rows, r, e, d):
+    """Exchange row r's basic variable with column e's; return the new divisor.
 
-
-def _dedupe(constraints):
-    best: Dict[tuple, Fraction] = {}
-    for coeffs, rhs in constraints:
-        coeffs, rhs = _normalize(list(coeffs), rhs)
-        if coeffs in best:
-            if rhs < best[coeffs]:
-                best[coeffs] = rhs
-        else:
-            best[coeffs] = rhs
-    return [(list(c), r) for c, r in best.items()]
-
-
-def solve_leq_system(constraints: List[Tuple[List[Fraction], Fraction]], nvars: int):
-    """Feasible point of {c . x <= d} via Fourier-Motzkin, or None.
-
-    All constraints are non-strict, so the feasible region is closed and a
-    point can be recovered by back-substitution.
+    Every row reads d * basic = row[0] - sum(row[j] * nonbasic_j), the
+    objective row included.  The fraction-free update divides by the old
+    divisor exactly, and the new one is |row[r][e]|.
     """
-    layers = []
-    current = _dedupe(constraints)
-    for var in range(nvars - 1, -1, -1):
-        lowers, uppers, keep = [], [], []
-        for coeffs, rhs in current:
-            c = coeffs[var]
-            if c > 0:
-                uppers.append(([x / c for x in coeffs], rhs / c))
-            elif c < 0:
-                lowers.append(([x / -c for x in coeffs], rhs / -c))
-            else:
-                keep.append((coeffs, rhs))
-        layers.append((var, lowers, uppers))
-        merged = list(keep)
-        for lc, lr in lowers:
-            for uc, ur in uppers:
-                # -x + l(x') <= lr  and  x + u(x') <= ur  combine to
-                # l(x') + u(x') <= lr + ur
-                coeffs = [lc[i] + uc[i] for i in range(nvars)]
-                coeffs[var] = Fraction(0)
-                merged.append((coeffs, lr + ur))
-        current = _dedupe(merged)
-    for coeffs, rhs in current:
-        if rhs < 0:
-            return None
+    top = rows[r]
+    p = top[e]
+    s = 1 if p > 0 else -1
+    for row in rows:
+        if row is not top:
+            f = row[e]
+            row[:] = [s * (a * p - f * b) // d for a, b in zip(row, top)]
+            row[e] = -s * f
+    top[:] = [s * a for a in top]
+    top[e] = s * d
+    return abs(p)
+
+
+def solve_leq_system(constraints, nvars: int) -> Optional[List[Fraction]]:
+    """A point x >= 0 with c . x <= d for every (c, d) in `constraints`, or None.
+
+    Chvatal's auxiliary problem (Linear Programming, 1983): maximize -x0
+    subject to c . x - x0 <= d and x, x0 >= 0.  Each row is scaled to
+    integers and x0 keeps coefficient -1 in every row, so entering x0 on a
+    row of least right-hand side gives a feasible dictionary.  Bland's rule
+    (lowest-numbered entering and leaving variables) rules out cycling;
+    the system is feasible once the objective reaches 0.
+    """
+    rows = [
+        list(scale_row([rhs, *coeffs])[1]) + [-1] for coeffs, rhs in constraints
+    ]
     point = [Fraction(0)] * nvars
-    for var, lowers, uppers in reversed(layers):
-        lo, hi = None, None
-        for coeffs, rhs in lowers:
-            rest = sum(coeffs[i] * point[i] for i in range(nvars) if i != var)
-            bound = rest - rhs  # from -x + rest <= rhs
-            lo = bound if lo is None or bound > lo else lo
-        for coeffs, rhs in uppers:
-            rest = sum(coeffs[i] * point[i] for i in range(nvars) if i != var)
-            bound = rhs - rest
-            hi = bound if hi is None or bound < hi else hi
-        if lo is not None and hi is not None:
-            point[var] = (lo + hi) / 2
-        elif lo is not None:
-            point[var] = lo
-        elif hi is not None:
-            point[var] = hi
-        else:
-            point[var] = Fraction(0)
+    r = min(range(len(rows)), key=lambda i: rows[i][0], default=None)
+    if r is None or rows[r][0] >= 0:
+        return point
+    # variables: x_k is k, x0 is nvars, row i's slack is nvars + 1 + i
+    cols = list(range(nvars + 1))  # column j + 1 holds variable cols[j]
+    basis = [nvars + 1 + i for i in range(len(rows))]
+    objective = [0] * (nvars + 1) + [1]  # d * w = 0 - x0, in the rows' form
+    d, e = 1, nvars + 1
+    while True:
+        d = _pivot(rows + [objective], r, e, d)
+        basis[r], cols[e - 1] = cols[e - 1], basis[r]
+        if objective[0] == 0:
+            break
+        entering = [j for j in range(1, nvars + 2) if objective[j] < 0]
+        if not entering:
+            return None
+        e = min(entering, key=lambda j: cols[j - 1])
+        r = min(
+            (i for i, row in enumerate(rows) if row[e] > 0),
+            key=lambda i: (Fraction(rows[i][0], rows[i][e]), basis[i]),
+        )
+    for var, row in zip(basis, rows):
+        if var < nvars:
+            point[var] = Fraction(row[0], d)
     return point
 
 
@@ -416,42 +404,28 @@ def po_certificate_lp(
     in range(m): one agent for an item it holds alone, at least two for a
     reallocated item.  Feasibility of the system { (w_j+eta) vbar_j(t) <=
     (w_i+eta) vbar_i(t) for each t, i in demand[t], j != i;  w in the
-    simplex } is decided exactly.  Two demanders of one item get both
-    rows, so they tie.  A feasible w makes every placement of the items
-    among their demanders maximize eta-shifted weighted welfare under the
-    perturbed values, hence Pareto optimal under the original values.
+    simplex } is decided exactly, with the weights as the LP variables
+    (w >= 0, and sum(w) = 1 as two rows).  Two demanders of one item get
+    both rows, so they tie.  A feasible w makes every placement of the
+    items among their demanders maximize eta-shifted weighted welfare
+    under the perturbed values, hence Pareto optimal under the original
+    values.
     """
     n, m = pert.base.num_agents, pert.base.num_items
     if len(demand) != m:
         raise ValueError("demand map must cover every item")
     eta = pert.params.eta
-
-    # variables x_0 .. x_{n-2}; w_{n-1} = 1 - sum(x); w_i = c_i . x + d_i
-    nv = n - 1
-    affine = [
-        ([Fraction(int(k == i)) for k in range(nv)], Fraction(0))
-        for i in range(nv)
-    ] + [([Fraction(-1)] * nv, Fraction(1))]
-    constraints: List[Tuple[List[Fraction], Fraction]] = [
-        ([-c for c in ci], di) for ci, di in affine  # w_i >= 0
-    ]
+    constraints = [([1] * n, 1), ([-1] * n, -1)]
     for t in range(m):
         if not demand[t] or not set(demand[t]) <= set(range(n)):
             raise ValueError(f"item {t} needs demanders among the agents")
         col = [pert.pert_value(a, t) for a in range(n)]
         for i in demand[t]:
-            ci, di = affine[i]
             for j in range(n):
                 if j != i:
-                    # (w_j+eta) vbar_j(t) - (w_i+eta) vbar_i(t) <= 0
-                    cj, dj = affine[j]
-                    constraints.append((
-                        [cj[k] * col[j] - ci[k] * col[i] for k in range(nv)],
-                        (di + eta) * col[i] - (dj + eta) * col[j],
-                    ))
-    if nv == 0:
-        return WeightVector((Fraction(1),))
-    point = solve_leq_system(constraints, nv)
-    if point is None:
-        return None
-    return WeightVector(tuple(point) + (Fraction(1) - sum(point),))
+                    # (w_j+eta) vbar_j(t) <= (w_i+eta) vbar_i(t)
+                    coeffs = [0] * n
+                    coeffs[j], coeffs[i] = col[j], -col[i]
+                    constraints.append((coeffs, eta * (col[i] - col[j])))
+    point = solve_leq_system(constraints, n)
+    return None if point is None else WeightVector(tuple(point))

@@ -88,6 +88,16 @@ class TestGen:
         assert "--set entry 'x' is not an integer" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_denominator_chore_prob_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        argv = ["gen", "--family", "random", "--n", "2", "--m", "3", "--seed",
+                "1", "--chore-prob", "1/0", "-o", str(out)]
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input error: --chore-prob: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_odd_partition_sum_is_input_error(self, tmp_path):
         out = tmp_path / "x.json"
         assert (
@@ -286,6 +296,17 @@ class TestExitCodes:
             argv += ["--k", "1"]
         assert run([*argv, "--budget", "-1"]) == 3
         assert "--budget" in capsys.readouterr().err
+
+    def test_zero_denominator_value_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            '{"format_version": 1, "agents": 1, "items": 1, "values": [["1/0"]]}'
+        )
+        out = str(tmp_path / "o.json")
+        assert run(["solve", "--algo", "efr", "-i", str(bad), "-o", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input error: values[0][0]: ")
+        assert "Traceback" not in err
 
     def test_non_object_instance_is_input_error(self, tmp_path):
         bad = tmp_path / "five.json"

@@ -204,8 +204,8 @@ class TestSearchEfrPo:
         assert is_pareto_optimal_bruteforce(rational, alloc)
 
     def test_agent_cap_enforced(self):
-        inst = gen_random(4, 3, 9, F(1, 2), seed=0)
-        with pytest.raises(ValueError):
+        inst = gen_random(5, 3, 9, F(1, 2), seed=0)
+        with pytest.raises(ValueError, match="at most 4 agents"):
             search_efr_po(inst)
 
     def test_candidate_budget_enforced(self):
@@ -214,6 +214,20 @@ class TestSearchEfrPo:
         inst = gen_random(2, 6, 9, F(1, 2), seed=3)
         with pytest.raises(BudgetExceededError):
             search_efr_po(inst, max_candidates=1)
+
+
+@pytest.mark.parametrize("chore_prob", [F(0), F(1, 2), F(1)], ids=str)
+@pytest.mark.parametrize("m", range(1, 6))
+@pytest.mark.parametrize("seed", range(2))
+def test_four_agent_search_passes_the_oracles(m, chore_prob, seed):
+    """At the agent cap, the certificate, |R| <= 3 and PO hold by brute force."""
+    inst = gen_random(4, m, 9, chore_prob, seed)
+    alloc, cert, _ = search_efr_po(inst)
+    assert validate_certificate(inst, cert)
+    assert len(cert.realloc_set) <= 3
+    for placed in (alloc, *cert.witnesses):
+        assert is_pareto_optimal_bruteforce(inst, placed), placed
+    assert decide_efr_k(inst, alloc, min(3, m)).verdict
 
 
 # the sweep on which the search once returned non-PO bases and witnesses

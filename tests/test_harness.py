@@ -168,6 +168,13 @@ class TestInstanceFormat:
         with pytest.raises(ParseError):
             parse_instance('{"agents": 1, "items": 1}')
 
+    def test_zero_denominator_names_the_entry(self):
+        with pytest.raises(ParseError, match=r"values\[0\]\[0\]: bad rational"):
+            parse_instance(
+                '{"format_version": 1, "agents": 1, "items": 1,'
+                ' "values": [["1/0"]]}'
+            )
+
     def test_float_values_rejected(self):
         with pytest.raises(ParseError):
             parse_instance(
