@@ -2,6 +2,7 @@
 
 from .core import (
     Allocation,
+    Budget,
     BudgetExceededError,
     EfrCertificate,
     EnvyGraph,

@@ -43,6 +43,12 @@ def _set_entry(text: str) -> int:
         raise ValueError(f"--set entry {text.strip()!r} is not an integer") from None
 
 
+# gen_random's parameters by the flags that set them
+_RANDOM_FLAGS = {
+    "n": "--n", "m": "--m", "value_range": "--values", "chore_prob": "--chore-prob"
+}
+
+
 def _cmd_gen(args) -> int:
     if args.family in ("identical-chores", "paired-goods"):
         if args.n is None:
@@ -70,9 +76,13 @@ def _cmd_gen(args) -> int:
             chore_prob = as_rational(args.chore_prob)
         except ValueError as exc:
             raise ValueError(f"--chore-prob: {exc}") from None
-        inst = harness.gen_random(
-            args.n, args.m, args.values, chore_prob, args.seed
-        )
+        try:
+            inst = harness.gen_random(
+                args.n, args.m, args.values, chore_prob, args.seed
+            )
+        except ValueError as exc:
+            flag = _RANDOM_FLAGS[str(exc).split(" ", 1)[0]]
+            raise ValueError(f"{flag}: {exc}") from None
         meta = {
             "family": "random",
             "n": args.n,
@@ -189,8 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-candidates",
         type=_budget,
         default=10**7,
-        help="fixed-n search budget; one unit is one joined tuple of "
-        "per-agent item sets or one screened (R, demand, tuple) candidate",
+        help="fixed-n search budget; one unit is one separator combination, "
+        "one joined tuple of per-agent item sets or one screened "
+        "(R, demand, tuple) candidate",
     )
     solve.add_argument("-i", "--input", required=True)
     solve.add_argument("-o", "--output", required=True)

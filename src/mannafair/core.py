@@ -29,6 +29,20 @@ class BudgetExceededError(RuntimeError):
     """An exhaustive search exceeded its configured evaluation budget."""
 
 
+class Budget:
+    """At most `limit` units of `what`; overspending raises, naming both."""
+
+    __slots__ = ("limit", "what", "remaining")
+
+    def __init__(self, limit: int, what: str):
+        self.limit, self.what, self.remaining = limit, what, limit
+
+    def spend(self, amount: int = 1) -> None:
+        self.remaining -= amount
+        if self.remaining < 0:
+            raise BudgetExceededError(f"{self.what} exceed the limit of {self.limit}")
+
+
 def as_rational(x: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or "p/q" string to an exact Fraction.
 

@@ -27,22 +27,10 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .core import (
-    Allocation,
-    BudgetExceededError,
-    EfrCertificate,
-    Instance,
-    profile,
-)
-from .welfare import (
-    PerturbedInstance,
-    WeightVector,
-    perturb_nondegenerate,
-    po_certificate_lp,
-)
+from .core import Allocation, Budget, EfrCertificate, Instance, profile
+from .welfare import PerturbedInstance, perturb_nondegenerate, po_certificate_lp
 
 HARD_AGENT_CAP = 4
 
@@ -88,18 +76,19 @@ def build_f_ij(
     }
 
 
-def reconstruct_I(pert: PerturbedInstance, i: int) -> List[frozenset]:
+def reconstruct_I(pert: PerturbedInstance, i: int, budget: Budget) -> List[frozenset]:
     """Agent i's distinct uniquely-demanded sets I_i.
 
     The empty set (agent i claims nothing) comes first, then each
     intersection of one F_ij per other agent j, in first-seen order over
-    the product of the pairs' option orders.
+    the product of the pairs' option orders, whose size is spent first.
     """
     per_pair = [
         build_f_ij(pert, i, j).values()
         for j in range(pert.base.num_agents)
         if j != i
     ]
+    budget.spend(math.prod(map(len, per_pair)))
     all_items = frozenset(range(pert.base.num_items))
     seen = dict.fromkeys([frozenset()])
     for filters in itertools.product(*per_pair):
@@ -146,12 +135,13 @@ def _efr_witnesses(inst, demand):
 def search_efr_po(inst: Instance, max_candidates: int = 10**7):
     """Find an EFR-(n-1) and Pareto-optimal allocation by enumeration.
 
-    Returns (allocation, certificate, weight_vector).  Rational values are
-    scaled to integers before perturbing, which preserves EF, EFR and PO.
-    One unit of `max_candidates` is one joined I-tuple or one screened
-    (R, demand, I-tuple) candidate; running out raises BudgetExceededError.
-    Existence is guaranteed, so exhausting the full candidate space
-    indicates an implementation bug.
+    Returns (allocation, certificate, weight_vector).  The perturbation
+    scales rational values to integers, which preserves EF, EFR and PO.
+    One unit of `max_candidates` is one separator combination (spent per
+    agent before its intersections), one joined I-tuple (spent before the
+    join) or one screened (R, demand, I-tuple) candidate; running out
+    raises BudgetExceededError.  Existence is guaranteed, so exhausting the
+    full candidate space indicates an implementation bug.
     """
     n, m = inst.num_agents, inst.num_items
     if n > HARD_AGENT_CAP:
@@ -159,32 +149,16 @@ def search_efr_po(inst: Instance, max_candidates: int = 10**7):
             f"the fixed-n search takes at most {HARD_AGENT_CAP} agents "
             f"(its cost is exponential in n), got {n}"
         )
-    if n == 1:
-        alloc = Allocation((frozenset(range(m)),))
-        cert = EfrCertificate(alloc, frozenset(), (alloc,))
-        return alloc, cert, WeightVector((Fraction(1),))
-    scale = math.lcm(*(v.denominator for row in inst.values for v in row))
-    pert = perturb_nondegenerate(
-        Instance(tuple(tuple(v * scale for v in row) for row in inst.values))
-    )
-    budget = max_candidates
-
-    def spend():
-        nonlocal budget
-        budget -= 1
-        if budget < 0:
-            raise BudgetExceededError(
-                "candidate budget exhausted before a solution"
-            )
-
+    pert = perturb_nondegenerate(inst)
+    what = "fixed-n separator combinations, joined tuples and candidates"
+    budget = Budget(max_candidates, what)
     # outcomes depend only on the demand map and R is forced; product
     # order over distinct sets is their first-seen separator-product order
+    per_agent = [reconstruct_I(pert, i, budget) for i in range(n)]
+    budget.spend(math.prod(map(len, per_agent)))
     by_realloc: Dict[frozenset, list] = {}
     all_items = frozenset(range(m))
-    for item_sets in itertools.product(
-        *(reconstruct_I(pert, i) for i in range(n))
-    ):
-        spend()
+    for item_sets in itertools.product(*per_agent):
         claimed = frozenset().union(*item_sets)
         if sum(map(len, item_sets)) == len(claimed) and m - len(claimed) < n:
             held: List[Optional[tuple]] = [None] * m  # R items stay None
@@ -198,7 +172,7 @@ def search_efr_po(inst: Instance, max_candidates: int = 10**7):
         realloc = sorted(rset)
         for demand_combo in itertools.product(demand_opts, repeat=len(realloc)):
             for held in by_realloc[rset]:
-                spend()
+                budget.spend()
                 demand = list(held)
                 for t, d in zip(realloc, demand_combo):
                     demand[t] = d

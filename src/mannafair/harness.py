@@ -75,17 +75,18 @@ def gen_random(
     """Seeded random instance with values in +/-[1, value_range].
 
     Each value is drawn uniformly and independently negated with
-    probability `chore_prob`.
+    probability `chore_prob`.  A range error's message starts with the
+    parameter's name.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     if m < 0:
         raise ValueError(f"m must be at least 0, got {m}")
     if value_range < 1:
-        raise ValueError("value_range must be positive")
+        raise ValueError(f"value_range must be at least 1, got {value_range}")
     chore_prob = as_rational(chore_prob)
     if not 0 <= chore_prob <= 1:
-        raise ValueError("chore_prob must lie in [0, 1]")
+        raise ValueError(f"chore_prob must lie in [0, 1], got {chore_prob}")
     rng = random.Random(seed)
     rows = []
     for _ in range(n):
@@ -118,7 +119,7 @@ def _dump(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def serialize_instance(inst: Instance, metadata: Optional[Dict] = None) -> str:
+def _instance_out(inst: Instance, metadata: Optional[Dict] = None) -> dict:
     doc = {
         "format_version": FORMAT_VERSION,
         "agents": inst.num_agents,
@@ -127,16 +128,24 @@ def serialize_instance(inst: Instance, metadata: Optional[Dict] = None) -> str:
     }
     if metadata:
         doc["metadata"] = metadata
-    return _dump(doc)
+    return doc
+
+
+def serialize_instance(inst: Instance, metadata: Optional[Dict] = None) -> str:
+    return _dump(_instance_out(inst, metadata))
 
 
 def _fields(doc, keys: Sequence[str], where: str, prefix: str = "") -> dict:
-    """`doc` itself, once it is a JSON object holding every key in `keys`."""
+    """`doc` itself, once it is a JSON object holding every key in `keys`
+    and stating no format_version other than `FORMAT_VERSION`."""
     if not isinstance(doc, dict):
         raise ParseError(f"{where}: expected a JSON object")
     for key in keys:
         if key not in doc:
             raise ParseError(f"missing field {prefix + key!r}")
+    version = doc.get("format_version", FORMAT_VERSION)
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ParseError(f"{prefix}format_version: unsupported version {version!r}")
     return doc
 
 
@@ -146,19 +155,23 @@ def _load(text: str, keys: Sequence[str]) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}: {exc.msg}") from exc
-    _fields(doc, keys, "top level")
-    version = doc.get("format_version", FORMAT_VERSION)
-    if type(version) is not int or version != FORMAT_VERSION:
-        raise ParseError(f"format_version: unsupported version {version!r}")
-    return doc
+    return _fields(doc, keys, "top level")
+
+
+_INSTANCE_KEYS = ("format_version", "agents", "items", "values")
+
+
+def _instance_in(doc: dict, prefix: str = "") -> Instance:
+    """The instance of a checked instance object; errors name prefix + field."""
+    for key in ("agents", "items"):
+        if type(doc[key]) is not int or doc[key] < 0:
+            raise ParseError(f"{prefix}{key}: expected a non-negative integer")
+    values = _matrix_in(doc["values"], doc["agents"], doc["items"], prefix + "values")
+    return Instance(values)
 
 
 def parse_instance(text: str) -> Instance:
-    doc = _load(text, ("format_version", "agents", "items", "values"))
-    for key in ("agents", "items"):
-        if type(doc[key]) is not int or doc[key] < 0:
-            raise ParseError(f"{key}: expected a non-negative integer")
-    return Instance(_matrix_in(doc["values"], doc["agents"], doc["items"], "values"))
+    return _instance_in(_load(text, _INSTANCE_KEYS))
 
 
 def _matrix_in(raw, n: int, m: int, where: str) -> tuple:
@@ -237,7 +250,7 @@ def serialize_perturbed(pert: PerturbedInstance) -> str:
     return _dump(
         {
             "format_version": FORMAT_VERSION,
-            "base": json.loads(serialize_instance(pert.base)),
+            "base": _instance_out(pert.base),
             "eps": [
                 [_rational_out(e) for e in row] for row in pert.eps_matrix
             ],
@@ -254,7 +267,8 @@ def serialize_perturbed(pert: PerturbedInstance) -> str:
 
 def parse_perturbed(text: str) -> PerturbedInstance:
     doc = _load(text, ("base", "eps", "params"))
-    base = parse_instance(json.dumps(doc["base"]))
+    raw_base = _fields(doc["base"], _INSTANCE_KEYS, "base", "base.")
+    base = _instance_in(raw_base, "base.")
     eps = _matrix_in(doc["eps"], base.num_agents, base.num_items, "eps")
     names = ("lambda_lb", "Lambda", "omega_lb", "eta", "epsilon")
     raw = _fields(doc["params"], names, "params", "params.")

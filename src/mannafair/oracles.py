@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .core import (
     Allocation,
-    BudgetExceededError,
+    Budget,
     EfrCertificate,
     Instance,
     profile,
@@ -37,18 +37,6 @@ DEFAULT_BUDGET = 10**8
 class EfrDecision:
     verdict: bool
     certificate: Optional[EfrCertificate] = None
-
-
-class _Budget:
-    __slots__ = ("remaining",)
-
-    def __init__(self, limit: int):
-        self.remaining = limit
-
-    def spend(self, amount: int = 1) -> None:
-        self.remaining -= amount
-        if self.remaining < 0:
-            raise BudgetExceededError("evaluation budget exhausted")
 
 
 def _place(costs, suffix, gaps, over, idx, picks, budget) -> bool:
@@ -133,7 +121,7 @@ def decide_efr_k(
     validate_allocation(inst, alloc)
     if k < 0 or k > inst.num_items:
         raise ValueError(f"k={k} outside [0, m={inst.num_items}]")
-    tracker = _Budget(budget)
+    tracker = Budget(budget, "EFR-k witness-search nodes")
     n = inst.num_agents
     owner = [0] * inst.num_items
     for j, bundle in enumerate(alloc.bundles):
@@ -181,8 +169,7 @@ def is_pareto_optimal_bruteforce(
     """True iff no allocation among all n^m Pareto dominates `alloc`."""
     validate_allocation(inst, alloc)
     n, m = inst.num_agents, inst.num_items
-    if n**m > budget:
-        raise BudgetExceededError(f"{n}^{m} allocations exceed budget {budget}")
+    Budget(budget, "Pareto-scan allocations").spend(n**m)
     # each agent's utility is only compared with its own, so the per-agent
     # integer scale keeps both tests exact
     values = inst.scaled

@@ -1,9 +1,9 @@
 """Perturbation machinery and weighted-welfare maximization.
 
-Integer-valued instances are perturbed by small per-entry rational
-subtractions chosen deterministically so that the perturbed values are
-non-degenerate: no entry is zero and no agent-item cycle has an
-alternating value-ratio product of one.  Welfare maximization then uses
+Instances, scaled to integer values, are perturbed by small per-entry
+rational subtractions chosen deterministically so that the perturbed
+values are non-degenerate: no entry is zero and no agent-item cycle has
+an alternating value-ratio product of one.  Welfare maximization then uses
 eta-shifted weights.  A demand map (the agents each item may go to) is
 certified by an exact linear program: a weight vector under which each
 item's demanders tie and beat every other agent makes every placement
@@ -24,12 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (
     Allocation,
-    BudgetExceededError,
+    Budget,
     Instance,
     as_rational,
     scale_row,
@@ -52,7 +52,10 @@ class PerturbParams:
         if self.eta <= 0:
             raise ValueError("eta must be positive")
         if self.eta * 2 * self.Lambda > self.lambda_lb:
-            raise ValueError("eta exceeds lambda_lb / (2 * Lambda * n)")
+            raise ValueError(
+                f"eta * 2 * Lambda = {self.eta * 2 * self.Lambda} exceeds "
+                f"lambda_lb = {self.lambda_lb}"
+            )
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
 
@@ -163,12 +166,13 @@ def compute_params(inst: Instance) -> PerturbParams:
     return PerturbParams(lambda_lb, Lambda, omega_lb, eta, epsilon)
 
 
-def _cycle_count(n: int, m: int) -> int:
-    """Number of (directed, agent-anchored) bipartite cycle traversals."""
+def _spend_cycles(n: int, m: int) -> None:
+    """Spend the (directed, agent-anchored) bipartite cycle traversals of an
+    n x m matrix from a fresh `CYCLE_BUDGET`, before any is walked."""
     total = 0
     for k in range(2, min(n, m) + 1):
         total += comb(n, k) * factorial(k - 1) * comb(m, k) * factorial(k)
-    return total
+    Budget(CYCLE_BUDGET, "agent-item cycle traversals").spend(total)
 
 
 def _unit_cycle(rows, top, a, num, den, free, items) -> bool:
@@ -189,20 +193,20 @@ def _unit_cycle(rows, top, a, num, den, free, items) -> bool:
     return False
 
 
-def check_nondegenerate(values, budget: int = CYCLE_BUDGET) -> bool:
+def check_nondegenerate(values) -> bool:
     """Decide the two non-degeneracy conditions by exhaustive enumeration.
 
     ``values`` is an n x m matrix of rationals.  Condition (i): no zero
     entry.  Condition (ii): every simple cycle of the complete agent-item
     bipartite graph has alternating value-ratio product != 1.  Cycles are
-    walked from their lowest agent.
+    walked from their lowest agent, once the zero test has passed and the
+    cycle count fits `CYCLE_BUDGET`.
     """
     vals = [[as_rational(v) for v in row] for row in values]
     if any(v == 0 for row in vals for v in row):
         return False
     n, m = len(vals), len(vals[0]) if vals else 0
-    if _cycle_count(n, m) > budget:
-        raise BudgetExceededError("too many bipartite cycles to enumerate")
+    _spend_cycles(n, m)
     rows = [scale_row(row)[1] for row in vals]
     for first, top in enumerate(rows):
         above = (1 << n) - (2 << first)
@@ -259,22 +263,23 @@ def _forbidden_eps(inst, pert, agent, item):
     return forbidden
 
 
-def perturb_nondegenerate(
-    inst: Instance, params: Optional[PerturbParams] = None
-) -> PerturbedInstance:
+def perturb_nondegenerate(inst: Instance) -> PerturbedInstance:
     """Deterministically choose perturbations yielding non-degenerate values.
 
-    Entries are set in row-major order; each already-closable cycle forbids
-    one rational value, and the perturbation is picked from a uniform grid
-    in (0, epsilon) with more points than forbidden values.  The cycle
-    budget of `check_nondegenerate` applies, and `search_efr_po` inherits
-    it (at n = 3 it is reached at m = 172).
+    Rational values are first scaled to integers by the LCM of all their
+    denominators, which preserves EF, EFR and PO; the result's base is that
+    scaled instance.  Entries are set in row-major order; each
+    already-closable cycle forbids one rational value, and the perturbation
+    is picked from a uniform grid in (0, epsilon) with more points than
+    forbidden values.  The cycle budget of `check_nondegenerate` applies,
+    and `search_efr_po` inherits it (at n = 3 it is reached at m = 172).
     """
     n, m = inst.num_agents, inst.num_items
-    if _cycle_count(n, m) > CYCLE_BUDGET:
-        raise BudgetExceededError("too many bipartite cycles to enumerate")
-    if params is None:
-        params = compute_params(inst)
+    _spend_cycles(n, m)
+    scale = lcm(*(v.denominator for row in inst.values for v in row))
+    if scale > 1:
+        inst = Instance(tuple(tuple(v * scale for v in row) for row in inst.values))
+    params = compute_params(inst)
     eps_matrix = [[None] * m for _ in range(n)]
     pert = [[None] * m for _ in range(n)]
     for i in range(n):

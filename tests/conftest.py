@@ -1,3 +1,4 @@
+from mannafair.core import Budget
 from mannafair.fixed_n import build_f_ij, reconstruct_I
 
 ACCEPTANCE_LINES = []
@@ -46,7 +47,7 @@ def separators_recover(pert, true_i):
     """
     n = pert.base.num_agents
     for i in range(n):
-        sets = reconstruct_I(pert, i)
+        sets = reconstruct_I(pert, i, Budget(10**9, "combinations"))
         if not true_i[i]:
             if sets[0] != frozenset():
                 return False

@@ -6,7 +6,7 @@ import pytest
 
 from mannafair import cli
 from mannafair.cli import main
-from mannafair.harness import parse_certificate, parse_instance
+from mannafair.harness import parse_certificate, parse_instance, parse_perturbed
 
 
 def run(argv):
@@ -79,6 +79,21 @@ class TestGen:
         argv = ["gen", "--family", "random", "--seed", "1", "-o", str(out)]
         assert run([*argv, "--n", sizes["--n"], "--m", sizes["--m"]]) == 3
         assert f"{flag[2:]} must be at least" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--n", "0"), ("--m", "-1"), ("--values", "0"), ("--chore-prob", "3/2")],
+    )
+    def test_random_range_error_names_the_flag(
+        self, tmp_path, capsys, flag, value
+    ):
+        out = tmp_path / "x.json"
+        args = {"--n": "2", "--m": "3", "--values": "9", "--chore-prob": "1/2"}
+        args[flag] = value
+        argv = ["gen", "--family", "random", "--seed", "1", "-o", str(out)]
+        assert run([*argv, *(x for kv in args.items() for x in kv)]) == 3
+        assert capsys.readouterr().err.startswith(f"input error: {flag}: ")
         assert not out.exists()
 
     def test_partition_bad_entry_names_the_flag(self, tmp_path, capsys):
@@ -237,6 +252,22 @@ class TestSolveAndVerify:
         assert run(["verify", "--cert", str(cert), "-i", str(inst)]) == 0
 
 
+    def test_perturb_accepts_rational_values(self, tmp_path):
+        inst = tmp_path / "half.json"
+        pert = tmp_path / "pert.json"
+        inst.write_text(
+            '{"format_version": 1, "agents": 2, "items": 3,'
+            ' "values": [["1/2", -3, "7/3"], [2, "-5/4", "1/6"]]}'
+        )
+        assert run(["perturb", "-i", str(inst), "-o", str(pert)]) == 0
+        base = parse_perturbed(pert.read_text()).base
+        # the base is the instance scaled by the LCM of its denominators
+        assert base.values == parse_instance(
+            '{"format_version": 1, "agents": 2, "items": 3,'
+            ' "values": [[6, -36, 28], [24, -15, 2]]}'
+        ).values
+
+
 class TestExitCodes:
     def test_missing_file_is_input_error(self, tmp_path):
         assert (
@@ -275,6 +306,34 @@ class TestExitCodes:
             )
             == 2
         )
+
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["decide-efr", "--k", "5", "--budget", "1"], "EFR-k witness-search"),
+            (["check-po", "--budget", "242"], "Pareto-scan allocations"),
+        ],
+    )
+    def test_budget_message_names_the_search_and_limit(
+        self, tmp_path, capsys, inst_file, argv, what
+    ):
+        alloc = tmp_path / "alloc.json"
+        run(["solve", "--algo", "ef1", "-i", str(inst_file), "-o", str(alloc)])
+        capsys.readouterr()
+        argv = [*argv, "-i", str(inst_file), "--alloc", str(alloc)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("budget exceeded: ") and what in err
+        assert f"limit of {argv[argv.index('--budget') + 1]}" in err
+
+    def test_fixed_n_budget_message_names_the_search(
+        self, tmp_path, capsys, inst_file
+    ):
+        out = str(tmp_path / "out.json")
+        argv = ["solve", "--algo", "fixed-n", "-i", str(inst_file), "-o", out]
+        assert run([*argv, "--max-candidates", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "fixed-n separator combinations" in err and "limit of 1" in err
 
     @pytest.mark.parametrize("budget", ["0", "-1"])
     def test_max_candidates_below_one_is_input_error(

@@ -7,6 +7,8 @@ import pytest
 
 from mannafair.core import (
     Allocation,
+    Budget,
+    BudgetExceededError,
     EfrCertificate,
     IncompleteCertificateError,
     Instance,
@@ -55,6 +57,24 @@ class TestRational:
     def test_lowest_terms(self):
         r = as_rational("4/6")
         assert (r.numerator, r.denominator) == (2, 3)
+
+
+class TestBudget:
+    def test_spends_down_to_zero_then_raises_naming_what_and_limit(self):
+        budget = Budget(5, "test units")
+        budget.spend()
+        budget.spend(4)
+        assert budget.remaining == 0
+        with pytest.raises(
+            BudgetExceededError, match="^test units exceed the limit of 5$"
+        ):
+            budget.spend()
+
+    def test_an_up_front_spend_raises_before_any_unit_is_used(self):
+        budget = Budget(3, "test units")
+        with pytest.raises(BudgetExceededError):
+            budget.spend(4)
+        Budget(3, "test units").spend(3)
 
 
 class TestInstance:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mannafair.core import Instance
+from mannafair.core import Budget, Instance
 from mannafair.fixed_n import build_f_ij, reconstruct_I
 from mannafair.harness import gen_random
 from mannafair.welfare import (
@@ -122,7 +122,8 @@ def assert_matches_reference(pert):
             ref_build_f_ij(pert, i, j, g) for g in guesses
         ]
     for i in range(n):
-        assert reconstruct_I(pert, i) == ref_agent_item_sets(pert, i)
+        got = reconstruct_I(pert, i, Budget(10**9, "combinations"))
+        assert got == ref_agent_item_sets(pert, i)
 
 
 SHAPES = [(2, m) for m in range(13)] + [(3, m) for m in range(9)]

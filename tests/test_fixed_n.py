@@ -1,10 +1,18 @@
 """Enumeration search for allocations that are both EFR-(n-1) and PO."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
 
-from mannafair.core import Allocation, Instance, validate_certificate
+from mannafair.core import (
+    Allocation,
+    Budget,
+    BudgetExceededError,
+    Instance,
+    validate_certificate,
+)
+from mannafair import fixed_n
 from mannafair.fixed_n import build_f_ij, reconstruct_I, search_efr_po
 from mannafair.oracles import decide_efr_k, is_pareto_optimal_bruteforce
 from mannafair.welfare import (
@@ -91,13 +99,14 @@ class TestReconstructI:
         for i, j in ((0, 1), (1, 0)):
             options = build_f_ij(pert, i, j).values()
             expected = list(dict.fromkeys([frozenset(), *options]))
-            assert reconstruct_I(pert, i) == expected
+            got = reconstruct_I(pert, i, Budget(10**9, "combinations"))
+            assert got == expected
 
     def test_empty_flags_give_empty_sets(self):
         inst = make_instance([[3, 1], [2, 5]])
         pert = perturb_nondegenerate(inst)
         for i in range(2):
-            sets = reconstruct_I(pert, i)
+            sets = reconstruct_I(pert, i, Budget(10**9, "combinations"))
             assert sets[0] == frozenset()
             assert len(set(sets)) == len(sets)
 
@@ -119,11 +128,20 @@ class TestReconstructI:
 
 class TestSearchEfrPo:
     def test_single_agent_grand_bundle(self):
-        inst = make_instance([[2, -3]])
-        alloc, cert, w = search_efr_po(inst)
-        assert alloc.bundles == (frozenset({0, 1}),)
-        assert cert.realloc_set == frozenset()
-        assert w.weights == (F(1),)
+        # one agent takes the general path: its only joined tuple claims
+        # every item, so R is empty and the base is the grand bundle
+        insts = [make_instance([[2, -3]])]
+        for m, chore_prob, seed in itertools.product(
+            range(9), (F(0), F(1, 2), F(1)), range(4)
+        ):
+            insts.append(gen_random(1, m, 9, chore_prob, seed))
+        insts += [make_instance([["1/2", "-2/3", 5]]), make_instance([[0, 0, 0]])]
+        for inst in insts:
+            alloc, cert, w = search_efr_po(inst)
+            assert alloc.bundles == (frozenset(range(inst.num_items)),)
+            assert cert.realloc_set == frozenset()
+            assert cert.witnesses == (alloc,)
+            assert w.weights == (F(1),)
 
     def test_two_items_mixed_signs(self):
         inst = make_instance([[3, -1], [5, -2]])
@@ -208,9 +226,63 @@ class TestSearchEfrPo:
         with pytest.raises(ValueError, match="at most 4 agents"):
             search_efr_po(inst)
 
-    def test_candidate_budget_enforced(self):
-        from mannafair.core import BudgetExceededError
+    def test_separator_product_is_spent_before_intersections(self):
+        inst = gen_random(3, 6, 9, F(1, 2), seed=2)
+        pert = perturb_nondegenerate(inst)
+        for i in range(3):
+            product = 1
+            for j in range(3):
+                if j != i:
+                    product *= len(build_f_ij(pert, i, j))
+            spends = []
 
+            class Recording(Budget):
+                def spend(self, amount=1):
+                    spends.append(amount)
+                    super().spend(amount)
+
+            with pytest.raises(BudgetExceededError, match="limit of"):
+                reconstruct_I(pert, i, Recording(product - 1, "combinations"))
+            # one spend of the whole product, and it raised: the loop that
+            # builds the intersections comes after it
+            assert spends == [product]
+            budget = Budget(product, "combinations")
+            sets = reconstruct_I(pert, i, budget)
+            assert budget.remaining == 0
+            assert sets == reconstruct_I(pert, i, Budget(10**9, "combinations"))
+
+    def test_search_spends_separators_then_join_then_candidates(
+        self, monkeypatch
+    ):
+        inst = gen_random(3, 4, 9, F(1, 2), seed=2)  # 9 screened candidates
+        spends = []
+
+        class Recording(Budget):
+            def spend(self, amount=1):
+                spends.append(amount)
+                super().spend(amount)
+
+        monkeypatch.setattr(fixed_n, "Budget", Recording)
+        result = search_efr_po(inst)
+        pert = perturb_nondegenerate(inst)
+        products, counts = [], 1
+        for i in range(3):
+            product = 1
+            for j in range(3):
+                if j != i:
+                    product *= len(build_f_ij(pert, i, j))
+            products.append(product)
+            counts *= len(reconstruct_I(pert, i, Budget(product, "combinations")))
+        # one spend per agent's separator product, one for the whole join,
+        # then one unit per screened candidate
+        assert spends[:4] == [*products, counts] and set(spends[4:]) == {1}
+        upfront, total = sum(spends[:4]), sum(spends)
+        assert search_efr_po(inst, max_candidates=total) == result
+        for limit in (total - 1, upfront, upfront - 1):
+            with pytest.raises(BudgetExceededError, match=f"limit of {limit}$"):
+                search_efr_po(inst, max_candidates=limit)
+
+    def test_candidate_budget_enforced(self):
         inst = gen_random(2, 6, 9, F(1, 2), seed=3)
         with pytest.raises(BudgetExceededError):
             search_efr_po(inst, max_candidates=1)

@@ -274,9 +274,23 @@ class TestStrictParsing:
             (lambda doc: doc.update(params=3), "params"),
             (lambda doc: doc["eps"].pop(), "eps"),
             (lambda doc: doc["eps"][1].append(0), r"eps\[1\]"),
+            (lambda doc: doc.update(base=[1]), "base: expected a JSON object"),
+            (lambda doc: doc["base"].pop("values"), "'base.values'"),
+            (lambda doc: doc["base"].update(agents=True), "base.agents"),
+            (lambda doc: doc["base"]["values"][0].pop(), r"base.values\[0\]"),
+            (
+                lambda doc: doc["base"]["values"][1].__setitem__(0, "x"),
+                r"base.values\[1\]\[0\]",
+            ),
+            (
+                lambda doc: doc["base"].update(format_version=99),
+                "base.format_version",
+            ),
         ],
         ids=["params-missing-key", "eps-number", "params-number", "eps-rows",
-             "eps-row-length"],
+             "eps-row-length", "base-list", "base-missing-values",
+             "base-bool-agents", "base-row-length", "base-bad-rational",
+             "base-format-version"],
     )
     def test_perturbed_fields_are_checked(self, edit, field):
         pert = perturb_nondegenerate(gen_random(2, 3, 9, F(1, 2), seed=4))

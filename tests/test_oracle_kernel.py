@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from mannafair.core import (
     Allocation,
+    Budget,
     BudgetExceededError,
     EfrCertificate,
     Instance,
@@ -27,7 +28,6 @@ from mannafair.core import (
 from mannafair.harness import gen_partition_reduction
 from mannafair.oracles import (
     EfrDecision,
-    _Budget,
     _find_witness,
     decide_efr_k,
     min_efr_k,
@@ -102,7 +102,7 @@ def ref_decide_efr_k(inst, alloc, k, budget):
 
 def run_reference(inst, alloc, k, limit):
     """(decision or None if the budget ran out, units spent)."""
-    budget = _Budget(limit)
+    budget = Budget(limit, "nodes")
     try:
         return ref_decide_efr_k(inst, alloc, k, budget), limit - budget.remaining
     except BudgetExceededError:
@@ -197,9 +197,9 @@ def test_frozenset_order_breaks_chore_ties():
         (frozenset({0, 1, 2, 3, 4, 8, 9}), frozenset({7, 10, 11}), frozenset({5, 6}))
     )
     owner = [0, 0, 0, 0, 0, 2, 2, 1, 0, 0, 1, 1]
-    row, budget = inst.scaled[0], _Budget(LIMIT)
+    row, budget = inst.scaled[0], Budget(LIMIT, "nodes")
     got = _find_witness(row, profile(inst, alloc)[0], owner, 0, [1, 2], rset, budget)
-    assert got == ref_find_witness(inst, alloc, 0, rset, _Budget(LIMIT))
+    assert got == ref_find_witness(inst, alloc, 0, rset, Budget(LIMIT, "nodes"))
     assert got == {8: 1, 1: 2, 9: 2}
 
 

@@ -119,6 +119,15 @@ class TestPerturbNondegenerate:
             for e in row:
                 assert 0 < e < pert.params.epsilon
 
+    def test_rational_values_are_scaled_first(self):
+        # the LCM of the denominators is 12; the base is the scaled instance
+        rational = make_instance([["1/2", -3, "7/3"], [2, "-5/4", "1/6"]])
+        scaled = make_instance([[6, -36, 28], [24, -15, 2]])
+        pert = perturb_nondegenerate(rational)
+        assert pert == perturb_nondegenerate(scaled)
+        assert pert.base == scaled
+        assert check_nondegenerate(pert.pert_values)
+
     def test_perturbed_values_shift_by_eps(self):
         inst = make_instance([[1, -2], [3, 4]])
         pert = perturb_nondegenerate(inst)
@@ -334,3 +343,11 @@ class TestParamValidation:
             PerturbParams(F(1), F(1), F(1), F(0), F(1, 100))
         with pytest.raises(ValueError):
             PerturbParams(F(1), F(1), F(1), F(1, 2), F(0))
+
+    def test_eta_bound_message_states_the_checked_bound(self):
+        # the check is eta * 2 * Lambda <= lambda_lb, with no n in it
+        PerturbParams(F(1), F(2), F(1), F(1, 4), F(1, 100))
+        with pytest.raises(
+            ValueError, match=r"eta \* 2 \* Lambda = 4/3 exceeds lambda_lb = 1$"
+        ):
+            PerturbParams(F(1), F(2), F(1), F(1, 3), F(1, 100))
