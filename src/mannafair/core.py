@@ -9,6 +9,7 @@ predicates read `profile`, the n x n matrix of scaled v_i(A_j).
 
 from __future__ import annotations
 
+import re
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,6 +20,12 @@ from typing import Iterable, Mapping, Sequence, Union
 Rational = Fraction
 
 RationalLike = Union[int, str, Fraction]
+
+# A signed integer, "p/q" or a plain decimal such as "0.5", so the cost of
+# parsing is bounded by the length.  `Fraction(str)` alone also accepts
+# exponents: "1e10000000" would build a ten-million-digit integer.  (`re`
+# compiles the pattern on first use, which most commands never make.)
+_RATIONAL_STR = r"\s*[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)\s*"
 
 
 class IncompleteCertificateError(ValueError):
@@ -44,16 +51,20 @@ class Budget:
 
 
 def as_rational(x: RationalLike) -> Fraction:
-    """Coerce an int, Fraction, or "p/q" string to an exact Fraction.
+    """Coerce an int, Fraction, or integer, "p/q" or decimal string to an
+    exact Fraction.
 
     Floats are rejected: the downstream ratio and LP tests are
-    equality-sensitive.
+    equality-sensitive.  A string must have one of those forms before
+    `Fraction` reads it, so exponent and underscore forms are rejected.
     """
     if isinstance(x, bool):
         raise TypeError(f"cannot interpret {x!r} as an exact rational")
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     if isinstance(x, str):
+        if re.fullmatch(_RATIONAL_STR, x) is None:
+            raise ValueError(f"bad rational {x!r}")
         try:
             return Fraction(x)
         except ZeroDivisionError:

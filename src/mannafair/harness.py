@@ -1,8 +1,10 @@
 """Instance generators and the on-disk JSON formats.
 
 All files are JSON with a fixed key order so serialization is canonical
-and diff-friendly.  Values are integers or "p/q" strings; agent and item
-indices are 1-based on disk and 0-based in memory.
+and diff-friendly, in the layout of `json.dumps(indent=2)`.  Values are
+written as integers or "p/q" strings and read from integers or integer,
+"p/q" or decimal strings; agent and item indices are 1-based on disk and
+0-based in memory.
 """
 
 from __future__ import annotations
@@ -116,7 +118,50 @@ def _rational_in(raw, where: str) -> Fraction:
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """The text of `json.dumps(obj, indent=2)` plus a newline.
+
+    `indent` makes `json.dumps` run its pure-Python encoder.  This writer
+    renders a list of plain ints with one join, once per list object and
+    depth, so a bundle list shared by a certificate's base and witnesses
+    is rendered twice at most.  Scalars and dict keys go through
+    `json.dumps`; a key that is not a string is refused.
+    """
+    out = []
+    memo = {}  # (id of a list of ints, depth) -> its text
+
+    def write(value, depth):
+        if not value or not isinstance(value, (list, tuple, dict)):
+            out.append(json.dumps(value))  # a scalar, [] or {}
+            return
+        outer = "\n" + "  " * depth
+        inner = outer + "  "
+        if isinstance(value, dict):
+            brackets = "{}"
+            entries = []
+            for key, item in value.items():
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                entries.append((f"{json.dumps(key)}: ", item))
+        else:
+            text = memo.get((id(value), depth))
+            if text is None and {*map(type, value)} == {int}:
+                body = ("," + inner).join(map(str, value))
+                text = memo[id(value), depth] = f"[{inner}{body}{outer}]"
+            if text is not None:
+                out.append(text)
+                return
+            brackets = "[]"
+            entries = [("", item) for item in value]
+        sep = brackets[0] + inner
+        for prefix, item in entries:
+            out.append(sep + prefix)
+            write(item, depth + 1)
+            sep = "," + inner
+        out.append(outer + brackets[1])
+
+    write(obj, 0)
+    out.append("\n")
+    return "".join(out)
 
 
 def _instance_out(inst: Instance, metadata: Optional[Dict] = None) -> dict:
@@ -188,58 +233,87 @@ def _matrix_in(raw, n: int, m: int, where: str) -> tuple:
     return tuple(rows)
 
 
-def _bundles_out(alloc: Allocation):
-    return [sorted(t + 1 for t in b) for b in alloc.bundles]
+def _ids_out(items: frozenset, lists: dict) -> list:
+    """The sorted 1-based ids of `items`; `lists` maps each set already
+    written to its list, so equal sets share one list, which `_dump`
+    joins once per depth."""
+    ids = lists.get(items)
+    if ids is None:
+        ids = lists[items] = sorted(t + 1 for t in items)
+    return ids
 
 
-def _items_in(raw, where: str) -> frozenset:
-    """0-based items from a list of 1-based item ids (bools are not ids)."""
+def _bundles_out(alloc: Allocation, lists: dict) -> list:
+    return [_ids_out(b, lists) for b in alloc.bundles]
+
+
+_INT = frozenset({int})
+
+
+def _items_in(raw, where: str, sets: dict) -> frozenset:
+    """0-based items from a list of distinct 1-based item ids (bools are
+    not ids); `sets` maps the ids of each list already read to its set."""
     if not isinstance(raw, list):
         raise ParseError(f"{where}: expected a list of item ids")
-    for t in raw:
-        if type(t) is not int or t < 1:
-            raise ParseError(f"{where}: bad item id {t!r}")
-    return frozenset(t - 1 for t in raw)
+    # True == 1 and 1.0 == 1, so only a list of exact ints is a key: a
+    # tuple of anything else would let [true] or [1.0] pass as [1].
+    key = tuple(raw) if {*map(type, raw)} <= _INT else None
+    items = sets.get(key)
+    if items is None:
+        for t in raw:  # raises whenever key is None
+            if type(t) is not int or t < 1:
+                raise ParseError(f"{where}: bad item id {t!r}")
+        items = frozenset(t - 1 for t in raw)
+        if len(items) < len(raw):
+            repeated = next(t for t in raw if raw.count(t) > 1)
+            raise ParseError(f"{where}: repeated item id {repeated!r}")
+        sets[key] = items
+    return items
 
 
-def _bundles_in(raw, num_agents: int, where: str) -> Allocation:
+def _bundles_in(raw, num_agents: int, where: str, sets: dict) -> Allocation:
     if not isinstance(raw, list) or len(raw) != num_agents:
         raise ParseError(f"{where}: expected {num_agents} bundles")
     return Allocation(
-        tuple(_items_in(b, f"{where}[{i}]") for i, b in enumerate(raw))
+        tuple(_items_in(b, f"{where}[{i}]", sets) for i, b in enumerate(raw))
     )
 
 
 def serialize_allocation(alloc: Allocation) -> str:
     return _dump(
-        {"format_version": FORMAT_VERSION, "bundles": _bundles_out(alloc)}
+        {"format_version": FORMAT_VERSION, "bundles": _bundles_out(alloc, {})}
     )
 
 
 def parse_allocation(text: str, inst: Instance) -> Allocation:
     doc = _load(text, ("bundles",))
-    return _bundles_in(doc["bundles"], inst.num_agents, "bundles")
+    return _bundles_in(doc["bundles"], inst.num_agents, "bundles", {})
 
 
 def serialize_certificate(cert: EfrCertificate) -> str:
+    """A witness differs from the base only on the realloc set, so the
+    certificate's n(n+1) bundles hold few distinct sets; each is sorted
+    once."""
+    lists = {}
     return _dump(
         {
             "format_version": FORMAT_VERSION,
-            "base": _bundles_out(cert.base),
-            "realloc_set": sorted(t + 1 for t in cert.realloc_set),
-            "witnesses": [_bundles_out(w) for w in cert.witnesses],
+            "base": _bundles_out(cert.base, lists),
+            "realloc_set": _ids_out(cert.realloc_set, lists),
+            "witnesses": [_bundles_out(w, lists) for w in cert.witnesses],
         }
     )
 
 
 def parse_certificate(text: str, inst: Instance) -> EfrCertificate:
     doc = _load(text, ("base", "realloc_set", "witnesses"))
-    base = _bundles_in(doc["base"], inst.num_agents, "base")
-    realloc = _items_in(doc["realloc_set"], "realloc_set")
+    sets = {}  # each distinct bundle is checked and built once
+    base = _bundles_in(doc["base"], inst.num_agents, "base", sets)
+    realloc = _items_in(doc["realloc_set"], "realloc_set", sets)
     if not isinstance(doc["witnesses"], list):
         raise ParseError("witnesses: expected a list of allocations")
     witnesses = tuple(
-        _bundles_in(w, inst.num_agents, f"witnesses[{i}]")
+        _bundles_in(w, inst.num_agents, f"witnesses[{i}]", sets)
         for i, w in enumerate(doc["witnesses"])
     )
     return EfrCertificate(base, realloc, witnesses)

@@ -113,6 +113,16 @@ class TestGen:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["1e10000000", "1_0"])
+    def test_exponent_chore_prob_is_input_error(self, tmp_path, capsys, value):
+        out = tmp_path / "x.json"
+        argv = ["gen", "--family", "random", "--n", "2", "--m", "3", "--seed",
+                "1", "--chore-prob", value, "-o", str(out)]
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err == f"input error: --chore-prob: bad rational {value!r}\n"
+        assert not out.exists()
+
     def test_odd_partition_sum_is_input_error(self, tmp_path):
         out = tmp_path / "x.json"
         assert (
@@ -390,6 +400,27 @@ class TestExitCodes:
             run(["check-po", "-i", str(inst_file), "--alloc", str(alloc)])
             == 3
         )
+
+    def test_exponent_value_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            '{"format_version": 1, "agents": 1, "items": 1,'
+            ' "values": [["1e10000000"]]}'
+        )
+        out = str(tmp_path / "o.json")
+        assert run(["solve", "--algo", "efr", "-i", str(bad), "-o", out]) == 3
+        err = capsys.readouterr().err
+        assert err == "input error: values[0][0]: bad rational '1e10000000'\n"
+
+    def test_repeated_bundle_item_is_input_error(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        assert run(["gen", "--family", "random", "--n", "2", "--m", "2",
+                    "--seed", "1", "-o", str(inst)]) == 0
+        alloc = tmp_path / "alloc.json"
+        alloc.write_text('{"bundles": [[1, 1], [2]]}')
+        assert run(["check-po", "-i", str(inst), "--alloc", str(alloc)]) == 3
+        err = capsys.readouterr().err
+        assert err == "input error: bundles[0]: repeated item id 1\n"
 
     def test_unknown_format_version_is_input_error(self, tmp_path, inst_file):
         doc = json.loads(inst_file.read_text())

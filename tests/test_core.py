@@ -54,6 +54,20 @@ class TestRational:
         with pytest.raises(TypeError):
             as_rational(True)
 
+    @pytest.mark.parametrize(
+        "text, value",
+        [("7", F(7)), ("-3/6", F(-1, 2)), ("+0.25", F(1, 4)), (".5", F(1, 2))],
+    )
+    def test_integer_fraction_and_decimal_strings(self, text, value):
+        assert as_rational(text) == value
+
+    @pytest.mark.parametrize(
+        "text", ["1e10000000", "2.5E-3", "1_000", "1/2/3", "1/-2", "", "x", "inf"]
+    )
+    def test_other_strings_rejected_by_form(self, text):
+        with pytest.raises(ValueError, match="bad rational"):
+            as_rational(text)
+
     def test_lowest_terms(self):
         r = as_rational("4/6")
         assert (r.numerator, r.denominator) == (2, 3)

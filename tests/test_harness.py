@@ -175,6 +175,23 @@ class TestInstanceFormat:
                 ' "values": [["1/0"]]}'
             )
 
+    @pytest.mark.parametrize("value", ["1e10000000", "1E9999999", "1_000", "1/2e5"])
+    def test_exponent_and_underscore_forms_rejected(self, value):
+        # Fraction(str) would take seconds on the exponents; the check is
+        # on the string's form, before any arithmetic
+        with pytest.raises(ParseError, match=r"values\[0\]\[0\]: bad rational"):
+            parse_instance(
+                '{"format_version": 1, "agents": 1, "items": 1,'
+                ' "values": [["%s"]]}' % value
+            )
+
+    def test_integer_fraction_and_decimal_strings_accepted(self):
+        inst = parse_instance(
+            '{"format_version": 1, "agents": 1, "items": 4,'
+            ' "values": [["-3", "+4/6", "0.25", "7"]]}'
+        )
+        assert inst.values == ((F(-3), F(2, 3), F(1, 4), F(7)),)
+
     def test_float_values_rejected(self):
         with pytest.raises(ParseError):
             parse_instance(
@@ -246,6 +263,37 @@ class TestStrictParsing:
         inst = gen_identical_chores(2)
         with pytest.raises(ParseError, match=r"bundles\[0\]"):
             parse_allocation('{"bundles": [[true], []]}', inst)
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"bundles": [[1, 1], [2]]}', r"bundles\[0\]: repeated item id 1"),
+            ('{"bundles": [[1], [2, 3, 2]]}', r"bundles\[1\]: repeated item id 2"),
+        ],
+    )
+    def test_repeated_item_id_in_an_allocation_rejected(self, text, field):
+        inst = gen_random(2, 3, 9, F(1, 2), seed=1)
+        with pytest.raises(ParseError, match=field):
+            parse_allocation(text, inst)
+
+    @pytest.mark.parametrize(
+        "base, realloc, witness, field",
+        [
+            ("[1, 1], []", "1", "[1], []", r"base\[0\]"),
+            ("[1], []", "1, 1", "[1], []", "realloc_set"),
+            ("[1], []", "1", "[], [1, 1]", r"witnesses\[1\]\[1\]"),
+        ],
+    )
+    def test_repeated_item_id_in_a_certificate_rejected(
+        self, base, realloc, witness, field
+    ):
+        inst = gen_identical_chores(2)
+        text = (
+            '{"base": [%s], "realloc_set": [%s], "witnesses": [[[1], []], [%s]]}'
+            % (base, realloc, witness)
+        )
+        with pytest.raises(ParseError, match=field + ": repeated item id 1"):
+            parse_certificate(text, inst)
 
     def test_bool_counts_rejected(self):
         with pytest.raises(ParseError, match="agents"):
