@@ -21,7 +21,6 @@ from .core import (
     EfrCertificate,
     EnvyGraph,
     Instance,
-    build_envy_graph,
     profile,
 )
 
@@ -108,6 +107,11 @@ def resolve_top_trading_cycles(inst: Instance, alloc: Allocation) -> Allocation:
     total utility strictly increases and termination is guaranteed.  An
     input that already has an envy-free agent is returned unchanged.
     """
+    return _trade_cycles(inst, alloc)[0]
+
+
+def _trade_cycles(inst: Instance, alloc: Allocation):
+    """`resolve_top_trading_cycles`, with the result's `profile`."""
     bundles = list(alloc.bundles)
     vals = profile(inst, alloc)
     while not any(row[i] >= max(row) for i, row in enumerate(vals)):
@@ -124,7 +128,7 @@ def resolve_top_trading_cycles(inst: Instance, alloc: Allocation) -> Allocation:
             perm[a] = point[a]
         bundles = [bundles[p] for p in perm]
         vals = [[row[p] for p in perm] for row in vals]
-    return Allocation(tuple(bundles))
+    return Allocation(tuple(bundles)), vals
 
 
 def _lowest_chore(inst, bundle, agent):
@@ -150,8 +154,8 @@ def efr_n_minus_1(inst: Instance) -> EfrCertificate:
     i itself.
     """
     n = inst.num_agents
-    base = resolve_top_trading_cycles(inst, double_round_robin_ef1(inst))
-    sink = min(build_envy_graph(inst, base).sinks())
+    base, vals = _trade_cycles(inst, double_round_robin_ef1(inst))
+    sink = next(i for i, row in enumerate(vals) if row[i] >= max(row))
     realloc = set()
     witnesses: List[Allocation] = []
     for i in range(n):

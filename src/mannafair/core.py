@@ -5,6 +5,12 @@ items are 0-based.  The value kernel is `Instance.scaled`, each agent's row
 times the LCM of its denominators: every predicate compares values of one
 agent only, which a positive per-agent scale leaves exact.  The envy
 predicates read `profile`, the n x n matrix of scaled v_i(A_j).
+
+Every matrix or vector of values enters through one intake kernel,
+`rational_rows`, which converts each entry exactly once: `Instance`,
+`welfare.PerturbedInstance`, `welfare.WeightVector`,
+`welfare.check_nondegenerate` and the file readers of `harness` all call
+it, and none converts entries itself.
 """
 
 from __future__ import annotations
@@ -57,7 +63,10 @@ def as_rational(x: RationalLike) -> Fraction:
     Floats are rejected: the downstream ratio and LP tests are
     equality-sensitive.  A string must have one of those forms before
     `Fraction` reads it, so exponent and underscore forms are rejected.
+    A `Fraction` is returned itself, not copied.
     """
+    if type(x) is Fraction:
+        return x
     if isinstance(x, bool):
         raise TypeError(f"cannot interpret {x!r} as an exact rational")
     if isinstance(x, (int, Fraction)):
@@ -70,6 +79,33 @@ def as_rational(x: RationalLike) -> Fraction:
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
+def rational_rows(rows) -> tuple:
+    """`rows` as a tuple of tuples of Fractions, each entry converted once.
+
+    A `Fraction` is kept as it is.  A plain int maps to one `Fraction` per
+    distinct value, shared within this call, so a matrix of small integers
+    holds a few Fraction objects, not one per entry.  Anything else goes
+    through `as_rational`, which reads strings and rejects floats and bools.
+    """
+    ints = {}  # keyed by exact ints only: True and 1.0 hash and compare as 1
+    out = []
+    for row in rows:
+        new = []
+        for v in row:
+            kind = type(v)
+            if kind is int:
+                f = ints.get(v)
+                if f is None:
+                    f = ints[v] = Fraction(v)
+            elif kind is Fraction:
+                f = v
+            else:
+                f = as_rational(v)
+            new.append(f)
+        out.append(tuple(new))
+    return tuple(out)
 
 
 def scale_row(row) -> tuple:
@@ -89,7 +125,7 @@ class Instance:
     values: tuple  # tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(as_rational(v) for v in row) for row in self.values)
+        rows = rational_rows(self.values)
         if not rows:
             raise ValueError("instance needs at least one agent")
         m = len(rows[0])
@@ -139,10 +175,18 @@ class Allocation:
         raise KeyError(f"item {item} is not allocated")
 
     def reassign(self, moves: Mapping[int, int]) -> "Allocation":
-        """Return a copy with each item in `moves` handed to the given agent."""
-        new = [set(b) for b in self.bundles]
+        """Return a copy with each item in `moves` handed to the given agent.
+
+        Only the bundles a move touches are rebuilt; the copy shares every
+        other bundle object with `self`.
+        """
+        new = list(self.bundles)
         for item, agent in moves.items():
-            new[self.holder(item)].discard(item)
+            source = self.holder(item)
+            for j in (source, agent):
+                if new[j] is self.bundles[j]:
+                    new[j] = set(new[j])
+            new[source].discard(item)
             new[agent].add(item)
         return Allocation(tuple(new))
 
@@ -300,6 +344,12 @@ def validate_certificate(inst: Instance, cert: EfrCertificate) -> bool:
 
     True implies ``cert.base`` is EFR-|cert.realloc_set|.  Raises
     IncompleteCertificateError when a witness is missing.
+
+    The base is validated and profiled once; each witness is checked as a
+    delta of it.  Only the bundles that differ from the base's (tested by
+    identity first) must hold exactly the items of the base's matching
+    bundles, each item once, moving only items of R; agent i's row is the
+    base row with those bundles summed again.
     """
     validate_allocation(inst, cert.base)
     n = inst.num_agents
@@ -307,13 +357,30 @@ def validate_certificate(inst: Instance, cert: EfrCertificate) -> bool:
         raise IncompleteCertificateError(
             f"certificate has {len(cert.witnesses)} witnesses for {n} agents"
         )
+    base, realloc = cert.base.bundles, cert.realloc_set
+    prof = profile(inst, cert.base)
     for i, witness in enumerate(cert.witnesses):
-        try:
-            envy_free = is_envy_free_for(inst, witness, i)
-        except ValueError:  # not an n-partition
+        if witness.num_agents != n:
             return False
-        # two n-partitions agree outside R iff every bundle differs only in R
-        moved = (b ^ w for b, w in zip(cert.base.bundles, witness.bundles))
-        if not envy_free or not all(d <= cert.realloc_set for d in moved):
+        changed = [
+            j for j, (b, w) in enumerate(zip(base, witness.bundles))
+            if b is not w and b != w
+        ]
+        old = [base[j] for j in changed]
+        new = [witness.bundles[j] for j in changed]
+        held = frozenset().union(*old)
+        # an n-partition iff the changed bundles hold the items of the
+        # base's once each; it agrees with the base outside R iff every
+        # changed bundle differs only in R
+        if (
+            frozenset().union(*new) != held
+            or sum(map(len, new)) != len(held)  # an item held twice
+            or not all(b ^ w <= realloc for b, w in zip(old, new))
+        ):
+            return False
+        row, vals = inst.scaled[i], list(prof[i])
+        for j, w in zip(changed, new):
+            vals[j] = sum(map(row.__getitem__, w))
+        if vals[i] < max(vals):
             return False
     return True

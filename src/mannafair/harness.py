@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 from typing import Dict, Optional, Sequence
 
-from .core import Allocation, EfrCertificate, Instance, as_rational
+from .core import Allocation, EfrCertificate, Instance, as_rational, rational_rows
 from .welfare import PerturbedInstance, PerturbParams
 
 FORMAT_VERSION = 1
@@ -220,17 +220,25 @@ def parse_instance(text: str) -> Instance:
 
 
 def _matrix_in(raw, n: int, m: int, where: str) -> tuple:
-    """An agents x items matrix of rationals from a list of lists."""
+    """An agents x items matrix of rationals from a list of lists.
+
+    Well-formed rows go to `rational_rows` as they are; only when a shape
+    check fails or the kernel rejects an entry are the rows walked again,
+    in order, to name the first bad row or entry.
+    """
     if not isinstance(raw, list) or len(raw) != n:
         raise ParseError(f"{where}: row count differs from agents")
-    rows = []
+    if all(isinstance(row, list) and len(row) == m for row in raw):
+        try:
+            return rational_rows(raw)
+        except (TypeError, ValueError):
+            pass
     for i, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != m:
             raise ParseError(f"{where}[{i}]: length differs from items")
-        rows.append(
-            tuple(_rational_in(v, f"{where}[{i}][{t}]") for t, v in enumerate(row))
-        )
-    return tuple(rows)
+        for t, v in enumerate(row):
+            _rational_in(v, f"{where}[{i}][{t}]")
+    raise AssertionError("rational_rows rejected an entry that as_rational reads")
 
 
 def _ids_out(items: frozenset, lists: dict) -> list:

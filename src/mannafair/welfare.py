@@ -31,7 +31,7 @@ from .core import (
     Allocation,
     Budget,
     Instance,
-    as_rational,
+    rational_rows,
     scale_row,
 )
 
@@ -67,7 +67,7 @@ class WeightVector:
     weights: tuple
 
     def __post_init__(self):
-        ws = tuple(as_rational(w) for w in self.weights)
+        (ws,) = rational_rows((self.weights,))
         if any(w < 0 for w in ws):
             raise ValueError("weights must be nonnegative")
         if sum(ws) != 1:
@@ -91,7 +91,7 @@ class PerturbedInstance:
     params: PerturbParams
 
     def __post_init__(self):
-        eps = tuple(tuple(as_rational(e) for e in row) for row in self.eps_matrix)
+        eps = rational_rows(self.eps_matrix)
         if len(eps) != self.base.num_agents or any(
             len(row) != self.base.num_items for row in eps
         ):
@@ -202,7 +202,7 @@ def check_nondegenerate(values) -> bool:
     walked from their lowest agent, once the zero test has passed and the
     cycle count fits `CYCLE_BUDGET`.
     """
-    vals = [[as_rational(v) for v in row] for row in values]
+    vals = rational_rows(values)
     if any(v == 0 for row in vals for v in row):
         return False
     n, m = len(vals), len(vals[0]) if vals else 0
