@@ -219,7 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
     decide.add_argument("--budget", type=_budget, default=oracles.DEFAULT_BUDGET)
     decide.set_defaults(func=_cmd_decide_efr)
 
-    po = sub.add_parser("check-po", help="brute-force Pareto optimality")
+    po = sub.add_parser(
+        "check-po", help="exhaustive, pruned search for a Pareto improvement"
+    )
     po.add_argument("-i", "--input", required=True)
     po.add_argument("--alloc", required=True)
     po.add_argument("--budget", type=_budget, default=oracles.DEFAULT_BUDGET)

@@ -28,10 +28,14 @@ Rational = Fraction
 RationalLike = Union[int, str, Fraction]
 
 # A signed integer, "p/q" or a plain decimal such as "0.5", so the cost of
-# parsing is bounded by the length.  `Fraction(str)` alone also accepts
-# exponents: "1e10000000" would build a ten-million-digit integer.  (`re`
-# compiles the pattern on first use, which most commands never make.)
-_RATIONAL_STR = r"\s*[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)\s*"
+# parsing is bounded by the length.  `Fraction(str)` also accepts exponents:
+# "1e10000000" would build a ten-million-digit integer.  The groups are the
+# sign, p and q, or the decimal's whole and fractional digits; the lookahead
+# asks for a digit before or after the point.  (`re` compiles the pattern on
+# first use, which most commands never make.)
+_RATIONAL_STR = (
+    r"\s*([+-]?)(?:([0-9]+)(?:/([0-9]+))?|(?=\.?[0-9])([0-9]*)\.([0-9]*))\s*"
+)
 
 
 class IncompleteCertificateError(ValueError):
@@ -61,8 +65,8 @@ def as_rational(x: RationalLike) -> Fraction:
     exact Fraction.
 
     Floats are rejected: the downstream ratio and LP tests are
-    equality-sensitive.  A string must have one of those forms before
-    `Fraction` reads it, so exponent and underscore forms are rejected.
+    equality-sensitive.  A string is read from one match of one of those
+    forms, so exponent and underscore forms are rejected.
     A `Fraction` is returned itself, not copied.
     """
     if type(x) is Fraction:
@@ -72,10 +76,17 @@ def as_rational(x: RationalLike) -> Fraction:
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     if isinstance(x, str):
-        if re.fullmatch(_RATIONAL_STR, x) is None:
+        match = re.fullmatch(_RATIONAL_STR, x)
+        if match is None:
             raise ValueError(f"bad rational {x!r}")
+        sign, p, q, whole, digits = match.groups()
+        if p is None:  # a decimal, read as `Fraction(str)` reads it
+            q = 10 ** len(digits)
+            p = int(whole or "0") * q + int(digits or "0")
+        else:
+            p, q = int(p), int(q or "1")
         try:
-            return Fraction(x)
+            return Fraction(-p if sign == "-" else p, q)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"cannot interpret {x!r} as an exact rational")

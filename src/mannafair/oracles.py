@@ -1,10 +1,17 @@
 """Brute-force ground-truth engines.
 
 These are the exhaustive oracles every constructive algorithm is checked
-against: an exact EFR-k decision procedure, a Pareto-optimality scan over
+against: an exact EFR-k decision procedure, a Pareto-optimality search over
 all n^m allocations, and a Partition solver.  Everything here is
 deterministic: subsets and assignments are enumerated in lexicographic
 order so failing cases are reproducible.
+
+The Pareto search is a depth-first branch and bound over items 0..m-1.
+Each agent carries a slack, the most it can still end above its current
+utility; a branch is cut once some slack is negative or none is positive.
+Both cuts drop only branches with no Pareto improvement below them, so the
+verdict is that of the full scan, and a welfare maximizer's search is
+mostly cut near the root.  The budget is still n^m, spent up front.
 
 The EFR-k decision is one incremental witness kernel.  `decide_efr_k`
 builds an item -> owner vector and the `core.profile` matrix once; for
@@ -166,22 +173,58 @@ def min_efr_k(
 def is_pareto_optimal_bruteforce(
     inst: Instance, alloc: Allocation, budget: int = DEFAULT_BUDGET
 ) -> bool:
-    """True iff no allocation among all n^m Pareto dominates `alloc`."""
+    """True iff no allocation among all n^m Pareto dominates `alloc`.
+
+    An exhaustive, pruned depth-first search: items 0..m-1 are given to
+    agents in turn, agent 0 first.  Each agent's slack is its utility from
+    the items given so far, plus its positive values of the items not yet
+    given, minus its utility in `alloc`; it bounds from above how far the
+    agent can still end above its current utility.  Giving item t to agent
+    a changes a's slack by v_a(t) - max(v_a(t), 0) and every other agent's
+    by -max(v_i(t), 0), so slacks only fall.  A branch is cut when a slack
+    is negative (that agent cannot get back to its current utility) or none
+    is positive (no agent can end strictly better off).  At a leaf the
+    slacks are exactly the utilities less the current ones, so a leaf that
+    is reached is a Pareto improvement.  The cuts only drop branches with no
+    such leaf, so the verdict is that of the full scan.
+
+    The search visits at most the n^m leaves of the full scan, and `budget`
+    is spent on all n^m before it starts, so `BudgetExceededError` depends
+    on n and m alone.  Utilities are the integer `inst.scaled` rows: each
+    agent's utility is only compared with its own, so the per-agent scale
+    keeps every test exact.
+    """
     validate_allocation(inst, alloc)
     n, m = inst.num_agents, inst.num_items
     Budget(budget, "Pareto-scan allocations").spend(n**m)
-    # each agent's utility is only compared with its own, so the per-agent
-    # integer scale keeps both tests exact
-    values = inst.scaled
-    current = [sum(values[i][t] for t in alloc.bundles[i]) for i in range(n)]
-    for assignment in itertools.product(range(n), repeat=m):
-        profile = [0] * n
-        for t, a in enumerate(assignment):
-            profile[a] += values[a][t]
-        if all(profile[i] >= current[i] for i in range(n)) and any(
-            profile[i] > current[i] for i in range(n)
-        ):
+    rows = inst.scaled
+    cols = list(zip(*rows))  # cols[t][i] is agent i's value of item t
+    slack = [
+        sum(v for v in row if v > 0) - sum(row[t] for t in bundle)
+        for row, bundle in zip(rows, alloc.bundles)
+    ]
+    # an explicit stack, so m is not bounded by the recursion limit
+    stack = [(0, slack)] if max(slack) > 0 else []
+    while stack:
+        t, slack = stack.pop()
+        if t == m:
             return False
+        col = cols[t]
+        rest = [s - v if v > 0 else s for s, v in zip(slack, col)]
+        # an agent whose slack is negative unless it takes t must take t,
+        # so two such agents cut the node
+        short = [i for i, s in enumerate(rest) if s < 0]
+        if len(short) > 1:
+            continue
+        # only the taker's slack differs from `rest`, so a child is checked
+        # in O(1): the taker's own slack, and whether another one is positive
+        ahead = sum(s > 0 for s in rest)
+        for a in short or range(n - 1, -1, -1):  # popped in agent order
+            s = rest[a] + col[a]
+            if s >= 0 and (s > 0 or ahead > (rest[a] > 0)):
+                child = rest[:]
+                child[a] = s
+                stack.append((t + 1, child))
     return True
 
 

@@ -1,12 +1,20 @@
 """End-to-end CLI behavior: subcommands, exit codes, determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from mannafair import cli
+from mannafair import cli, welfare
 from mannafair.cli import main
-from mannafair.harness import parse_certificate, parse_instance, parse_perturbed
+from mannafair.harness import (
+    gen_random,
+    parse_certificate,
+    parse_instance,
+    parse_perturbed,
+    serialize_allocation,
+    serialize_instance,
+)
 
 
 def run(argv):
@@ -276,6 +284,38 @@ class TestSolveAndVerify:
             '{"format_version": 1, "agents": 2, "items": 3,'
             ' "values": [[6, -36, 28], [24, -15, 2]]}'
         ).values
+
+
+    def test_check_po_reaches_3_by_14(self, tmp_path, capsys):
+        """3^14 = 4,782,969 allocations: the full scan took seconds, the
+        pruned search cuts a welfare maximizer's at once."""
+        values = gen_random(3, 14, 9, Fraction(1, 2), 1)
+        uniform = welfare.WeightVector((Fraction(1, 3),) * 3)
+        best = welfare.max_weighted_welfare(
+            welfare.perturb_nondegenerate(values), uniform
+        )
+        # give the maximizer's good t to an agent b it costs: moving t
+        # back gains its holder v_a(t) > 0 and b -v_b(t) > 0, so this is
+        # dominated
+        t, b = next(
+            (t, b)
+            for a, bundle in enumerate(best.bundles)
+            for t in sorted(bundle)
+            for b in range(3)
+            if values.values[a][t] > 0 > values.values[b][t]
+        )
+        worse = best.reassign({t: b})
+        inst = tmp_path / "inst.json"
+        inst.write_text(serialize_instance(values))
+        for alloc, code, says in (
+            (best, 0, "pareto-optimal"), (worse, 1, "dominated")
+        ):
+            path = tmp_path / "alloc.json"
+            path.write_text(serialize_allocation(alloc))
+            capsys.readouterr()
+            argv = ["check-po", "-i", str(inst), "--alloc", str(path)]
+            assert run(argv) == code
+            assert capsys.readouterr().out == says + "\n"
 
 
 class TestExitCodes:

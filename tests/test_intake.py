@@ -4,9 +4,13 @@ Every path that builds values (`Instance`, `PerturbedInstance`,
 `WeightVector`, `check_nondegenerate` and the file readers) converts each
 entry exactly once; a plain int maps to one shared `Fraction` per distinct
 value, and nothing the kernel accepts or rejects differs from `as_rational`.
+`as_rational` reads a string from the groups of one match; it must read
+every string as the earlier two-pass reader (form check, then
+`Fraction(str)`) did, with the same value or the same error.
 """
 
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -118,6 +122,72 @@ class TestKernel:
         pert = perturb_nondegenerate(gen_random(2, 3, 9, F(1, 2), seed=4))
         strings = tuple(tuple(str(e) for e in row) for row in pert.eps_matrix)
         assert PerturbedInstance(pert.base, strings, pert.params) == pert
+
+
+DIGITS = st.text("0123456789", min_size=1, max_size=12)
+SPACE = st.sampled_from(["", " ", "  ", "\t", "\n"])
+
+
+@st.composite
+def rational_strings(draw):
+    """A valid integer, "p/q" (q > 0) or decimal string, with padding."""
+    p = draw(DIGITS)
+    body = draw(
+        st.sampled_from(
+            [p, f"{p}/{draw(st.integers(1, 10**12))}", f"{p}.", f".{p}",
+             f"{p}.{draw(DIGITS)}"]
+        )
+    )
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    return draw(SPACE) + sign + body + draw(SPACE)
+
+
+def reference_as_rational(x):
+    """The two-pass string reader `as_rational` replaced: the form check,
+    then `Fraction(x)` parsing the string again."""
+    form = r"\s*[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)\s*"
+    if re.fullmatch(form, x) is None:
+        raise ValueError(f"bad rational {x!r}")
+    try:
+        return F(x)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
+
+
+def assert_reads_as_reference(x):
+    try:
+        expected = reference_as_rational(x)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as ours:
+            as_rational(x)
+        assert str(ours.value) == str(exc)
+    else:
+        assert as_rational(x) == expected
+
+
+class TestStringIntake:
+    @settings(max_examples=1000, deadline=None)
+    @given(rational_strings())
+    def test_a_valid_string_reads_as_fraction_reads_it(self, x):
+        value = as_rational(x)
+        assert type(value) is F
+        assert value == F(x)
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.text(" \t+-0123456789./e_", max_size=8))
+    def test_same_value_or_same_error_as_the_two_pass_reader(self, x):
+        assert_reads_as_reference(x)
+
+    @pytest.mark.parametrize(
+        "x", ["1e3", "1_0", ".", "", "1/0", "-0/0", "5.", ".5", " -3 ", "+.0"]
+    )
+    def test_edge_forms_read_or_fail_as_before(self, x):
+        assert_reads_as_reference(x)
+
+    def test_long_decimal_parts_are_converted_separately(self):
+        # as in Fraction(str): each digit run stays under int's digit limit
+        x = "1" * 3000 + "." + "2" * 3000
+        assert as_rational(x) == F(x)
 
 
 class TestFileIntake:
