@@ -243,12 +243,12 @@ def run_picking_rounds(inst: Instance):
     return tuple(frozenset(b) for b in bundles), frozenset(reserved), trace
 
 
-def reserve_witnesses(partial, reserved) -> tuple:
-    """Witness i of a picking certificate: the tuple `partial`, R given to i."""
-    return tuple(
-        Allocation(partial[:i] + (partial[i] | reserved,) + partial[i + 1 :])
-        for i in range(len(partial))
-    )
+def reserve_certificate(base: Allocation, reserved) -> EfrCertificate:
+    """Picking certificate on `base`: the witness for agent i moves all of
+    the reserve R to i."""
+    n = base.num_agents
+    witnesses = tuple(base.reassign(dict.fromkeys(reserved, i)) for i in range(n))
+    return EfrCertificate(base, reserved, witnesses)
 
 
 def conflict_aware_picking(inst: Instance) -> EfrCertificate:
@@ -258,10 +258,8 @@ def conflict_aware_picking(inst: Instance) -> EfrCertificate:
     R to i, which the loop invariants make envy-free for i.
     """
     partial, reserved, _ = run_picking_rounds(inst)
-    bundles = list(partial)
-    bundles[0] = bundles[0] | reserved
-    base = Allocation(tuple(bundles))
-    return EfrCertificate(base, reserved, reserve_witnesses(partial, reserved))
+    base = Allocation((partial[0] | reserved,) + partial[1:])
+    return reserve_certificate(base, reserved)
 
 
 def extend_with_round_robin(inst: Instance, partial, reserved) -> Allocation:

@@ -14,7 +14,6 @@ import sys
 from . import algorithms, fixed_n, harness, oracles, welfare
 from .core import (
     BudgetExceededError,
-    EfrCertificate,
     as_rational,
     validate_certificate,
 )
@@ -108,8 +107,7 @@ def solve_instance(inst, algo: str, extend: bool = False, max_candidates=10**7):
             return algorithms.conflict_aware_picking(inst)
         partial, reserved, _ = algorithms.run_picking_rounds(inst)
         base = algorithms.extend_with_round_robin(inst, partial, reserved)
-        witnesses = algorithms.reserve_witnesses(partial, reserved)
-        return EfrCertificate(base, reserved, witnesses)
+        return algorithms.reserve_certificate(base, reserved)
     if algo == "fixed-n":
         _, cert, _ = fixed_n.search_efr_po(inst, max_candidates=max_candidates)
         return cert

@@ -152,16 +152,10 @@ class Instance:
     def num_items(self) -> int:
         return len(self.values[0])
 
-    def value(self, agent: int, item: int) -> Fraction:
-        return self.values[agent][item]
-
     @cached_property
     def scaled(self) -> tuple:
         """Per-agent integer rows: agent i's values times its row's LCM."""
         return tuple(scale_row(row)[1] for row in self.values)
-
-    def all_items(self) -> frozenset:
-        return frozenset(range(self.num_items))
 
 
 @dataclass(frozen=True)

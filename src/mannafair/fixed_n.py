@@ -8,15 +8,18 @@ once and reads every option's F_ij as prefixes of those orders;
 pairwise disjoint tuples and grouped by the reallocation set R of items
 they leave uncovered.
 
-A candidate is one demand map: for each item t the tuple of agents
-demanding it, (i,) for t in I_i and a set D(t) of at least two agents for
-t in R.  For each R (by size, then lexicographic), demand sets over R and
-joined tuple, the map is screened with the reassignment-based envy-freeness
-test (under the original values) and the weighted-welfare LP.  The base is
-the map's first placement, every item to its lowest demander, and each
-witness another placement of R among its demanders; the LP certifies that
-every placement maximizes eta-shifted weighted welfare under the perturbed
-values, so the base and every witness are Pareto optimal.
+A candidate is one joined tuple plus demand sets over R: agent i alone
+demands each item of I_i, and a set D(t) of at least two agents each item t
+of R.  For each R (by size, then lexicographic), demand sets over R and
+joined tuple, the candidate is screened with the reassignment-based
+envy-freeness test (under the original values), then its per-item demand
+map with the weighted-welfare LP.  The base gives each item of R to its
+lowest demander; each witness is the base plus the moves of one other
+placement of R among its demanders (`Allocation.reassign`), so the screen
+profiles the base once and re-sums only the moved items per placement.
+The LP certifies that every placement maximizes eta-shifted weighted
+welfare under the perturbed values, so the base and every witness are
+Pareto optimal.
 
 The search takes at most `HARD_AGENT_CAP` = 4 agents: each agent's
 separator product grows like m^(2(n-1)), and the join multiplies them.
@@ -104,39 +107,47 @@ def _demand_options(n: int):
     return opts
 
 
-def _placement(n: int, owners) -> Allocation:
-    """The allocation giving item t to agent owners[t]."""
-    bundles = [set() for _ in range(n)]
-    for t, a in enumerate(owners):
-        bundles[a].add(t)
-    return Allocation(tuple(bundles))
+def _efr_witnesses(inst, item_sets, realloc, demand_combo):
+    """The base of a candidate and a per-agent envy-free witness.
 
-
-def _efr_witnesses(inst, demand):
-    """Per-agent envy-free witnesses over the placements of a demand map.
-
-    Placements give each item to one of its demanders, in product order
-    over `demand`; the first is the base.  Returns the list of witness
-    allocations, or None when some agent has no envy-free placement.
-    Envy-freeness is evaluated under the original values.
+    The base gives agent i its I_i and each item of R (`realloc`) its first
+    demander in `demand_combo`; its profile is taken once.  Placements of R
+    among its demanders follow in product order, the base first: agent i's
+    row is the base row with only the moved items re-summed, and its
+    witness is the base with the moves of its first envy-free placement.
+    Returns (base, witnesses), or None when some agent has no envy-free
+    placement.  Envy-freeness is evaluated under the original values.
     """
-    n = inst.num_agents
-    witnesses: List[Optional[Allocation]] = [None] * n
-    for owners in itertools.product(*demand):
-        alloc = _placement(n, owners)
-        for i, row in enumerate(profile(inst, alloc)):
-            if witnesses[i] is None and row[i] >= max(row):
-                witnesses[i] = alloc
-        if all(w is not None for w in witnesses):
-            return witnesses
+    bundles = list(item_sets)
+    for t, d in zip(realloc, demand_combo):
+        bundles[d[0]] = bundles[d[0]] | {t}
+    base = Allocation(tuple(bundles))
+    prof, rows = profile(inst, base), inst.scaled
+    found: List[Optional[list]] = [None] * len(rows)  # each agent's moves
+    for owners in itertools.product(*demand_combo):
+        moves = [
+            (t, d[0], a) for t, d, a in zip(realloc, demand_combo, owners) if a != d[0]
+        ]
+        for i, row in enumerate(rows):
+            if found[i] is None:
+                vals = list(prof[i])
+                for t, src, dst in moves:
+                    vals[src] -= row[t]
+                    vals[dst] += row[t]
+                if vals[i] >= max(vals):
+                    found[i] = moves
+        if None not in found:
+            return base, [base.reassign({t: a for t, _, a in mv}) for mv in found]
     return None
 
 
 def search_efr_po(inst: Instance, max_candidates: int = 10**7):
     """Find an EFR-(n-1) and Pareto-optimal allocation by enumeration.
 
-    Returns (allocation, certificate, weight_vector).  The perturbation
-    scales rational values to integers, which preserves EF, EFR and PO.
+    Returns (allocation, certificate, weight_vector); the allocation is
+    the certificate's base, whose bundles every witness shares except the
+    ones its moves touch.  The perturbation scales rational values to
+    integers, which preserves EF, EFR and PO.
     One unit of `max_candidates` is one separator combination (spent per
     agent before its intersections), one joined I-tuple (spent before the
     join) or one screened (R, demand, I-tuple) candidate; running out
@@ -161,29 +172,24 @@ def search_efr_po(inst: Instance, max_candidates: int = 10**7):
     for item_sets in itertools.product(*per_agent):
         claimed = frozenset().union(*item_sets)
         if sum(map(len, item_sets)) == len(claimed) and m - len(claimed) < n:
-            held: List[Optional[tuple]] = [None] * m  # R items stay None
-            for i, items in enumerate(item_sets):
-                for t in items:
-                    held[t] = (i,)
-            by_realloc.setdefault(all_items - claimed, []).append(held)
+            by_realloc.setdefault(all_items - claimed, []).append(item_sets)
 
     demand_opts = _demand_options(n)
     for rset in sorted(by_realloc, key=lambda r: (len(r), sorted(r))):
         realloc = sorted(rset)
         for demand_combo in itertools.product(demand_opts, repeat=len(realloc)):
-            for held in by_realloc[rset]:
+            for item_sets in by_realloc[rset]:
                 budget.spend()
-                demand = list(held)
-                for t, d in zip(realloc, demand_combo):
-                    demand[t] = d
-                witnesses = _efr_witnesses(inst, demand)
-                if witnesses is None:
+                found = _efr_witnesses(inst, item_sets, realloc, demand_combo)
+                if found is None:
                     continue
-                w = po_certificate_lp(pert, demand)
+                demand = {t: (i,) for i, items in enumerate(item_sets) for t in items}
+                demand.update(zip(realloc, demand_combo))
+                w = po_certificate_lp(pert, [demand[t] for t in range(m)])
                 if w is None:
                     continue
-                alloc = _placement(n, [d[0] for d in demand])
-                return alloc, EfrCertificate(alloc, rset, tuple(witnesses)), w
+                base, witnesses = found
+                return base, EfrCertificate(base, rset, tuple(witnesses)), w
     raise AssertionError(
         "enumeration exhausted without a solution; existence is guaranteed"
     )

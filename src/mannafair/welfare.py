@@ -242,20 +242,21 @@ def _forbid(walk, a, num, den, free, items) -> None:
                 _forbid(walk, b, num * rows[b][i], d, free ^ 1 << b, items | 1 << i)
 
 
-def _forbidden_eps(inst, pert, agent, item):
+def _forbidden_eps(inst, rows, pert_row, agent, item):
     """Perturbation values for (agent, item) ruled out by already-set cycles.
 
     Entries are set in row-major order, so a closable cycle through the
     edge (agent, item) runs through rows before `agent` and returns on an
-    item before `item`.  Each solves the product-one equation for the
+    item before `item`.  `rows` holds those earlier perturbed rows, each
+    scaled to integers by `scale_row`; `pert_row` is agent's perturbed row,
+    set before `item`.  Each cycle solves the product-one equation for the
     unknown perturbed value; values are (numerator, denominator) pairs in
     lowest terms.
     """
     v = inst.values[agent][item]
     forbidden = {(v.numerator, v.denominator)}  # eps = v would zero the entry
     if agent and item:
-        rows = [scale_row(row)[1] for row in pert[:agent]]
-        scale, top = scale_row(pert[agent][:item])
+        scale, top = scale_row(pert_row[:item])
         v_num, v_den = v.numerator, v.denominator
         walk = (rows, top, item, v_num * scale, v_den, v_den * scale, forbidden)
         for b in range(agent):
@@ -281,10 +282,11 @@ def perturb_nondegenerate(inst: Instance) -> PerturbedInstance:
         inst = Instance(tuple(tuple(v * scale for v in row) for row in inst.values))
     params = compute_params(inst)
     eps_matrix = [[None] * m for _ in range(n)]
-    pert = [[None] * m for _ in range(n)]
+    rows = []  # the finished perturbed rows, scaled to integers
     for i in range(n):
+        pert = [None] * m
         for t in range(m):
-            forbidden = _forbidden_eps(inst, pert, i, t)
+            forbidden = _forbidden_eps(inst, rows, pert, i, t)
             grid = len(forbidden) + 2
             for k in range(1, grid):  # grid - 1 points, so one is admissible
                 chosen = params.epsilon * k / grid
@@ -292,7 +294,8 @@ def perturb_nondegenerate(inst: Instance) -> PerturbedInstance:
                     break
             del forbidden  # else it lives on while the next entry's set grows
             eps_matrix[i][t] = chosen
-            pert[i][t] = inst.values[i][t] - chosen
+            pert[t] = inst.values[i][t] - chosen
+        rows.append(scale_row(pert)[1])
     return PerturbedInstance(
         inst, tuple(tuple(row) for row in eps_matrix), params
     )

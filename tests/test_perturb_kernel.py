@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mannafair.cli import main
-from mannafair.core import BudgetExceededError, Instance, as_rational
+from mannafair.core import BudgetExceededError, Instance, as_rational, scale_row
 from mannafair.harness import gen_random, serialize_instance, serialize_perturbed
 from mannafair.welfare import (
     _forbidden_eps,
@@ -177,7 +177,8 @@ def test_forbidden_eps_agrees_with_reference(data):
         [v if is_set(a, b) else None for b, v in enumerate(row)]
         for a, row in enumerate(rows)
     ]
-    got = _forbidden_eps(inst, pert, agent, item)
+    scaled = [scale_row(row)[1] for row in pert[:agent]]
+    got = _forbidden_eps(inst, scaled, pert[agent], agent, item)
     for p, q in got:
         assert q > 0 and F(p, q).numerator == p
     expected = ref_forbidden_eps(inst, pert, agent, item, is_set)

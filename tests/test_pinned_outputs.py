@@ -5,15 +5,26 @@ rescanned the remaining items on every greedy pick, before the integer value
 kernel replaced it.  Values in {1, 2} (or {-2, -1}) make most picks ties, so
 the rows pin the lowest-index tie-breaking of every picker as well as the
 picks themselves.
+
+The fixed-n digests were recorded from the search that built a full
+allocation and profile for every placement, before its witnesses became
+moves on the base.  They pin the serialized certificate and the weights, so
+the first hit, every witness and the LP vertex stay byte-identical.
 """
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
 
-from mannafair import algorithms
+from mannafair import algorithms, fixed_n
 from mannafair.core import Allocation, Instance
-from mannafair.harness import gen_paired_goods, gen_random
+from mannafair.harness import (
+    gen_identical_chores,
+    gen_paired_goods,
+    gen_random,
+    serialize_certificate,
+)
 
 # name -> (n, m, chore_prob, seed) for gen_random with value_range 2
 RANDOM = {
@@ -197,3 +208,80 @@ def test_pipeline_outputs_are_pinned(name):
     assert len(trace) == want["iterations"]
     extended = algorithms.extend_with_round_robin(inst, partial, reserved)
     assert bundles(extended) == want["goods_rr"]
+
+
+# name -> (n, m, value_range, chore_prob, seed) for gen_random
+FIXED_N = {
+    "goods-2x5": (2, 5, 2, "0", 0),
+    "mixed-2x5": (2, 5, 9, "1/2", 0),
+    "chores-2x5": (2, 5, 2, "1", 0),
+    "goods-3x5": (3, 5, 2, "0", 0),
+    "mixed-3x5": (3, 5, 9, "1/2", 0),
+    "chores-3x5": (3, 5, 2, "1", 0),
+    "goods-3x6": (3, 6, 2, "0", 3),
+    "goods-4x4": (4, 4, 9, "0", 0),
+    "goods-4x5": (4, 5, 3, "0", 1),
+    "mixed-4x4": (4, 4, 9, "1/2", 1),
+    "chores-4x5": (4, 5, 2, "1", 1),
+}
+
+# SHA-256 of search_efr_po's serialize_certificate(cert) followed by its
+# weights, joined by spaces; the comments give |R|
+FIXED_N_PINNED = {
+    'goods-2x5': (  # |R| = 1
+        'a936925b50887479ddc592c51d366874d26e5c645a6b786c98331f09a334014f'
+    ),
+    'mixed-2x5': (  # |R| = 0
+        '24101272a3851852db6c61f0edb8076511ed1a579a5ea64aa5e5b7e815e42865'
+    ),
+    'chores-2x5': (  # |R| = 1
+        'f040c0444df3485a1ed8ae7f61a50ff6587f75eb4d3781bb2bb81a7847f41184'
+    ),
+    'goods-3x5': (  # |R| = 1
+        '36cd637481554c31ee8d7004252e8d3d552c9991bae4dc3a6bc0ff627ae1cd68'
+    ),
+    'mixed-3x5': (  # |R| = 0
+        'af179d60cc0efec009b6d6726b95e62861cbec32841b7ad44fee916557004bae'
+    ),
+    'chores-3x5': (  # |R| = 1
+        '00f05ab753d22d12d7236b72034ccefdb89f1caf7dfddd0c2f2c90c880cf77d2'
+    ),
+    'goods-3x6': (  # |R| = 1
+        'bc22e67673fb692a6f13bd02afd0dfd1e1e1cc261842b77d04c81e24b7ca8fec'
+    ),
+    'goods-4x4': (  # |R| = 2
+        'edb5dc12c53037c87398be9082743c7232e1b3dae7b0ae11cc966bb564296d20'
+    ),
+    'goods-4x5': (  # |R| = 2
+        'ede62ee41ac6e4ba99847b674233fdd2a8abf3b12e386b98b16018dfa0329256'
+    ),
+    'mixed-4x4': (  # |R| = 1
+        'f17053b33f102939a6693a5f9de398bb4325aded0e6a8af771c0e3a012c41be3'
+    ),
+    'chores-4x5': (  # |R| = 1
+        '9628825ff3fc84dae84dfc6c71e612d83c756f3fdf1093506ce145cb3243d75f'
+    ),
+    'rational-3x5': (  # |R| = 0
+        '542da1ac55ad6ace12bfdabd0278e5ccc20dd5d346f3ba3ad278958b6faf1c36'
+    ),
+    'identical-chores-4': (  # |R| = 3
+        'be7d94d8ddfc9f3c33207b48334bd1d4cb321aa064f32538a2e76880e79cc0b5'
+    ),
+}
+
+
+def build_fixed_n(name):
+    if name == "rational-3x5":
+        return RATIONAL
+    if name == "identical-chores-4":
+        return gen_identical_chores(4)
+    n, m, value_range, chore_prob, seed = FIXED_N[name]
+    return gen_random(n, m, value_range, F(chore_prob), seed)
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_N_PINNED))
+def test_fixed_n_outputs_are_pinned(name):
+    alloc, cert, w = fixed_n.search_efr_po(build_fixed_n(name))
+    assert cert.base == alloc
+    text = serialize_certificate(cert) + " ".join(map(str, w.weights))
+    assert hashlib.sha256(text.encode()).hexdigest() == FIXED_N_PINNED[name]
