@@ -214,7 +214,14 @@ def build_parser() -> argparse.ArgumentParser:
     decide.add_argument("-i", "--input", required=True)
     decide.add_argument("--alloc", required=True)
     decide.add_argument("--k", type=int, required=True)
-    decide.add_argument("--budget", type=_budget, default=oracles.DEFAULT_BUDGET)
+    decide.add_argument(
+        "--budget",
+        type=_budget,
+        default=oracles.DEFAULT_BUDGET,
+        help="search budget; one unit is one candidate set R, one node of "
+        "the chore-covering search on a distinct (chore costs, gaps) pair "
+        "or one node of the witness placement search",
+    )
     decide.set_defaults(func=_cmd_decide_efr)
 
     po = sub.add_parser(
@@ -222,7 +229,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     po.add_argument("-i", "--input", required=True)
     po.add_argument("--alloc", required=True)
-    po.add_argument("--budget", type=_budget, default=oracles.DEFAULT_BUDGET)
+    po.add_argument(
+        "--budget",
+        type=_budget,
+        default=oracles.DEFAULT_BUDGET,
+        help="search budget; one unit is one node of the depth-first "
+        "search, an assignment of items 1..t",
+    )
     po.set_defaults(func=_cmd_check_po)
 
     perturb = sub.add_parser(

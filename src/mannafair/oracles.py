@@ -11,15 +11,18 @@ Each agent carries a slack, the most it can still end above its current
 utility; a branch is cut once some slack is negative or none is positive.
 Both cuts drop only branches with no Pareto improvement below them, so the
 verdict is that of the full scan, and a welfare maximizer's search is
-mostly cut near the root.  The budget is still n^m, spent up front.
+mostly cut near the root.  The budget is one unit per search node.
 
-The EFR-k decision is one incremental witness kernel.  `decide_efr_k`
-builds an item -> owner vector and the `core.profile` matrix once; for
-each candidate R and agent, `_find_witness` takes the bundle values from
-the agent's profile row less the R items, O(n + |R|), and `_place` searches
-chore placements with the overload carried incrementally, so each DFS node
-is O(1) work plus its branching.  Witness allocations are built only once
-every agent has a placement for the same R.
+The EFR-k decision has two passes.  The verdict pass scans the candidate
+sets R and asks, for each agent, a question that no longer names the
+agent: can the agent's chores in R, by their costs, close every positive
+gap between another bundle's value and the agent's own?  That is bin
+covering (Assmann, Johnson, Kleitman and Leung, 1984), keyed by the two
+descending tuples of chore costs and gaps, and each distinct key is
+answered once per call by `_covers`.  The witness pass runs only on the
+first R that every agent passes: `_find_witness` builds each agent's
+lexicographically least placement with `_place`, first fit in the order of
+the frozenset R, so certificates do not depend on the verdict pass.
 """
 
 from __future__ import annotations
@@ -112,6 +115,70 @@ def _find_witness(row, prof_row, owner, agent, others, realloc, budget):
     return result
 
 
+def _covers(costs, idx, rest, gaps, budget) -> bool:
+    """Whether the chores costs[idx:] can close every gap in `gaps`.
+
+    `costs` are positive chore costs in descending order and `rest` the sum
+    of costs[idx:]; `gaps` is a descending tuple of positive gaps.  A chore
+    closes a gap by `c` when it goes onto that bundle.  The largest chore
+    left goes onto each distinct gap value in turn; it never needs to go
+    onto a bundle without a gap, since one more chore on a bundle never
+    reopens its gap.  A node is cut once the gaps outnumber the chores left
+    or outsum them.
+    """
+    budget.spend()
+    if not gaps:
+        return True
+    left = len(costs) - idx
+    if len(gaps) > left or sum(gaps) > rest:
+        return False
+    c = costs[idx]
+    for p, g in enumerate(gaps):
+        if p and g == gaps[p - 1]:
+            continue  # the same gap value on another bundle: a symmetric child
+        child = gaps[:p] + gaps[p + 1:]
+        if g > c:
+            child = tuple(sorted(child + (g - c,), reverse=True))
+        if _covers(costs, idx + 1, rest - c, child, budget):
+            return True
+    return False
+
+
+def _passes(row, prof_row, owner, agent, realloc, memo, budget) -> bool:
+    """Whether `agent` has an envy-free placement of `realloc`.
+
+    Goods go to the agent and chores to the others, as in `_find_witness`;
+    what is left is whether the chore costs cover the positive gaps.  The
+    answer depends on the two multisets alone, so `memo` keeps it per
+    (costs, gaps) key for the whole scan and `_covers` runs once per key.
+    Keys settled by counting or summing are not stored.
+    """
+    loads = list(prof_row)
+    costs = []
+    gain = 0
+    for t in realloc:
+        v = row[t]
+        loads[owner[t]] -= v
+        if v < 0:
+            costs.append(-v)
+        else:
+            gain += v
+    own = loads[agent] + gain
+    gaps = [load - own for load in loads if load > own]
+    if not gaps:
+        return True
+    supply = sum(costs)
+    if len(gaps) > len(costs) or sum(gaps) > supply:
+        return False
+    costs.sort(reverse=True)
+    gaps.sort(reverse=True)
+    key = (tuple(costs), tuple(gaps))
+    found = memo.get(key)
+    if found is None:
+        found = memo[key] = _covers(key[0], 0, supply, key[1], budget)
+    return found
+
+
 def decide_efr_k(
     inst: Instance,
     alloc: Allocation,
@@ -123,31 +190,41 @@ def decide_efr_k(
     Scans candidate reallocation sets R by increasing size, then
     lexicographically; the first R for which every agent admits an
     envy-free witness (reassigning items of R only) is returned inside the
-    decision's certificate.  `budget` counts witness-search nodes.
+    decision's certificate.  The verdict pass asks `_passes` for each R and
+    agent; only the accepted R goes to `_find_witness`, whose placements
+    are those a scan of every R with `_find_witness` would return.
+
+    `budget` counts one unit per R scanned, one per `_covers` node (on
+    distinct (costs, gaps) keys only) and one per `_place` node of the
+    witness pass.  The R unit keeps the scan bounded when every check is a
+    repeated key.
     """
     validate_allocation(inst, alloc)
     if k < 0 or k > inst.num_items:
         raise ValueError(f"k={k} outside [0, m={inst.num_items}]")
-    tracker = Budget(budget, "EFR-k witness-search nodes")
+    tracker = Budget(budget, "EFR-k witness-search R sets and DFS nodes")
     n = inst.num_agents
     owner = [0] * inst.num_items
     for j, bundle in enumerate(alloc.bundles):
         for t in bundle:
             owner[t] = j
     rows, prof = inst.scaled, profile(inst, alloc)
-    others = [[j for j in range(n) if j != i] for i in range(n)]
+    memo = {}
     for size in range(k + 1):
         for realloc in itertools.combinations(range(inst.num_items), size):
-            rset = frozenset(realloc)  # its iteration order breaks chore ties
-            moves = []
+            tracker.spend()
             for i in range(n):
-                found = _find_witness(
-                    rows[i], prof[i], owner, i, others[i], rset, tracker
-                )
-                if found is None:
+                if not _passes(rows[i], prof[i], owner, i, realloc, memo, tracker):
                     break
-                moves.append(found)
             else:
+                rset = frozenset(realloc)  # its iteration order breaks chore ties
+                moves = [
+                    _find_witness(
+                        rows[i], prof[i], owner, i,
+                        [j for j in range(n) if j != i], rset, tracker,
+                    )
+                    for i in range(n)
+                ]
                 witnesses = tuple(map(alloc.reassign, moves))
                 return EfrDecision(True, EfrCertificate(alloc, rset, witnesses))
     return EfrDecision(False, None)
@@ -160,8 +237,8 @@ def min_efr_k(
 
     One scan: `decide_efr_k` with k = m tries R by increasing size, so its
     first R has the least size k, and k = m always suffices (each agent may
-    reassign every item).  `budget` counts the witness-search nodes of that
-    scan, the same spend as `decide_efr_k` at the returned k; running out
+    reassign every item).  `budget` is that scan's, in `decide_efr_k`'s
+    units, the same spend as `decide_efr_k` at the returned k; running out
     raises BudgetExceededError.
     """
     decision = decide_efr_k(inst, alloc, inst.num_items, budget)
@@ -188,15 +265,15 @@ def is_pareto_optimal_bruteforce(
     is reached is a Pareto improvement.  The cuts only drop branches with no
     such leaf, so the verdict is that of the full scan.
 
-    The search visits at most the n^m leaves of the full scan, and `budget`
-    is spent on all n^m before it starts, so `BudgetExceededError` depends
-    on n and m alone.  Utilities are the integer `inst.scaled` rows: each
-    agent's utility is only compared with its own, so the per-agent scale
-    keeps every test exact.
+    `budget` counts search nodes, one per partial allocation popped from
+    the stack, so it bounds the work the search does rather than n^m; a
+    search cut at the root spends nothing.  Utilities are the integer
+    `inst.scaled` rows: each agent's utility is only compared with its own,
+    so the per-agent scale keeps every test exact.
     """
     validate_allocation(inst, alloc)
     n, m = inst.num_agents, inst.num_items
-    Budget(budget, "Pareto-scan allocations").spend(n**m)
+    tracker = Budget(budget, "Pareto-scan allocation prefixes")
     rows = inst.scaled
     cols = list(zip(*rows))  # cols[t][i] is agent i's value of item t
     slack = [
@@ -207,6 +284,7 @@ def is_pareto_optimal_bruteforce(
     stack = [(0, slack)] if max(slack) > 0 else []
     while stack:
         t, slack = stack.pop()
+        tracker.spend()
         if t == m:
             return False
         col = cols[t]

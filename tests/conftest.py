@@ -1,4 +1,9 @@
-from mannafair.core import Budget
+from unittest import mock
+
+import pytest
+
+from mannafair import oracles
+from mannafair.core import Budget, BudgetExceededError
 from mannafair.fixed_n import build_f_ij, reconstruct_I
 
 ACCEPTANCE_LINES = []
@@ -62,3 +67,32 @@ def separators_recover(pert, true_i):
         if got != true_i[i] or true_i[i] not in sets:
             return False
     return True
+
+
+def spend_of(call):
+    """`call(limit)`'s result and the units it spent of the one Budget
+    that it made in `oracles`."""
+    made = []
+
+    class Recording(Budget):
+        def __init__(self, limit, what):
+            super().__init__(limit, what)
+            made.append(self)
+
+    with mock.patch.object(oracles, "Budget", Recording):
+        result = call(10**12)
+    (budget,) = made
+    return result, budget.limit - budget.remaining
+
+
+def assert_budget_is_own_spend(call, below):
+    """`call` spends the same on two calls, raises below that spend and not
+    at it; `below(spent)` draws one more budget under a positive spend.
+    Returns the spend."""
+    result, spent = spend_of(call)
+    assert spend_of(call) == (result, spent)
+    for limit in {spent - 1, below(spent)} if spent else ():
+        with pytest.raises(BudgetExceededError):
+            call(limit)
+    assert call(spent) == result
+    return spent

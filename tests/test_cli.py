@@ -318,6 +318,22 @@ class TestSolveAndVerify:
             assert capsys.readouterr().out == says + "\n"
 
 
+    def test_check_po_default_budget_reaches_3_by_20(self, tmp_path, capsys):
+        """3^20 = 3.5e9 allocations exceed the default budget of 10^8, but
+        the budget counts search nodes, and this welfare maximizer's search
+        takes 149."""
+        values = gen_random(3, 20, 9, Fraction(1, 2), 1)
+        uniform = welfare.WeightVector((Fraction(1, 3),) * 3)
+        best = welfare.max_weighted_welfare(
+            welfare.perturb_nondegenerate(values), uniform
+        )
+        inst, alloc = tmp_path / "inst.json", tmp_path / "alloc.json"
+        inst.write_text(serialize_instance(values))
+        alloc.write_text(serialize_allocation(best))
+        assert run(["check-po", "-i", str(inst), "--alloc", str(alloc)]) == 0
+        assert capsys.readouterr().out == "pareto-optimal\n"
+
+
 class TestExitCodes:
     def test_missing_file_is_input_error(self, tmp_path):
         assert (
@@ -361,7 +377,7 @@ class TestExitCodes:
         "argv, what",
         [
             (["decide-efr", "--k", "5", "--budget", "1"], "EFR-k witness-search"),
-            (["check-po", "--budget", "242"], "Pareto-scan allocations"),
+            (["check-po", "--budget", "1"], "Pareto-scan allocation prefixes"),
         ],
     )
     def test_budget_message_names_the_search_and_limit(

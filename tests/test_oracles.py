@@ -5,6 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import spend_of
+
 from mannafair.core import (
     Allocation,
     BudgetExceededError,
@@ -105,18 +107,19 @@ class TestMinEfrK:
 
     def test_budget_is_shared_across_k(self):
         # CHORES4_ALLOC needs k = 3.  min_efr_k is one scan by increasing
-        # |R|, so its budget is the 34 nodes of decide_efr_k at k = 3, not
-        # the 1 + 6 + 18 + 34 that deciding each k in turn would spend
-        for k, spend in enumerate((1, 6, 18, 34)):
-            decide_efr_k(CHORES4, CHORES4_ALLOC, k, budget=spend)
-            with pytest.raises(BudgetExceededError):
-                decide_efr_k(CHORES4, CHORES4_ALLOC, k, budget=spend - 1)
+        # |R|, so its budget is that of decide_efr_k at k = 3 alone, not
+        # the sum that deciding each k in turn would spend
+        spends = [
+            spend_of(lambda b: decide_efr_k(CHORES4, CHORES4_ALLOC, k, b))[1]
+            for k in range(4)
+        ]
         decision = decide_efr_k(CHORES4, CHORES4_ALLOC, 3)
-        assert min_efr_k(CHORES4, CHORES4_ALLOC, budget=34) == (
+        assert min_efr_k(CHORES4, CHORES4_ALLOC, budget=spends[3]) == (
             3, decision.certificate
         )
         with pytest.raises(BudgetExceededError):
-            min_efr_k(CHORES4, CHORES4_ALLOC, budget=33)
+            min_efr_k(CHORES4, CHORES4_ALLOC, budget=spends[3] - 1)
+        assert spends[3] < sum(spends)
 
 
 class TestParetoBruteforce:
@@ -159,8 +162,9 @@ class TestParetoBruteforce:
     def test_budget_abort(self):
         inst = gen_random(3, 6, 9, F(1, 2), seed=2)
         alloc = next(all_allocations(3, 6))
+        # dominated, so the search walks at least one branch of m + 1 nodes
         with pytest.raises(BudgetExceededError):
-            is_pareto_optimal_bruteforce(inst, alloc, budget=10)
+            is_pareto_optimal_bruteforce(inst, alloc, budget=6)
 
 
 class TestSolvePartition:

@@ -4,10 +4,9 @@
 first and cuts a branch once some agent can no longer reach its current
 utility or none can still end strictly above it.  The reference below is the
 earlier implementation, which sums every one of the n^m assignments.  The
-search must agree with it on every verdict, and its budget is still spent on
-all n^m allocations before the search starts, so `BudgetExceededError`
-fires at the same budgets with the same message however few leaves the
-search visits.
+search must agree with it on every verdict.  Its budget counts the search
+nodes it pops, so it raises `BudgetExceededError` below its own spend and
+not at it, and it spends the same on every call.
 """
 
 import itertools
@@ -16,6 +15,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import assert_budget_is_own_spend, spend_of
 
 from mannafair.core import (
     Allocation,
@@ -95,28 +96,32 @@ def test_verdict_matches_the_full_scan(case):
 
 
 @settings(max_examples=300, deadline=None)
-@given(cases())
-def test_budget_is_n_to_the_m_whatever_the_search_visits(case):
+@given(cases(), st.data())
+def test_budget_is_the_search_nodes(case, data):
     inst, alloc = case
-    full = inst.num_agents**inst.num_items
-    for search in (is_pareto_optimal_bruteforce, ref_is_pareto_optimal):
-        with pytest.raises(BudgetExceededError) as exc:
-            search(inst, alloc, full - 1)
-        assert str(exc.value) == (
-            f"Pareto-scan allocations exceed the limit of {full - 1}"
-        )
-    assert is_pareto_optimal_bruteforce(inst, alloc, full) is (
-        ref_is_pareto_optimal(inst, alloc, full)
+    call = lambda limit: is_pareto_optimal_bruteforce(inst, alloc, limit)
+    spent = assert_budget_is_own_spend(
+        call, lambda s: data.draw(st.integers(0, s - 1))
     )
+    # a node is an assignment of items 0..t-1, for some t <= m
+    n, m = inst.num_agents, inst.num_items
+    assert spent <= sum(n**t for t in range(m + 1))
+    if spent:
+        with pytest.raises(BudgetExceededError) as exc:
+            call(spent - 1)
+        assert str(exc.value) == (
+            f"Pareto-scan allocation prefixes exceed the limit of {spent - 1}"
+        )
 
 
-def test_a_search_cut_at_the_root_still_spends_n_to_the_m():
+def test_a_search_cut_at_the_root_spends_nothing():
     # every value is 0, so no agent can gain and the search stops at once
     inst = Instance(((F(0),) * 12,) * 2)
     alloc = allocation([0] * 12, 2)
-    assert is_pareto_optimal_bruteforce(inst, alloc, 2**12)
-    with pytest.raises(BudgetExceededError):
-        is_pareto_optimal_bruteforce(inst, alloc, 2**12 - 1)
+    assert spend_of(
+        lambda limit: is_pareto_optimal_bruteforce(inst, alloc, limit)
+    ) == (True, 0)
+    assert is_pareto_optimal_bruteforce(inst, alloc, 1)
 
 
 @pytest.mark.parametrize(
