@@ -218,9 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=_budget,
         default=oracles.DEFAULT_BUDGET,
-        help="search budget; one unit is one candidate set R, one node of "
-        "the chore-covering search on a distinct (chore costs, gaps) pair "
-        "or one node of the witness placement search",
+        help="search budget; one unit is one candidate set R or one node "
+        "of the chore placement search, in the verdict pass (on a distinct "
+        "(chore costs, gaps) pair) or the witness pass",
     )
     decide.set_defaults(func=_cmd_decide_efr)
 

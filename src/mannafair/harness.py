@@ -258,9 +258,10 @@ def _bundles_out(alloc: Allocation, lists: dict) -> list:
 _INT = frozenset({int})
 
 
-def _items_in(raw, where: str, sets: dict) -> frozenset:
-    """0-based items from a list of distinct 1-based item ids (bools are
-    not ids); `sets` maps the ids of each list already read to its set."""
+def _items_in(raw, num_items: int, where: str, sets: dict) -> frozenset:
+    """0-based items from a list of distinct item ids in 1..num_items (bools
+    are not ids); `sets` maps the ids of each list already read, against
+    the same num_items, to its set."""
     if not isinstance(raw, list):
         raise ParseError(f"{where}: expected a list of item ids")
     # True == 1 and 1.0 == 1, so only a list of exact ints is a key: a
@@ -271,6 +272,10 @@ def _items_in(raw, where: str, sets: dict) -> frozenset:
         for t in raw:  # raises whenever key is None
             if type(t) is not int or t < 1:
                 raise ParseError(f"{where}: bad item id {t!r}")
+            if t > num_items:
+                raise ParseError(
+                    f"{where}: item id {t} out of range 1..{num_items}"
+                )
         items = frozenset(t - 1 for t in raw)
         if len(items) < len(raw):
             repeated = next(t for t in raw if raw.count(t) > 1)
@@ -279,11 +284,12 @@ def _items_in(raw, where: str, sets: dict) -> frozenset:
     return items
 
 
-def _bundles_in(raw, num_agents: int, where: str, sets: dict) -> Allocation:
-    if not isinstance(raw, list) or len(raw) != num_agents:
-        raise ParseError(f"{where}: expected {num_agents} bundles")
+def _bundles_in(raw, inst: Instance, where: str, sets: dict) -> Allocation:
+    n, m = inst.num_agents, inst.num_items
+    if not isinstance(raw, list) or len(raw) != n:
+        raise ParseError(f"{where}: expected {n} bundles")
     return Allocation(
-        tuple(_items_in(b, f"{where}[{i}]", sets) for i, b in enumerate(raw))
+        tuple(_items_in(b, m, f"{where}[{i}]", sets) for i, b in enumerate(raw))
     )
 
 
@@ -295,7 +301,7 @@ def serialize_allocation(alloc: Allocation) -> str:
 
 def parse_allocation(text: str, inst: Instance) -> Allocation:
     doc = _load(text, ("bundles",))
-    return _bundles_in(doc["bundles"], inst.num_agents, "bundles", {})
+    return _bundles_in(doc["bundles"], inst, "bundles", {})
 
 
 def serialize_certificate(cert: EfrCertificate) -> str:
@@ -316,12 +322,14 @@ def serialize_certificate(cert: EfrCertificate) -> str:
 def parse_certificate(text: str, inst: Instance) -> EfrCertificate:
     doc = _load(text, ("base", "realloc_set", "witnesses"))
     sets = {}  # each distinct bundle is checked and built once
-    base = _bundles_in(doc["base"], inst.num_agents, "base", sets)
-    realloc = _items_in(doc["realloc_set"], "realloc_set", sets)
+    base = _bundles_in(doc["base"], inst, "base", sets)
+    realloc = _items_in(
+        doc["realloc_set"], inst.num_items, "realloc_set", sets
+    )
     if not isinstance(doc["witnesses"], list):
         raise ParseError("witnesses: expected a list of allocations")
     witnesses = tuple(
-        _bundles_in(w, inst.num_agents, f"witnesses[{i}]", sets)
+        _bundles_in(w, inst, f"witnesses[{i}]", sets)
         for i, w in enumerate(doc["witnesses"])
     )
     return EfrCertificate(base, realloc, witnesses)

@@ -11,7 +11,9 @@ Each agent carries a slack, the most it can still end above its current
 utility; a branch is cut once some slack is negative or none is positive.
 Both cuts drop only branches with no Pareto improvement below them, so the
 verdict is that of the full scan, and a welfare maximizer's search is
-mostly cut near the root.  The budget is one unit per search node.
+mostly cut near the root.  An allocation that already maximizes the sum
+of the scaled utilities is answered before the search: a Pareto
+improvement would raise that sum.  The budget is one unit per search node.
 
 The EFR-k decision has two passes.  The verdict pass scans the candidate
 sets R and asks, for each agent, a question that no longer names the
@@ -19,10 +21,11 @@ agent: can the agent's chores in R, by their costs, close every positive
 gap between another bundle's value and the agent's own?  That is bin
 covering (Assmann, Johnson, Kleitman and Leung, 1984), keyed by the two
 descending tuples of chore costs and gaps, and each distinct key is
-answered once per call by `_covers`.  The witness pass runs only on the
-first R that every agent passes: `_find_witness` builds each agent's
-lexicographically least placement with `_place`, first fit in the order of
-the frozenset R, so certificates do not depend on the verdict pass.
+answered once per call.  The witness pass runs only on the first R that
+every agent passes: `_find_witness` builds each agent's lexicographically
+least placement, first fit in the order of the frozenset R, so
+certificates do not depend on the verdict pass.  Both passes ask the one
+placement search, `_place`; the verdict pass drops its positions.
 """
 
 from __future__ import annotations
@@ -55,17 +58,27 @@ def _place(costs, suffix, gaps, over, idx, picks, budget) -> bool:
     `costs` are the chores' positive costs in placement order and
     `suffix[idx]` the sum of costs[idx:]; `gaps[p]` is the p-th other
     bundle's value minus the agent's own and `over` the sum of the positive
-    gaps.  The chores left can close at most `suffix[idx]` of that overload,
-    so one comparison prunes a node and, with suffix 0, decides a leaf.
-    On success `picks[idx]` holds the chosen position of each chore.
+    gaps.  A node is cut when the open gaps outnumber the chores left or
+    outsum their costs.  Once no gap is open, every chore left goes first
+    fit to position 0.  A child is skipped when its gap value was already
+    tried at the node, all closed gaps counting as one value: equal gaps
+    lead to subproblems that are permutations of each other, and a closed
+    gap stays closed, so the first fit is still the lexicographically
+    least placement.  `picks` starts all 0; on success `picks[idx]` holds
+    the chosen position of each chore.
     """
     budget.spend()
-    if over > suffix[idx]:
+    if over > suffix[idx] or sum(g > 0 for g in gaps) > len(costs) - idx:
         return False
-    if idx == len(costs):
+    if not over:  # the chores left go first fit, all to position 0
         return True
     c = costs[idx]
+    tried = set()
     for p, g in enumerate(gaps):
+        key = max(g, 0)  # closed gaps stay closed, so all are alike
+        if key in tried:
+            continue
+        tried.add(key)
         gaps[p] = g - c
         if _place(
             costs, suffix, gaps, over - min(g, c) if g > 0 else over,
@@ -75,6 +88,18 @@ def _place(costs, suffix, gaps, over, idx, picks, budget) -> bool:
             return True
         gaps[p] = g
     return False
+
+
+def _fit(costs, gaps, budget):
+    """The first-fit positions in `gaps` of the chores `costs`, or None.
+
+    The one entry to `_place` for both passes: it builds the suffix sums
+    and the overload, and `gaps` is left as the placement leaves it.
+    """
+    suffix = list(itertools.accumulate(reversed(costs), initial=0))[::-1]
+    picks = [0] * len(costs)
+    over = sum(g for g in gaps if g > 0)
+    return picks if _place(costs, suffix, gaps, over, 0, picks, budget) else None
 
 
 def _find_witness(row, prof_row, owner, agent, others, realloc, budget):
@@ -103,45 +128,12 @@ def _find_witness(row, prof_row, owner, agent, others, realloc, budget):
         return {t: agent for t in realloc}
     own = loads[agent] + sum(row[t] for t in goods)
     gaps = [loads[j] - own for j in others]
-    costs = [-row[t] for t in chores]
-    suffix = list(itertools.accumulate(reversed(costs), initial=0))[::-1]
-    picks = [0] * len(chores)
-    if not _place(
-        costs, suffix, gaps, sum(g for g in gaps if g > 0), 0, picks, budget
-    ):
+    picks = _fit([-row[t] for t in chores], gaps, budget)
+    if picks is None:
         return None
     result = {t: agent for t in goods}
     result.update((t, others[p]) for t, p in zip(chores, picks))
     return result
-
-
-def _covers(costs, idx, rest, gaps, budget) -> bool:
-    """Whether the chores costs[idx:] can close every gap in `gaps`.
-
-    `costs` are positive chore costs in descending order and `rest` the sum
-    of costs[idx:]; `gaps` is a descending tuple of positive gaps.  A chore
-    closes a gap by `c` when it goes onto that bundle.  The largest chore
-    left goes onto each distinct gap value in turn; it never needs to go
-    onto a bundle without a gap, since one more chore on a bundle never
-    reopens its gap.  A node is cut once the gaps outnumber the chores left
-    or outsum them.
-    """
-    budget.spend()
-    if not gaps:
-        return True
-    left = len(costs) - idx
-    if len(gaps) > left or sum(gaps) > rest:
-        return False
-    c = costs[idx]
-    for p, g in enumerate(gaps):
-        if p and g == gaps[p - 1]:
-            continue  # the same gap value on another bundle: a symmetric child
-        child = gaps[:p] + gaps[p + 1:]
-        if g > c:
-            child = tuple(sorted(child + (g - c,), reverse=True))
-        if _covers(costs, idx + 1, rest - c, child, budget):
-            return True
-    return False
 
 
 def _passes(row, prof_row, owner, agent, realloc, memo, budget) -> bool:
@@ -150,7 +142,8 @@ def _passes(row, prof_row, owner, agent, realloc, memo, budget) -> bool:
     Goods go to the agent and chores to the others, as in `_find_witness`;
     what is left is whether the chore costs cover the positive gaps.  The
     answer depends on the two multisets alone, so `memo` keeps it per
-    (costs, gaps) key for the whole scan and `_covers` runs once per key.
+    (costs, gaps) key for the whole scan and `_fit` runs once per key, on
+    the positive gaps alone: a chore never needs a bundle without a gap.
     Keys settled by counting or summing are not stored.
     """
     loads = list(prof_row)
@@ -167,15 +160,14 @@ def _passes(row, prof_row, owner, agent, realloc, memo, budget) -> bool:
     gaps = [load - own for load in loads if load > own]
     if not gaps:
         return True
-    supply = sum(costs)
-    if len(gaps) > len(costs) or sum(gaps) > supply:
+    if len(gaps) > len(costs) or sum(gaps) > sum(costs):
         return False
     costs.sort(reverse=True)
     gaps.sort(reverse=True)
     key = (tuple(costs), tuple(gaps))
     found = memo.get(key)
     if found is None:
-        found = memo[key] = _covers(key[0], 0, supply, key[1], budget)
+        found = memo[key] = _fit(costs, gaps, budget) is not None
     return found
 
 
@@ -194,9 +186,9 @@ def decide_efr_k(
     agent; only the accepted R goes to `_find_witness`, whose placements
     are those a scan of every R with `_find_witness` would return.
 
-    `budget` counts one unit per R scanned, one per `_covers` node (on
-    distinct (costs, gaps) keys only) and one per `_place` node of the
-    witness pass.  The R unit keeps the scan bounded when every check is a
+    `budget` counts one unit per R scanned and one per `_place` node, in
+    either pass (the verdict pass searches distinct (costs, gaps) keys
+    only).  The R unit keeps the scan bounded when every check is a
     repeated key.
     """
     validate_allocation(inst, alloc)
@@ -263,7 +255,11 @@ def is_pareto_optimal_bruteforce(
     is positive (no agent can end strictly better off).  At a leaf the
     slacks are exactly the utilities less the current ones, so a leaf that
     is reached is a Pareto improvement.  The cuts only drop branches with no
-    such leaf, so the verdict is that of the full scan.
+    such leaf, so the verdict is that of the full scan.  Before the search,
+    an allocation whose utilities sum to the largest sum any allocation
+    reaches (each item's largest value) is answered at once: a Pareto
+    improvement would raise that sum.  Every identical-row instance, where
+    every allocation is Pareto optimal, is answered so.
 
     `budget` counts search nodes, one per partial allocation popped from
     the stack, so it bounds the work the search does rather than n^m; a
@@ -276,10 +272,10 @@ def is_pareto_optimal_bruteforce(
     tracker = Budget(budget, "Pareto-scan allocation prefixes")
     rows = inst.scaled
     cols = list(zip(*rows))  # cols[t][i] is agent i's value of item t
-    slack = [
-        sum(v for v in row if v > 0) - sum(row[t] for t in bundle)
-        for row, bundle in zip(rows, alloc.bundles)
-    ]
+    own = [sum(row[t] for t in b) for row, b in zip(rows, alloc.bundles)]
+    if sum(map(max, cols)) == sum(own):
+        return True  # a Pareto improvement would raise the utility sum
+    slack = [sum(v for v in row if v > 0) - u for row, u in zip(rows, own)]
     # an explicit stack, so m is not bounded by the recursion limit
     stack = [(0, slack)] if max(slack) > 0 else []
     while stack:

@@ -288,7 +288,8 @@ class TestSolveAndVerify:
 
     def test_check_po_reaches_3_by_14(self, tmp_path, capsys):
         """3^14 = 4,782,969 allocations: the full scan took seconds, the
-        pruned search cuts a welfare maximizer's at once."""
+        pruned search answers a welfare maximizer and a dominated copy of it
+        at once."""
         values = gen_random(3, 14, 9, Fraction(1, 2), 1)
         uniform = welfare.WeightVector((Fraction(1, 3),) * 3)
         best = welfare.max_weighted_welfare(
@@ -320,8 +321,8 @@ class TestSolveAndVerify:
 
     def test_check_po_default_budget_reaches_3_by_20(self, tmp_path, capsys):
         """3^20 = 3.5e9 allocations exceed the default budget of 10^8, but
-        the budget counts search nodes, and this welfare maximizer's search
-        takes 149."""
+        the budget counts search nodes, and this welfare maximizer, which
+        maximizes the utility sum, is answered before any."""
         values = gen_random(3, 20, 9, Fraction(1, 2), 1)
         uniform = welfare.WeightVector((Fraction(1, 3),) * 3)
         best = welfare.max_weighted_welfare(
@@ -330,6 +331,18 @@ class TestSolveAndVerify:
         inst, alloc = tmp_path / "inst.json", tmp_path / "alloc.json"
         inst.write_text(serialize_instance(values))
         alloc.write_text(serialize_allocation(best))
+        assert run(["check-po", "-i", str(inst), "--alloc", str(alloc)]) == 0
+        assert capsys.readouterr().out == "pareto-optimal\n"
+
+
+    def test_check_po_answers_a_partition_reduction(self, tmp_path, capsys):
+        """Identical chores at 14 x 23: no slack cut prunes the search, but
+        every allocation maximizes the utility sum, so it is Pareto
+        optimal before the search starts."""
+        inst, alloc = tmp_path / "inst.json", tmp_path / "alloc.json"
+        argv = ["gen", "--family", "partition", "--set", "9,7,5,3,1,2,4,6,8,10,1"]
+        assert run([*argv, "-o", str(inst), "--alloc-out", str(alloc)]) == 0
+        capsys.readouterr()
         assert run(["check-po", "-i", str(inst), "--alloc", str(alloc)]) == 0
         assert capsys.readouterr().out == "pareto-optimal\n"
 
@@ -446,6 +459,45 @@ class TestExitCodes:
         doc["realloc_set"] = ["x"]
         cert.write_text(json.dumps(doc))
         assert run(["verify", "--cert", str(cert), "-i", str(inst_file)]) == 3
+
+    @pytest.mark.parametrize(
+        "command", [["decide-efr", "--k", "1"], ["check-po"]]
+    )
+    def test_item_id_above_m_in_an_allocation_is_input_error(
+        self, tmp_path, capsys, command
+    ):
+        inst, alloc = tmp_path / "inst.json", tmp_path / "alloc.json"
+        assert run(["gen", "--family", "random", "--n", "3", "--m", "4",
+                    "--seed", "1", "-o", str(inst)]) == 0
+        alloc.write_text('{"bundles": [[1, 2], [3], [4, 9]]}')
+        capsys.readouterr()
+        assert run([*command, "-i", str(inst), "--alloc", str(alloc)]) == 3
+        err = capsys.readouterr().err
+        assert err == "input error: bundles[2]: item id 9 out of range 1..4\n"
+
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("base[1]", lambda doc: doc["base"][1].append(9)),
+            ("realloc_set", lambda doc: doc["realloc_set"].append(9)),
+            ("witnesses[2][0]", lambda doc: doc["witnesses"][2][0].append(9)),
+        ],
+    )
+    def test_item_id_above_m_in_a_certificate_is_input_error(
+        self, tmp_path, capsys, field, edit
+    ):
+        inst, cert = tmp_path / "inst.json", tmp_path / "cert.json"
+        assert run(["gen", "--family", "random", "--n", "3", "--m", "4",
+                    "--seed", "1", "-o", str(inst)]) == 0
+        assert run(["solve", "--algo", "efr", "-i", str(inst),
+                    "-o", str(cert)]) == 0
+        doc = json.loads(cert.read_text())
+        edit(doc)
+        cert.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["verify", "--cert", str(cert), "-i", str(inst)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"input error: {field}: item id 9 out of range 1..4\n"
 
     def test_bool_bundle_item_is_input_error(self, tmp_path, inst_file):
         alloc = tmp_path / "alloc.json"

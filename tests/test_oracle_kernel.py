@@ -1,14 +1,18 @@
 """The two-pass EFR-k decision in `oracles` against its predecessors.
 
 `decide_efr_k` first scans the candidate sets R with `_passes`, which asks
-`_covers` once per distinct (chore costs, positive gaps) key whether the
-chores can close every gap, and then builds witnesses with `_find_witness`
-for the accepted R alone.  Two references check it:
+the placement search `_place` (through `_fit`) once per distinct (chore
+costs, positive gaps) key whether the chores can close every gap, and then
+builds witnesses with `_find_witness`, the same search, for the accepted R
+alone.  Three references check it:
 
 - `ref_find_witness` and `ref_decide_efr_k` re-sum every bundle and search
   placements first fit for every R and agent, independently of the module;
 - `one_pass_decide_efr_k` is the one-pass kernel the two passes replaced: it
-  runs `_find_witness` on every R and agent.
+  runs `_find_witness` on every R and agent;
+- `ref_place` is the placement search before it skipped gap values already
+  tried at a node and cut nodes by counting open gaps; `_place` must return
+  its verdicts and its positions.
 
 The kernel must agree with them on verdicts, reallocation sets and
 witnesses.  Its budget is its own: it raises `BudgetExceededError` below
@@ -36,8 +40,8 @@ from mannafair.core import (
 from mannafair.harness import gen_partition_reduction
 from mannafair.oracles import (
     EfrDecision,
-    _covers,
     _find_witness,
+    _fit,
     _passes,
     decide_efr_k,
     min_efr_k,
@@ -242,7 +246,7 @@ def test_partition_reductions_match_reference(values):
     )
 
 
-# --- the covering search -------------------------------------------------------
+# --- the covering question, as the verdict pass asks it ------------------------
 
 
 def brute_covers(costs, gaps):
@@ -261,11 +265,19 @@ def brute_covers(costs, gaps):
 
 
 def covers(costs, gaps):
-    """`_covers` on the keys `_passes` builds: descending costs, positive
-    gaps."""
-    key = tuple(sorted(costs, reverse=True))
-    open_gaps = tuple(sorted((g for g in gaps if g > 0), reverse=True))
-    return _covers(key, 0, sum(key), open_gaps, Budget(10**6, "nodes"))
+    """`_passes` for agent 0, who holds the chores `costs`, all of them in R,
+    and whose bundle without them is worth `gaps[p]` less than bundle p+1.
+
+    It is the path of a verdict: no positive gap, more gaps than chores and
+    more gap than cost are answered at once, and any other key goes to the
+    placement search on the descending costs and positive gaps.
+    """
+    row = [-c for c in costs]
+    prof_row = [sum(row), *gaps]  # agent 0's own bundle is worth 0 without R
+    return _passes(
+        row, prof_row, [0] * len(costs), 0, range(len(costs)), {},
+        Budget(10**6, "nodes"),
+    )
 
 
 @pytest.mark.parametrize(
@@ -308,6 +320,46 @@ def test_covers_small_cases(costs, gaps, verdict):
 )
 def test_covers_matches_every_placement(costs, gaps):
     assert covers(costs, gaps) is brute_covers(costs, gaps)
+
+
+def ref_place(costs, suffix, gaps, over, idx, picks, budget):
+    """The placement search that tried every position at every node."""
+    budget.spend()
+    if over > suffix[idx]:
+        return False
+    if idx == len(costs):
+        return True
+    c = costs[idx]
+    for p, g in enumerate(gaps):
+        gaps[p] = g - c
+        if ref_place(
+            costs, suffix, gaps, over - min(g, c) if g > 0 else over,
+            idx + 1, picks, budget,
+        ):
+            picks[idx] = p
+            return True
+        gaps[p] = g
+    return False
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(st.integers(1, 5), max_size=6),
+    st.lists(st.integers(-3, 8), min_size=1, max_size=4),
+)
+def test_skipping_tried_gaps_keeps_the_first_fit(costs, gaps):
+    """Equal gaps lead to permuted subproblems and a closed gap stays
+    closed, so skipping a gap value already tried at a node (all closed
+    gaps alike), cutting a node whose open gaps outnumber its chores and
+    stopping once no gap is open change neither the verdict nor the
+    positions."""
+    suffix = [sum(costs[i:]) for i in range(len(costs) + 1)]
+    picks = [0] * len(costs)
+    over = sum(g for g in gaps if g > 0)
+    budget = Budget(10**6, "nodes")
+    found = ref_place(costs, suffix, list(gaps), over, 0, picks, budget)
+    got = _fit(costs, list(gaps), Budget(10**6, "nodes"))
+    assert got == (picks if found else None)
 
 
 def brute_passes(inst, alloc, agent, realloc):

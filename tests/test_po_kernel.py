@@ -4,9 +4,10 @@
 first and cuts a branch once some agent can no longer reach its current
 utility or none can still end strictly above it.  The reference below is the
 earlier implementation, which sums every one of the n^m assignments.  The
-search must agree with it on every verdict.  Its budget counts the search
-nodes it pops, so it raises `BudgetExceededError` below its own spend and
-not at it, and it spends the same on every call.
+search must agree with it on every verdict, also where it answers before
+the search because the allocation maximizes the utility sum.  Its budget
+counts the search nodes it pops, so it raises `BudgetExceededError` below
+its own spend and not at it, and it spends the same on every call.
 """
 
 import itertools
@@ -147,6 +148,24 @@ def test_small_cases(rows, owner, verdict):
     assert is_pareto_optimal_bruteforce(inst, alloc) is verdict
 
 
+def test_a_pareto_optimal_allocation_below_the_largest_sum_is_searched():
+    """Each item goes to the largest of w_i * v_i(t) under unequal weights:
+    Pareto optimal, but not the largest utility sum, so the search, not
+    the sum, decides it."""
+    inst = gen_random(3, 9, 9, F(1, 2), seed=1)
+    rows, w = inst.scaled, (1, 2, 3)
+    owner = [max(range(3), key=lambda i: w[i] * rows[i][t]) for t in range(9)]
+    alloc = allocation(owner, 3)
+    assert sum(rows[a][t] for t, a in enumerate(owner)) < sum(
+        map(max, zip(*rows))
+    )
+    verdict, spent = spend_of(
+        lambda limit: is_pareto_optimal_bruteforce(inst, alloc, limit)
+    )
+    assert verdict is ref_is_pareto_optimal(inst, alloc, 10**6) is True
+    assert spent > 0
+
+
 def test_many_items_do_not_recurse():
     # items are searched from an explicit stack, so a branch may be deeper
     # than the recursion limit: one agent with chores walks all m items,
@@ -154,5 +173,10 @@ def test_many_items_do_not_recurse():
     m = 3000
     one = gen_random(1, m, 9, F(1, 2), seed=1)
     assert is_pareto_optimal_bruteforce(one, allocation([0] * m, 1))
+    # agent 0 holds every item and must keep each one, so the search of
+    # this Pareto optimal allocation, below the largest utility sum, is one
+    # branch m items deep
+    keep = Instance(((F(1),) * m, (F(2),) * m))
+    assert is_pareto_optimal_bruteforce(keep, allocation([0] * m, 2), m)
     two = Instance(((F(1),) * m, (F(0),) * m))
     assert not is_pareto_optimal_bruteforce(two, allocation([1] * m, 2), 2**m)
