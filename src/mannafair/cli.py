@@ -53,9 +53,13 @@ def _cmd_gen(args) -> int:
         if args.n is None:
             raise ValueError(f"--n is required for the {args.family} family")
         if args.family == "identical-chores":
-            inst = harness.gen_identical_chores(args.n)
+            gen = harness.gen_identical_chores
         else:
-            inst = harness.gen_paired_goods(args.n)
+            gen = harness.gen_paired_goods
+        try:
+            inst = gen(args.n)
+        except ValueError as exc:
+            raise ValueError(f"--n: {exc}") from None
         meta = {"family": args.family, "n": args.n}
     elif args.family == "partition":
         if not args.set:
@@ -219,8 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_budget,
         default=oracles.DEFAULT_BUDGET,
         help="search budget; one unit is one candidate set R or one node "
-        "of the chore placement search, in the verdict pass (on a distinct "
-        "(chore costs, gaps) pair) or the witness pass",
+        "of the chore placement search, which runs once per distinct "
+        "(chore costs, gaps) pair",
     )
     decide.set_defaults(func=_cmd_decide_efr)
 

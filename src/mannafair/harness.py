@@ -293,6 +293,25 @@ def _bundles_in(raw, inst: Instance, where: str, sets: dict) -> Allocation:
     )
 
 
+def _partition_in(alloc: Allocation, m: int, where: str) -> Allocation:
+    """`alloc` itself, once its bundles hold each of the m items exactly
+    once; errors give the 1-based item id and the bundles in `where`."""
+    bundles = alloc.bundles
+    if sum(map(len, bundles)) == m == len(frozenset().union(*bundles)):
+        return alloc
+    holder = {}
+    for j, bundle in enumerate(bundles):
+        for t in sorted(bundle):
+            if t in holder:
+                raise ParseError(
+                    f"{where}: item id {t + 1} is in {where}[{holder[t]}] "
+                    f"and {where}[{j}]"
+                )
+            holder[t] = j
+    missing = min(set(range(m)) - holder.keys())
+    raise ParseError(f"{where}: item id {missing + 1} is in no bundle")
+
+
 def serialize_allocation(alloc: Allocation) -> str:
     return _dump(
         {"format_version": FORMAT_VERSION, "bundles": _bundles_out(alloc, {})}
@@ -301,7 +320,8 @@ def serialize_allocation(alloc: Allocation) -> str:
 
 def parse_allocation(text: str, inst: Instance) -> Allocation:
     doc = _load(text, ("bundles",))
-    return _bundles_in(doc["bundles"], inst, "bundles", {})
+    alloc = _bundles_in(doc["bundles"], inst, "bundles", {})
+    return _partition_in(alloc, inst.num_items, "bundles")
 
 
 def serialize_certificate(cert: EfrCertificate) -> str:
@@ -323,6 +343,7 @@ def parse_certificate(text: str, inst: Instance) -> EfrCertificate:
     doc = _load(text, ("base", "realloc_set", "witnesses"))
     sets = {}  # each distinct bundle is checked and built once
     base = _bundles_in(doc["base"], inst, "base", sets)
+    _partition_in(base, inst.num_items, "base")
     realloc = _items_in(
         doc["realloc_set"], inst.num_items, "realloc_set", sets
     )

@@ -15,17 +15,15 @@ mostly cut near the root.  An allocation that already maximizes the sum
 of the scaled utilities is answered before the search: a Pareto
 improvement would raise that sum.  The budget is one unit per search node.
 
-The EFR-k decision has two passes.  The verdict pass scans the candidate
-sets R and asks, for each agent, a question that no longer names the
-agent: can the agent's chores in R, by their costs, close every positive
-gap between another bundle's value and the agent's own?  That is bin
-covering (Assmann, Johnson, Kleitman and Leung, 1984), keyed by the two
-descending tuples of chore costs and gaps, and each distinct key is
-answered once per call.  The witness pass runs only on the first R that
-every agent passes: `_find_witness` builds each agent's lexicographically
-least placement, first fit in the order of the frozenset R, so
-certificates do not depend on the verdict pass.  Both passes ask the one
-placement search, `_place`; the verdict pass drops its positions.
+The EFR-k decision is one scan of the candidate sets R.  For each R and
+agent it asks a question that no longer names the agent: can the agent's
+chores in R, by their costs, close every positive gap between another
+bundle's value and the agent's own?  That is bin covering (Assmann,
+Johnson, Kleitman and Leung, 1984), keyed by the two descending tuples of
+chore costs and gaps.  The placement search `_place` answers each distinct
+key once per call and keeps its positions, and the first R that every
+agent passes turns them into witnesses: a witness is any envy-free
+reassignment of R, so the search that gave the verdict also gives it.
 """
 
 from __future__ import annotations
@@ -53,98 +51,51 @@ class EfrDecision:
 
 
 def _place(costs, suffix, gaps, over, idx, picks, budget) -> bool:
-    """Whether chores idx.. fit into the other bundles, first fit in order.
+    """Whether chores idx.. close every open gap, searched first fit.
 
-    `costs` are the chores' positive costs in placement order and
-    `suffix[idx]` the sum of costs[idx:]; `gaps[p]` is the p-th other
-    bundle's value minus the agent's own and `over` the sum of the positive
-    gaps.  A node is cut when the open gaps outnumber the chores left or
-    outsum their costs.  Once no gap is open, every chore left goes first
-    fit to position 0.  A child is skipped when its gap value was already
-    tried at the node, all closed gaps counting as one value: equal gaps
-    lead to subproblems that are permutations of each other, and a closed
-    gap stays closed, so the first fit is still the lexicographically
-    least placement.  `picks` starts all 0; on success `picks[idx]` holds
-    the chosen position of each chore.
+    `costs` are the chores' positive costs, descending, and `suffix[idx]`
+    the sum of costs[idx:]; `gaps[p]` is the p-th other bundle's value
+    minus the agent's own, open while positive, and `over` the sum of the
+    open gaps.  A node is cut when the open gaps outnumber the chores left
+    or outsum their costs, and it succeeds once no gap is open.  A chore
+    goes only onto an open gap, and onto one gap of each value at a node: a
+    chore on a closed gap could move to an open one and keep every closed
+    gap closed, and equal gaps lead to subproblems that are permutations
+    of each other.  `picks` starts all 0; on success `picks[idx]` holds the
+    position of each chore placed, and the chores left once every gap is
+    closed keep position 0.
     """
     budget.spend()
     if over > suffix[idx] or sum(g > 0 for g in gaps) > len(costs) - idx:
         return False
-    if not over:  # the chores left go first fit, all to position 0
+    if not over:
         return True
     c = costs[idx]
     tried = set()
     for p, g in enumerate(gaps):
-        key = max(g, 0)  # closed gaps stay closed, so all are alike
-        if key in tried:
+        if g <= 0 or g in tried:
             continue
-        tried.add(key)
+        tried.add(g)
         gaps[p] = g - c
-        if _place(
-            costs, suffix, gaps, over - min(g, c) if g > 0 else over,
-            idx + 1, picks, budget,
-        ):
+        if _place(costs, suffix, gaps, over - min(g, c), idx + 1, picks, budget):
             picks[idx] = p
             return True
         gaps[p] = g
     return False
 
 
-def _fit(costs, gaps, budget):
-    """The first-fit positions in `gaps` of the chores `costs`, or None.
+def _passes(row, prof_row, owner, agent, realloc, memo, budget):
+    """`agent`'s envy-free placement of `realloc`, or None.
 
-    The one entry to `_place` for both passes: it builds the suffix sums
-    and the overload, and `gaps` is left as the placement leaves it.
-    """
-    suffix = list(itertools.accumulate(reversed(costs), initial=0))[::-1]
-    picks = [0] * len(costs)
-    over = sum(g for g in gaps if g > 0)
-    return picks if _place(costs, suffix, gaps, over, 0, picks, budget) else None
-
-
-def _find_witness(row, prof_row, owner, agent, others, realloc, budget):
-    """Lexicographically-least envy-free-for-`agent` placement of `realloc`.
-
-    Items the agent weakly likes always go to the agent itself and the
-    agent's chores never do -- both moves are dominant, so this restricted
-    search is a sound and complete replacement for scanning all n^|R|
-    placements.
-
-    `row` is the agent's scaled row, `prof_row` its row of the profile
-    v(A_j) and `owner[t]` the holder of item t, both built once per
-    decision; the bundle values without R are `prof_row` less the R items,
-    O(n + |R|).  Chores are placed costliest first, ties in the iteration
-    order of the frozenset `realloc`, by `_place`, which carries the total
-    overload from node to node.  Returns the {item: agent} moves or None;
-    the caller turns moves into a witness allocation only once every agent
-    has them.
-    """
-    loads = list(prof_row)
-    for t in realloc:
-        loads[owner[t]] -= row[t]
-    goods = [t for t in realloc if row[t] >= 0]
-    chores = sorted((t for t in realloc if row[t] < 0), key=row.__getitem__)
-    if not others:
-        return {t: agent for t in realloc}
-    own = loads[agent] + sum(row[t] for t in goods)
-    gaps = [loads[j] - own for j in others]
-    picks = _fit([-row[t] for t in chores], gaps, budget)
-    if picks is None:
-        return None
-    result = {t: agent for t in goods}
-    result.update((t, others[p]) for t, p in zip(chores, picks))
-    return result
-
-
-def _passes(row, prof_row, owner, agent, realloc, memo, budget) -> bool:
-    """Whether `agent` has an envy-free placement of `realloc`.
-
-    Goods go to the agent and chores to the others, as in `_find_witness`;
-    what is left is whether the chore costs cover the positive gaps.  The
-    answer depends on the two multisets alone, so `memo` keeps it per
-    (costs, gaps) key for the whole scan and `_fit` runs once per key, on
-    the positive gaps alone: a chore never needs a bundle without a gap.
-    Keys settled by counting or summing are not stored.
+    Goods go to the agent and chores to the others, both dominant moves,
+    so no envy-free placement is lost; what is left is whether the chore
+    costs close the positive gaps.  The answer depends on the two
+    multisets alone, so `memo` keeps `_place`'s positions per descending
+    (costs, gaps) key for the whole scan, or [] when there are none, and
+    the search runs once per key.  Keys settled by counting or summing are
+    not stored.  A placement is `(loads, own, picks)`, which `_moves`
+    reads: the bundle values without R, the agent's own value with R's
+    goods, and the positions, or () when no gap is open.
     """
     loads = list(prof_row)
     costs = []
@@ -159,16 +110,40 @@ def _passes(row, prof_row, owner, agent, realloc, memo, budget) -> bool:
     own = loads[agent] + gain
     gaps = [load - own for load in loads if load > own]
     if not gaps:
-        return True
+        return loads, own, ()
     if len(gaps) > len(costs) or sum(gaps) > sum(costs):
-        return False
+        return None
     costs.sort(reverse=True)
     gaps.sort(reverse=True)
     key = (tuple(costs), tuple(gaps))
-    found = memo.get(key)
-    if found is None:
-        found = memo[key] = _fit(costs, gaps, budget) is not None
-    return found
+    picks = memo.get(key)
+    if picks is None:
+        suffix = list(itertools.accumulate(reversed(costs), initial=0))[::-1]
+        picks = [0] * len(costs)
+        if not _place(costs, suffix, gaps, sum(gaps), 0, picks, budget):
+            picks = []
+        memo[key] = picks
+    return (loads, own, picks) if picks else None
+
+
+def _moves(row, agent, realloc, loads, own, picks):
+    """The {item: agent} moves of `agent`'s placement of `realloc`.
+
+    Goods go to the agent.  Chores, costliest first and the lower item
+    first among equal costs, take the positions `picks` among the bundles
+    with a positive gap, largest gap first and the lower agent first among
+    equal gaps; these orders give the descending key of `_passes`, in
+    which equal costs, and equal gaps, are interchangeable.  With no gap
+    open, the chores go to the lowest other agent, or stay with the agent
+    when it is alone.
+    """
+    n = len(loads)
+    opened = sorted((j for j in range(n) if loads[j] > own), key=lambda j: -loads[j])
+    targets = opened or [next((j for j in range(n) if j != agent), agent)]
+    chores = sorted((t for t in realloc if row[t] < 0), key=lambda t: (row[t], t))
+    moves = {t: agent for t in realloc if row[t] >= 0}
+    moves.update((t, targets[p]) for t, p in zip(chores, picks or itertools.repeat(0)))
+    return moves
 
 
 def decide_efr_k(
@@ -182,14 +157,13 @@ def decide_efr_k(
     Scans candidate reallocation sets R by increasing size, then
     lexicographically; the first R for which every agent admits an
     envy-free witness (reassigning items of R only) is returned inside the
-    decision's certificate.  The verdict pass asks `_passes` for each R and
-    agent; only the accepted R goes to `_find_witness`, whose placements
-    are those a scan of every R with `_find_witness` would return.
+    decision's certificate.  `_passes` finds each agent's placement for
+    each R, and only the accepted R's placements become witnesses, through
+    `_moves`.
 
-    `budget` counts one unit per R scanned and one per `_place` node, in
-    either pass (the verdict pass searches distinct (costs, gaps) keys
-    only).  The R unit keeps the scan bounded when every check is a
-    repeated key.
+    `budget` counts one unit per R scanned and one per `_place` node, which
+    runs only on a (costs, gaps) key not seen before in the call.  The R
+    unit keeps the scan bounded when every check is a repeated key.
     """
     validate_allocation(inst, alloc)
     if k < 0 or k > inst.num_items:
@@ -205,20 +179,19 @@ def decide_efr_k(
     for size in range(k + 1):
         for realloc in itertools.combinations(range(inst.num_items), size):
             tracker.spend()
+            placed = []
             for i in range(n):
-                if not _passes(rows[i], prof[i], owner, i, realloc, memo, tracker):
+                found = _passes(rows[i], prof[i], owner, i, realloc, memo, tracker)
+                if found is None:
                     break
+                placed.append(found)
             else:
-                rset = frozenset(realloc)  # its iteration order breaks chore ties
-                moves = [
-                    _find_witness(
-                        rows[i], prof[i], owner, i,
-                        [j for j in range(n) if j != i], rset, tracker,
-                    )
-                    for i in range(n)
-                ]
-                witnesses = tuple(map(alloc.reassign, moves))
-                return EfrDecision(True, EfrCertificate(alloc, rset, witnesses))
+                witnesses = tuple(
+                    alloc.reassign(_moves(rows[i], i, realloc, *found))
+                    for i, found in enumerate(placed)
+                )
+                cert = EfrCertificate(alloc, frozenset(realloc), witnesses)
+                return EfrDecision(True, cert)
     return EfrDecision(False, None)
 
 

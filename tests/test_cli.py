@@ -104,6 +104,21 @@ class TestGen:
         assert capsys.readouterr().err.startswith(f"input error: {flag}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "family, n, reason",
+        [
+            ("identical-chores", "1", "need at least 2 agents"),
+            ("paired-goods", "3", "need an even number of agents, at least 2"),
+        ],
+    )
+    def test_bad_agent_count_names_the_flag(
+        self, tmp_path, capsys, family, n, reason
+    ):
+        out = tmp_path / "x.json"
+        assert run(["gen", "--family", family, "--n", n, "-o", str(out)]) == 3
+        assert capsys.readouterr().err == f"input error: --n: {reason}\n"
+        assert not out.exists()
+
     def test_partition_bad_entry_names_the_flag(self, tmp_path, capsys):
         out = tmp_path / "x.json"
         argv = ["gen", "--family", "partition", "--set", "1,x", "-o", str(out)]
@@ -474,6 +489,51 @@ class TestExitCodes:
         assert run([*command, "-i", str(inst), "--alloc", str(alloc)]) == 3
         err = capsys.readouterr().err
         assert err == "input error: bundles[2]: item id 9 out of range 1..4\n"
+
+    @pytest.mark.parametrize(
+        "command", [["decide-efr", "--k", "1"], ["check-po"]]
+    )
+    @pytest.mark.parametrize(
+        "bundles, message",
+        [
+            ("[[1, 2], [2, 3], [4]]", "item id 2 is in bundles[0] and bundles[1]"),
+            ("[[1, 2], [3], [4, 2]]", "item id 2 is in bundles[0] and bundles[2]"),
+            ("[[1, 2], [3], []]", "item id 4 is in no bundle"),
+            ("[[], [], []]", "item id 1 is in no bundle"),
+        ],
+    )
+    def test_allocation_that_is_no_partition_is_input_error(
+        self, tmp_path, capsys, command, bundles, message
+    ):
+        inst, alloc = tmp_path / "inst.json", tmp_path / "alloc.json"
+        assert run(["gen", "--family", "random", "--n", "3", "--m", "4",
+                    "--seed", "1", "-o", str(inst)]) == 0
+        alloc.write_text(f'{{"bundles": {bundles}}}')
+        capsys.readouterr()
+        assert run([*command, "-i", str(inst), "--alloc", str(alloc)]) == 3
+        assert capsys.readouterr().err == f"input error: bundles: {message}\n"
+
+    @pytest.mark.parametrize(
+        "base, message",
+        [
+            ([[1, 2], [3], []], "item id 4 is in no bundle"),
+            ([[1, 2], [2, 3], [4]], "item id 2 is in base[0] and base[1]"),
+        ],
+    )
+    def test_certificate_base_that_is_no_partition_is_input_error(
+        self, tmp_path, capsys, base, message
+    ):
+        inst, cert = tmp_path / "inst.json", tmp_path / "cert.json"
+        assert run(["gen", "--family", "random", "--n", "3", "--m", "4",
+                    "--seed", "1", "-o", str(inst)]) == 0
+        assert run(["solve", "--algo", "efr", "-i", str(inst),
+                    "-o", str(cert)]) == 0
+        doc = json.loads(cert.read_text())
+        doc["base"] = base
+        cert.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["verify", "--cert", str(cert), "-i", str(inst)]) == 3
+        assert capsys.readouterr().err == f"input error: base: {message}\n"
 
     @pytest.mark.parametrize(
         "field, edit",
