@@ -13,13 +13,13 @@ items, so a whole picking sequence costs O(nm) after an O(nm log m) sort.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
 from .core import (
     Allocation,
     EfrCertificate,
     EnvyGraph,
+    FrozenRecord,
     Instance,
     profile,
 )
@@ -174,15 +174,31 @@ def efr_n_minus_1(inst: Instance) -> EfrCertificate:
     return EfrCertificate(base, frozenset(realloc), tuple(witnesses))
 
 
-@dataclass(frozen=True)
-class PickingState:
+class PickingState(FrozenRecord):
     """Snapshot of the conflict-aware picking loop after one outer iteration."""
 
-    active: frozenset
-    deferred: frozenset
-    reserved: frozenset
-    unallocated: frozenset
-    partial: tuple  # tuple[frozenset[int], ...]
+    # partial: tuple[frozenset[int], ...]
+    _fields = ("active", "deferred", "reserved", "unallocated", "partial")
+
+    def __init__(
+        self,
+        active: frozenset,
+        deferred: frozenset,
+        reserved: frozenset,
+        unallocated: frozenset,
+        partial: tuple,
+    ):
+        object.__setattr__(self, "active", active)
+        object.__setattr__(self, "deferred", deferred)
+        object.__setattr__(self, "reserved", reserved)
+        object.__setattr__(self, "unallocated", unallocated)
+        object.__setattr__(self, "partial", partial)
+
+    def _key(self) -> tuple:
+        return (
+            self.active, self.deferred, self.reserved, self.unallocated,
+            self.partial,
+        )
 
 
 def run_picking_rounds(inst: Instance):

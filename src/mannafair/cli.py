@@ -4,6 +4,9 @@ Exit codes: 0 success / property true, 1 property false, 2 evaluation
 budget exceeded, 3 input error, 4 internal error (any other exception,
 reported on stderr without a traceback).  All output is deterministic
 given the inputs and seeds.
+
+Each command imports the layers it runs when it runs, and calls them as
+module attributes: `gen` and `verify` load `core` and `harness` only.
 """
 
 from __future__ import annotations
@@ -11,8 +14,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import algorithms, fixed_n, harness, oracles, welfare
+from . import harness
 from .core import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     as_rational,
     validate_certificate,
@@ -102,6 +106,13 @@ def _cmd_gen(args) -> int:
 
 def solve_instance(inst, algo: str, extend: bool = False, max_candidates=10**7):
     """Dispatch shared by the CLI and tests; returns the solve artifact."""
+    if algo == "fixed-n":
+        from . import fixed_n
+
+        _, cert, _ = fixed_n.search_efr_po(inst, max_candidates=max_candidates)
+        return cert
+    from . import algorithms
+
     if algo == "ef1":
         return algorithms.double_round_robin_ef1(inst)
     if algo == "efr":
@@ -112,9 +123,6 @@ def solve_instance(inst, algo: str, extend: bool = False, max_candidates=10**7):
         partial, reserved, _ = algorithms.run_picking_rounds(inst)
         base = algorithms.extend_with_round_robin(inst, partial, reserved)
         return algorithms.reserve_certificate(base, reserved)
-    if algo == "fixed-n":
-        _, cert, _ = fixed_n.search_efr_po(inst, max_candidates=max_candidates)
-        return cert
     raise ValueError(f"unknown algorithm {algo}")
 
 
@@ -139,6 +147,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_decide_efr(args) -> int:
+    from . import oracles
+
     inst = harness.parse_instance(_read(args.input))
     alloc = harness.parse_allocation(_read(args.alloc), inst)
     decision = oracles.decide_efr_k(inst, alloc, args.k, budget=args.budget)
@@ -147,6 +157,8 @@ def _cmd_decide_efr(args) -> int:
 
 
 def _cmd_check_po(args) -> int:
+    from . import oracles
+
     inst = harness.parse_instance(_read(args.input))
     alloc = harness.parse_allocation(_read(args.alloc), inst)
     ok = oracles.is_pareto_optimal_bruteforce(inst, alloc, budget=args.budget)
@@ -155,6 +167,8 @@ def _cmd_check_po(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
+    from . import welfare
+
     inst = harness.parse_instance(_read(args.input))
     pert = welfare.perturb_nondegenerate(inst)
     _write(args.output, harness.serialize_perturbed(pert))
@@ -221,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     decide.add_argument(
         "--budget",
         type=_budget,
-        default=oracles.DEFAULT_BUDGET,
+        default=DEFAULT_BUDGET,
         help="search budget; one unit is one candidate set R or one node "
         "of the chore placement search, which runs once per distinct "
         "(chore costs, gaps) pair",
@@ -236,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument(
         "--budget",
         type=_budget,
-        default=oracles.DEFAULT_BUDGET,
+        default=DEFAULT_BUDGET,
         help="search budget; one unit is one node of the depth-first "
         "search, an assignment of items 1..t",
     )

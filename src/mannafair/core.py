@@ -11,13 +11,17 @@ Every matrix or vector of values enters through one intake kernel,
 `welfare.PerturbedInstance`, `welfare.WeightVector`,
 `welfare.check_nondegenerate` and the file readers of `harness` all call
 it, and none converts entries itself.
+
+The value classes (`Instance`, `Allocation`, `EnvyGraph`, `EfrCertificate`
+and those of `welfare`, `oracles` and `algorithms`) are `FrozenRecord`s:
+plain classes, each with its own `__init__`, so that no command imports
+`dataclasses`.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import insort
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -36,6 +40,11 @@ RationalLike = Union[int, str, Fraction]
 _RATIONAL_STR = (
     r"\s*([+-]?)(?:([0-9]+)(?:/([0-9]+))?|(?=\.?[0-9])([0-9]*)\.([0-9]*))\s*"
 )
+
+
+# the default budget of the exhaustive oracles, here so that `cli` can show it
+# without importing `oracles`
+DEFAULT_BUDGET = 10**8
 
 
 class IncompleteCertificateError(ValueError):
@@ -58,6 +67,38 @@ class Budget:
         self.remaining -= amount
         if self.remaining < 0:
             raise BudgetExceededError(f"{self.what} exceed the limit of {self.limit}")
+
+
+class FrozenRecord:
+    """A frozen value: it compares and hashes as the tuple of its fields,
+    prints as `Name(field=value, ...)` and refuses attribute assignment.
+
+    A subclass names its fields in `_fields`, sets them in its own
+    `__init__` with `object.__setattr__` and returns their values, in that
+    order, from `_key`; it may keep derived state outside them.  `_key` is
+    written out per class, since reading `_fields` with `getattr` makes
+    `==` several times slower, and `Instance`, `Allocation` and
+    `EfrCertificate` write out `__eq__` and `__hash__` too: a certificate
+    compares n + 1 allocations, and `_key` costs two calls on each.
+    """
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        args = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._key()))
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def as_rational(x: RationalLike) -> Fraction:
@@ -125,24 +166,34 @@ def scale_row(row) -> tuple:
     return d, tuple(v.numerator * (d // v.denominator) for v in row)
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(FrozenRecord):
     """A fair division instance: n agents, m items, exact valuation matrix.
 
     Entry ``values[i][t]`` is agent i's value for item t.  Values may be
     positive, negative, or zero (mixed manna).
     """
 
-    values: tuple  # tuple[tuple[Fraction, ...], ...]
+    _fields = ("values",)  # values: tuple[tuple[Fraction, ...], ...]
 
-    def __post_init__(self):
-        rows = rational_rows(self.values)
+    def __init__(self, values):
+        rows = rational_rows(values)
         if not rows:
             raise ValueError("instance needs at least one agent")
         m = len(rows[0])
         if any(len(row) != m for row in rows):
             raise ValueError("valuation matrix is ragged")
         object.__setattr__(self, "values", rows)
+
+    def _key(self) -> tuple:
+        return (self.values,)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.values == other.values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.values,))
 
     @property
     def num_agents(self) -> int:
@@ -158,16 +209,24 @@ class Instance:
         return tuple(scale_row(row)[1] for row in self.values)
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(FrozenRecord):
     """An n-partition of the item set into per-agent bundles."""
 
-    bundles: tuple  # tuple[frozenset[int], ...]
+    _fields = ("bundles",)  # bundles: tuple[frozenset[int], ...]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "bundles", tuple(frozenset(b) for b in self.bundles)
-        )
+    def __init__(self, bundles):
+        object.__setattr__(self, "bundles", tuple(frozenset(b) for b in bundles))
+
+    def _key(self) -> tuple:
+        return (self.bundles,)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.bundles == other.bundles
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.bundles,))
 
     @property
     def num_agents(self) -> int:
@@ -196,12 +255,17 @@ class Allocation:
         return Allocation(tuple(new))
 
 
-@dataclass(frozen=True)
-class EnvyGraph:
+class EnvyGraph(FrozenRecord):
     """Directed strict-envy relation: edge (i, j) iff i envies j."""
 
-    num_agents: int
-    edges: frozenset  # frozenset[tuple[int, int]]
+    _fields = ("num_agents", "edges")  # edges: frozenset[tuple[int, int]]
+
+    def __init__(self, num_agents: int, edges: frozenset):
+        object.__setattr__(self, "num_agents", num_agents)
+        object.__setattr__(self, "edges", edges)
+
+    def _key(self) -> tuple:
+        return (self.num_agents, self.edges)
 
     @classmethod
     def of_profile(cls, prof) -> "EnvyGraph":
@@ -244,21 +308,33 @@ class EnvyGraph:
         return order if len(order) == n else None
 
 
-@dataclass(frozen=True)
-class EfrCertificate:
+class EfrCertificate(FrozenRecord):
     """Witness data showing an allocation is EFR-|realloc_set|.
 
     For every agent i, ``witnesses[i]`` must agree with ``base`` outside
     ``realloc_set`` and be envy-free for i.
     """
 
-    base: Allocation
-    realloc_set: frozenset
-    witnesses: tuple  # tuple[Allocation, ...], indexed by agent
+    # witnesses: tuple[Allocation, ...], indexed by agent
+    _fields = ("base", "realloc_set", "witnesses")
 
-    def __post_init__(self):
-        object.__setattr__(self, "realloc_set", frozenset(self.realloc_set))
-        object.__setattr__(self, "witnesses", tuple(self.witnesses))
+    def __init__(self, base: Allocation, realloc_set, witnesses):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "realloc_set", frozenset(realloc_set))
+        object.__setattr__(self, "witnesses", tuple(witnesses))
+
+    def _key(self) -> tuple:
+        return (self.base, self.realloc_set, self.witnesses)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.base, self.realloc_set, self.witnesses) == (
+                other.base, other.realloc_set, other.witnesses
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.base, self.realloc_set, self.witnesses))
 
 
 def validate_allocation(inst: Instance, alloc: Allocation) -> None:

@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence
 
 from .core import Allocation, EfrCertificate, Instance, as_rational, rational_rows
-from .welfare import PerturbedInstance, PerturbParams
 
 FORMAT_VERSION = 1
 
@@ -377,6 +376,8 @@ def serialize_perturbed(pert: PerturbedInstance) -> str:
 
 
 def parse_perturbed(text: str) -> PerturbedInstance:
+    from .welfare import PerturbedInstance, PerturbParams
+
     doc = _load(text, ("base", "eps", "params"))
     raw_base = _fields(doc["base"], _INSTANCE_KEYS, "base", "base.")
     base = _instance_in(raw_base, "base.")

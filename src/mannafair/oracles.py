@@ -29,25 +29,31 @@ reassignment of R, so the search that gave the verdict also gives it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import (
+    DEFAULT_BUDGET,
     Allocation,
     Budget,
     EfrCertificate,
+    FrozenRecord,
     Instance,
     profile,
     validate_allocation,
 )
 
-DEFAULT_BUDGET = 10**8
 
+class EfrDecision(FrozenRecord):
+    _fields = ("verdict", "certificate")
 
-@dataclass(frozen=True)
-class EfrDecision:
-    verdict: bool
-    certificate: Optional[EfrCertificate] = None
+    def __init__(
+        self, verdict: bool, certificate: Optional[EfrCertificate] = None
+    ):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "certificate", certificate)
+
+    def _key(self) -> tuple:
+        return (self.verdict, self.certificate)
 
 
 def _place(costs, suffix, gaps, over, idx, picks, budget) -> bool:

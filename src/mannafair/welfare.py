@@ -22,7 +22,6 @@ multiplications, and no `Fraction` is built per step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -30,6 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .core import (
     Allocation,
     Budget,
+    FrozenRecord,
     Instance,
     rational_rows,
     scale_row,
@@ -38,41 +38,53 @@ from .core import (
 CYCLE_BUDGET = 10**7
 
 
-@dataclass(frozen=True)
-class PerturbParams:
+class PerturbParams(FrozenRecord):
     """Perturbation bounds for an integer-valued instance."""
 
-    lambda_lb: Fraction
-    Lambda: Fraction
-    omega_lb: Fraction
-    eta: Fraction
-    epsilon: Fraction
+    _fields = ("lambda_lb", "Lambda", "omega_lb", "eta", "epsilon")
 
-    def __post_init__(self):
-        if self.eta <= 0:
+    def __init__(
+        self,
+        lambda_lb: Fraction,
+        Lambda: Fraction,
+        omega_lb: Fraction,
+        eta: Fraction,
+        epsilon: Fraction,
+    ):
+        if eta <= 0:
             raise ValueError("eta must be positive")
-        if self.eta * 2 * self.Lambda > self.lambda_lb:
+        if eta * 2 * Lambda > lambda_lb:
             raise ValueError(
-                f"eta * 2 * Lambda = {self.eta * 2 * self.Lambda} exceeds "
-                f"lambda_lb = {self.lambda_lb}"
+                f"eta * 2 * Lambda = {eta * 2 * Lambda} exceeds "
+                f"lambda_lb = {lambda_lb}"
             )
-        if self.epsilon <= 0:
+        if epsilon <= 0:
             raise ValueError("epsilon must be positive")
+        object.__setattr__(self, "lambda_lb", lambda_lb)
+        object.__setattr__(self, "Lambda", Lambda)
+        object.__setattr__(self, "omega_lb", omega_lb)
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "epsilon", epsilon)
+
+    def _key(self) -> tuple:
+        return (self.lambda_lb, self.Lambda, self.omega_lb, self.eta, self.epsilon)
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(FrozenRecord):
     """A point of the standard simplex with exact rational entries."""
 
-    weights: tuple
+    _fields = ("weights",)
 
-    def __post_init__(self):
-        (ws,) = rational_rows((self.weights,))
+    def __init__(self, weights):
+        (ws,) = rational_rows((weights,))
         if any(w < 0 for w in ws):
             raise ValueError("weights must be nonnegative")
         if sum(ws) != 1:
             raise ValueError("weights must sum to exactly 1")
         object.__setattr__(self, "weights", ws)
+
+    def _key(self) -> tuple:
+        return (self.weights,)
 
     @property
     def n(self) -> int:
@@ -82,29 +94,33 @@ class WeightVector:
         return [i for i, w in enumerate(self.weights) if w > 0]
 
 
-@dataclass(frozen=True)
-class PerturbedInstance:
-    """An instance plus its perturbation matrix and parameters."""
+class PerturbedInstance(FrozenRecord):
+    """An instance plus its perturbation matrix and parameters.
 
-    base: Instance
-    eps_matrix: tuple  # tuple[tuple[Fraction, ...], ...]
-    params: PerturbParams
+    The perturbed values `_pert` are derived, so they stay out of `==`,
+    `hash` and `repr`.
+    """
 
-    def __post_init__(self):
-        eps = rational_rows(self.eps_matrix)
-        if len(eps) != self.base.num_agents or any(
-            len(row) != self.base.num_items for row in eps
+    # eps_matrix: tuple[tuple[Fraction, ...], ...]
+    _fields = ("base", "eps_matrix", "params")
+
+    def __init__(self, base: Instance, eps_matrix, params: PerturbParams):
+        eps = rational_rows(eps_matrix)
+        if len(eps) != base.num_agents or any(
+            len(row) != base.num_items for row in eps
         ):
             raise ValueError("eps matrix shape mismatch")
-        object.__setattr__(self, "eps_matrix", eps)
         pert = tuple(
-            tuple(
-                self.base.values[i][t] - eps[i][t]
-                for t in range(self.base.num_items)
-            )
-            for i in range(self.base.num_agents)
+            tuple(base.values[i][t] - eps[i][t] for t in range(base.num_items))
+            for i in range(base.num_agents)
         )
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "eps_matrix", eps)
+        object.__setattr__(self, "params", params)
         object.__setattr__(self, "_pert", pert)
+
+    def _key(self) -> tuple:
+        return (self.base, self.eps_matrix, self.params)
 
     @property
     def pert_values(self) -> tuple:
@@ -118,13 +134,19 @@ class PerturbedInstance:
         return sum((row[t] for t in bundle), Fraction(0))
 
 
-@dataclass(frozen=True)
-class TieGraph:
+class TieGraph(FrozenRecord):
     """Bipartite agent/tie-item graph of the demand structure."""
 
-    num_agents: int
-    tie_items: tuple
-    edges: frozenset  # frozenset[tuple[int, int]] of (agent, item)
+    # edges: frozenset[tuple[int, int]] of (agent, item)
+    _fields = ("num_agents", "tie_items", "edges")
+
+    def __init__(self, num_agents: int, tie_items: tuple, edges: frozenset):
+        object.__setattr__(self, "num_agents", num_agents)
+        object.__setattr__(self, "tie_items", tie_items)
+        object.__setattr__(self, "edges", edges)
+
+    def _key(self) -> tuple:
+        return (self.num_agents, self.tie_items, self.edges)
 
     def is_acyclic(self) -> bool:
         parent: Dict[object, object] = {}
