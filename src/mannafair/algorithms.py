@@ -13,8 +13,6 @@ items, so a whole picking sequence costs O(nm) after an O(nm log m) sort.
 
 from __future__ import annotations
 
-from typing import List
-
 from .core import (
     Allocation,
     EfrCertificate,
@@ -157,7 +155,7 @@ def efr_n_minus_1(inst: Instance) -> EfrCertificate:
     base, vals = _trade_cycles(inst, double_round_robin_ef1(inst))
     sink = next(i for i, row in enumerate(vals) if row[i] >= max(row))
     realloc = set()
-    witnesses: List[Allocation] = []
+    witnesses: list[Allocation] = []
     for i in range(n):
         bundle, row = base.bundles[i], inst.scaled[i]
         options = (_lowest_chore(inst, bundle, i), _best_outside_good(inst, bundle, i))
@@ -194,12 +192,6 @@ class PickingState(FrozenRecord):
         object.__setattr__(self, "unallocated", unallocated)
         object.__setattr__(self, "partial", partial)
 
-    def _key(self) -> tuple:
-        return (
-            self.active, self.deferred, self.reserved, self.unallocated,
-            self.partial,
-        )
-
 
 def run_picking_rounds(inst: Instance):
     """Run the conflict-aware picking loop, without dumping the reserve.
@@ -218,7 +210,7 @@ def run_picking_rounds(inst: Instance):
     # sorting the set's own ints shares them instead of making n * m new ones
     prefs = _Preferences(inst, sorted(unallocated), unallocated)
     bundles = [set() for _ in range(n)]
-    trace: List[PickingState] = []
+    trace: list[PickingState] = []
 
     while unallocated:
         favorites = {i: prefs.favorites(i) for i in active}

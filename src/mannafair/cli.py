@@ -17,6 +17,7 @@ import sys
 from . import harness
 from .core import (
     DEFAULT_BUDGET,
+    DEFAULT_MAX_CANDIDATES,
     BudgetExceededError,
     as_rational,
     validate_certificate,
@@ -104,7 +105,9 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def solve_instance(inst, algo: str, extend: bool = False, max_candidates=10**7):
+def solve_instance(
+    inst, algo: str, extend: bool = False, max_candidates=DEFAULT_MAX_CANDIDATES
+):
     """Dispatch shared by the CLI and tests; returns the solve artifact."""
     if algo == "fixed-n":
         from . import fixed_n
@@ -214,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--max-candidates",
         type=_budget,
-        default=10**7,
+        default=DEFAULT_MAX_CANDIDATES,
         help="fixed-n search budget; one unit is one separator combination, "
         "one joined tuple of per-agent item sets or one screened "
         "(R, demand, tuple) candidate",

@@ -14,8 +14,9 @@ it, and none converts entries itself.
 
 The value classes (`Instance`, `Allocation`, `EnvyGraph`, `EfrCertificate`
 and those of `welfare`, `oracles` and `algorithms`) are `FrozenRecord`s:
-plain classes, each with its own `__init__`, so that no command imports
-`dataclasses`.
+plain classes that name their fields once, in `_fields`, and set them in
+their own `__init__`; `FrozenRecord` derives `==`, `hash` and `repr` from
+that list, so no command imports `dataclasses`.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from bisect import insort
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Mapping, Sequence, Union
+from operator import attrgetter
 
 Rational = Fraction
 
-RationalLike = Union[int, str, Fraction]
+RationalLike = int | str | Fraction
 
 # A signed integer, "p/q" or a plain decimal such as "0.5", so the cost of
 # parsing is bounded by the length.  `Fraction(str)` also accepts exponents:
@@ -42,9 +43,10 @@ _RATIONAL_STR = (
 )
 
 
-# the default budget of the exhaustive oracles, here so that `cli` can show it
-# without importing `oracles`
+# the default budgets of the exhaustive oracles and of the fixed-n search,
+# here so that `cli` can show them without importing `oracles` or `fixed_n`
 DEFAULT_BUDGET = 10**8
+DEFAULT_MAX_CANDIDATES = 10**7
 
 
 class IncompleteCertificateError(ValueError):
@@ -73,25 +75,30 @@ class FrozenRecord:
     """A frozen value: it compares and hashes as the tuple of its fields,
     prints as `Name(field=value, ...)` and refuses attribute assignment.
 
-    A subclass names its fields in `_fields`, sets them in its own
-    `__init__` with `object.__setattr__` and returns their values, in that
-    order, from `_key`; it may keep derived state outside them.  `_key` is
-    written out per class, since reading `_fields` with `getattr` makes
-    `==` several times slower, and `Instance`, `Allocation` and
-    `EfrCertificate` write out `__eq__` and `__hash__` too: a certificate
-    compares n + 1 allocations, and `_key` costs two calls on each.
+    A subclass names its fields in `_fields` and sets them in its own
+    `__init__` with `object.__setattr__`; it may keep derived state outside
+    them.  `_key`, the tuple of the fields' values, is derived from
+    `_fields` once per subclass.
     """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls._fields)
+        if len(cls._fields) == 1:  # one name gives the bare value
+            cls._key = staticmethod(lambda obj: (get(obj),))
+        else:
+            cls._key = staticmethod(get)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._key() == other._key()
+            return self._key(self) == self._key(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._key(self))
 
     def __repr__(self):
-        args = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._key()))
+        args = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._key(self)))
         return f"{type(self).__qualname__}({args})"
 
     def __setattr__(self, name, value):
@@ -184,17 +191,6 @@ class Instance(FrozenRecord):
             raise ValueError("valuation matrix is ragged")
         object.__setattr__(self, "values", rows)
 
-    def _key(self) -> tuple:
-        return (self.values,)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.values == other.values
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.values,))
-
     @property
     def num_agents(self) -> int:
         return len(self.values)
@@ -217,17 +213,6 @@ class Allocation(FrozenRecord):
     def __init__(self, bundles):
         object.__setattr__(self, "bundles", tuple(frozenset(b) for b in bundles))
 
-    def _key(self) -> tuple:
-        return (self.bundles,)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.bundles == other.bundles
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.bundles,))
-
     @property
     def num_agents(self) -> int:
         return len(self.bundles)
@@ -238,7 +223,7 @@ class Allocation(FrozenRecord):
                 return i
         raise KeyError(f"item {item} is not allocated")
 
-    def reassign(self, moves: Mapping[int, int]) -> "Allocation":
+    def reassign(self, moves: dict[int, int]) -> "Allocation":
         """Return a copy with each item in `moves` handed to the given agent.
 
         Only the bundles a move touches are rebuilt; the copy shares every
@@ -263,9 +248,6 @@ class EnvyGraph(FrozenRecord):
     def __init__(self, num_agents: int, edges: frozenset):
         object.__setattr__(self, "num_agents", num_agents)
         object.__setattr__(self, "edges", edges)
-
-    def _key(self) -> tuple:
-        return (self.num_agents, self.edges)
 
     @classmethod
     def of_profile(cls, prof) -> "EnvyGraph":
@@ -323,19 +305,6 @@ class EfrCertificate(FrozenRecord):
         object.__setattr__(self, "realloc_set", frozenset(realloc_set))
         object.__setattr__(self, "witnesses", tuple(witnesses))
 
-    def _key(self) -> tuple:
-        return (self.base, self.realloc_set, self.witnesses)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.base, self.realloc_set, self.witnesses) == (
-                other.base, other.realloc_set, other.witnesses
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.base, self.realloc_set, self.witnesses))
-
 
 def validate_allocation(inst: Instance, alloc: Allocation) -> None:
     """Raise ValueError unless `alloc` is an n-partition of [m]."""
@@ -358,7 +327,7 @@ def validate_allocation(inst: Instance, alloc: Allocation) -> None:
         raise ValueError(f"items {missing} unallocated")
 
 
-def bundle_value(inst: Instance, agent: int, bundle: Iterable[int]) -> Fraction:
+def bundle_value(inst: Instance, agent: int, bundle: frozenset[int]) -> Fraction:
     """Exact additive value of `bundle` for `agent`."""
     if not (0 <= agent < inst.num_agents):
         raise IndexError(f"agent index {agent} out of range")

@@ -30,9 +30,15 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from typing import Dict, List, Optional, Tuple
 
-from .core import Allocation, Budget, EfrCertificate, Instance, profile
+from .core import (
+    DEFAULT_MAX_CANDIDATES,
+    Allocation,
+    Budget,
+    EfrCertificate,
+    Instance,
+    profile,
+)
 from .welfare import PerturbedInstance, perturb_nondegenerate, po_certificate_lp
 
 HARD_AGENT_CAP = 4
@@ -49,7 +55,7 @@ def _prefixes(ratio):
 
 def build_f_ij(
     pert: PerturbedInstance, i: int, j: int
-) -> Dict[Tuple[Optional[int], Optional[int]], frozenset]:
+) -> dict[tuple[int | None, int | None], frozenset]:
     """Ratio-filter sets F_ij = Q_ij | G_ij | B_ij of every separator option.
 
     Keys are (good, chore) separator options, each None or a common good
@@ -79,7 +85,7 @@ def build_f_ij(
     }
 
 
-def reconstruct_I(pert: PerturbedInstance, i: int, budget: Budget) -> List[frozenset]:
+def reconstruct_I(pert: PerturbedInstance, i: int, budget: Budget) -> list[frozenset]:
     """Agent i's distinct uniquely-demanded sets I_i.
 
     The empty set (agent i claims nothing) comes first, then each
@@ -123,7 +129,7 @@ def _efr_witnesses(inst, item_sets, realloc, demand_combo):
         bundles[d[0]] = bundles[d[0]] | {t}
     base = Allocation(tuple(bundles))
     prof, rows = profile(inst, base), inst.scaled
-    found: List[Optional[list]] = [None] * len(rows)  # each agent's moves
+    found: list[list | None] = [None] * len(rows)  # each agent's moves
     for owners in itertools.product(*demand_combo):
         moves = [
             (t, d[0], a) for t, d, a in zip(realloc, demand_combo, owners) if a != d[0]
@@ -141,7 +147,7 @@ def _efr_witnesses(inst, item_sets, realloc, demand_combo):
     return None
 
 
-def search_efr_po(inst: Instance, max_candidates: int = 10**7):
+def search_efr_po(inst: Instance, max_candidates: int = DEFAULT_MAX_CANDIDATES):
     """Find an EFR-(n-1) and Pareto-optimal allocation by enumeration.
 
     Returns (allocation, certificate, weight_vector); the allocation is
@@ -167,7 +173,7 @@ def search_efr_po(inst: Instance, max_candidates: int = 10**7):
     # order over distinct sets is their first-seen separator-product order
     per_agent = [reconstruct_I(pert, i, budget) for i in range(n)]
     budget.spend(math.prod(map(len, per_agent)))
-    by_realloc: Dict[frozenset, list] = {}
+    by_realloc: dict[frozenset, list] = {}
     all_items = frozenset(range(m))
     for item_sets in itertools.product(*per_agent):
         claimed = frozenset().union(*item_sets)

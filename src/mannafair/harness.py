@@ -10,9 +10,7 @@ written as integers or "p/q" strings and read from integers or integer,
 from __future__ import annotations
 
 import json
-import random
 from fractions import Fraction
-from typing import Dict, Optional, Sequence
 
 from .core import Allocation, EfrCertificate, Instance, as_rational, rational_rows
 
@@ -44,7 +42,7 @@ def gen_paired_goods(n: int) -> Instance:
     return Instance(tuple(rows))
 
 
-def gen_partition_reduction(values: Sequence[int]):
+def gen_partition_reduction(values: list[int]):
     """Identical-valuation chores instance encoding a Partition input.
 
     For k positive integers summing to 2T this builds k+3 agents and 2k+1
@@ -79,6 +77,8 @@ def gen_random(
     probability `chore_prob`.  A range error's message starts with the
     parameter's name.
     """
+    import random  # only this generator needs it
+
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     if m < 0:
@@ -163,7 +163,7 @@ def _dump(obj) -> str:
     return "".join(out)
 
 
-def _instance_out(inst: Instance, metadata: Optional[Dict] = None) -> dict:
+def _instance_out(inst: Instance, metadata: dict | None = None) -> dict:
     doc = {
         "format_version": FORMAT_VERSION,
         "agents": inst.num_agents,
@@ -175,11 +175,11 @@ def _instance_out(inst: Instance, metadata: Optional[Dict] = None) -> dict:
     return doc
 
 
-def serialize_instance(inst: Instance, metadata: Optional[Dict] = None) -> str:
+def serialize_instance(inst: Instance, metadata: dict | None = None) -> str:
     return _dump(_instance_out(inst, metadata))
 
 
-def _fields(doc, keys: Sequence[str], where: str, prefix: str = "") -> dict:
+def _fields(doc, keys: tuple[str, ...], where: str, prefix: str = "") -> dict:
     """`doc` itself, once it is a JSON object holding every key in `keys`
     and stating no format_version other than `FORMAT_VERSION`."""
     if not isinstance(doc, dict):
@@ -193,12 +193,16 @@ def _fields(doc, keys: Sequence[str], where: str, prefix: str = "") -> dict:
     return doc
 
 
-def _load(text: str, keys: Sequence[str]) -> dict:
+def _load(text: str, keys: tuple[str, ...]) -> dict:
     """Decode a JSON object with `keys`; a stated format_version must match."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ParseError("top level: arrays or objects nested too deeply") from None
+    except ValueError as exc:  # an integer over the int-to-str digit limit
+        raise ParseError(f"top level: {exc}") from None
     return _fields(doc, keys, "top level")
 
 
@@ -207,9 +211,9 @@ _INSTANCE_KEYS = ("format_version", "agents", "items", "values")
 
 def _instance_in(doc: dict, prefix: str = "") -> Instance:
     """The instance of a checked instance object; errors name prefix + field."""
-    for key in ("agents", "items"):
-        if type(doc[key]) is not int or doc[key] < 0:
-            raise ParseError(f"{prefix}{key}: expected a non-negative integer")
+    for key, least, what in (("agents", 1, "positive"), ("items", 0, "non-negative")):
+        if type(doc[key]) is not int or doc[key] < least:
+            raise ParseError(f"{prefix}{key}: expected a {what} integer")
     values = _matrix_in(doc["values"], doc["agents"], doc["items"], prefix + "values")
     return Instance(values)
 

@@ -29,7 +29,6 @@ reassignment of R, so the search that gave the verdict also gives it.
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence
 
 from .core import (
     DEFAULT_BUDGET,
@@ -46,14 +45,9 @@ from .core import (
 class EfrDecision(FrozenRecord):
     _fields = ("verdict", "certificate")
 
-    def __init__(
-        self, verdict: bool, certificate: Optional[EfrCertificate] = None
-    ):
+    def __init__(self, verdict: bool, certificate: EfrCertificate | None = None):
         object.__setattr__(self, "verdict", verdict)
         object.__setattr__(self, "certificate", certificate)
-
-    def _key(self) -> tuple:
-        return (self.verdict, self.certificate)
 
 
 def _place(costs, suffix, gaps, over, idx, picks, budget) -> bool:
@@ -281,7 +275,7 @@ def is_pareto_optimal_bruteforce(
     return True
 
 
-def solve_partition(values: Sequence[int]):
+def solve_partition(values: list[int]):
     """Indices of a subset summing to half the total, or None.
 
     Subsets are scanned by increasing size, then lexicographically, so the

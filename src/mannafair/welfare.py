@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (
     Allocation,
@@ -66,9 +65,6 @@ class PerturbParams(FrozenRecord):
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "epsilon", epsilon)
 
-    def _key(self) -> tuple:
-        return (self.lambda_lb, self.Lambda, self.omega_lb, self.eta, self.epsilon)
-
 
 class WeightVector(FrozenRecord):
     """A point of the standard simplex with exact rational entries."""
@@ -82,9 +78,6 @@ class WeightVector(FrozenRecord):
         if sum(ws) != 1:
             raise ValueError("weights must sum to exactly 1")
         object.__setattr__(self, "weights", ws)
-
-    def _key(self) -> tuple:
-        return (self.weights,)
 
     @property
     def n(self) -> int:
@@ -119,9 +112,6 @@ class PerturbedInstance(FrozenRecord):
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "_pert", pert)
 
-    def _key(self) -> tuple:
-        return (self.base, self.eps_matrix, self.params)
-
     @property
     def pert_values(self) -> tuple:
         return self._pert
@@ -145,11 +135,8 @@ class TieGraph(FrozenRecord):
         object.__setattr__(self, "tie_items", tie_items)
         object.__setattr__(self, "edges", edges)
 
-    def _key(self) -> tuple:
-        return (self.num_agents, self.tie_items, self.edges)
-
     def is_acyclic(self) -> bool:
-        parent: Dict[object, object] = {}
+        parent: dict = {}
 
         def find(x):
             while parent.setdefault(x, x) != x:
@@ -333,7 +320,7 @@ def demand_sets(pert: PerturbedInstance, w: WeightVector):
     if w.n != n:
         raise ValueError("weight vector length mismatch")
     eta = pert.params.eta
-    demand: Dict[int, Tuple[int, ...]] = {}
+    demand: dict[int, tuple[int, ...]] = {}
     ties = []
     for t in range(m):
         scores = [(w.weights[i] + eta) * pert.pert_value(i, t) for i in range(n)]
@@ -384,7 +371,7 @@ def _pivot(rows, r, e, d):
     return abs(p)
 
 
-def solve_leq_system(constraints, nvars: int) -> Optional[List[Fraction]]:
+def solve_leq_system(constraints, nvars: int) -> list[Fraction] | None:
     """A point x >= 0 with c . x <= d for every (c, d) in `constraints`, or None.
 
     Chvatal's auxiliary problem (Linear Programming, 1983): maximize -x0
@@ -426,8 +413,8 @@ def solve_leq_system(constraints, nvars: int) -> Optional[List[Fraction]]:
 
 
 def po_certificate_lp(
-    pert: PerturbedInstance, demand: Sequence[Sequence[int]]
-) -> Optional[WeightVector]:
+    pert: PerturbedInstance, demand: list[tuple[int, ...]]
+) -> WeightVector | None:
     """Weight vector under which every item goes to one of its demanders.
 
     `demand[t]` lists the agents that item t may go to, for every item t

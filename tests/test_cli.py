@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: subcommands, exit codes, determinism."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -597,6 +598,77 @@ class TestExitCodes:
         bad.write_text(json.dumps(doc))
         out = str(tmp_path / "out.json")
         assert run(["solve", "--algo", "efr", "-i", str(bad), "-o", out]) == 3
+
+    # a command per file reader: (its argv, the flag of the file under test,
+    # that file's JSON with %s for one value)
+    READERS = {
+        "instance": (
+            ["solve", "--algo", "efr", "-o", "out.json"], "-i",
+            '{"format_version": 1, "agents": 1, "items": 1, "values": [%s]}',
+        ),
+        "allocation-check-po": (
+            ["check-po", "-i", "inst.json"], "--alloc", '{"bundles": [%s]}',
+        ),
+        "allocation-decide-efr": (
+            ["decide-efr", "--k", "1", "-i", "inst.json"], "--alloc",
+            '{"bundles": [%s]}',
+        ),
+        "certificate": (
+            ["verify", "-i", "inst.json"], "--cert",
+            '{"base": [%s], "realloc_set": [], "witnesses": []}',
+        ),
+    }
+    # the int-to-str digit limit, 0 where this Python has none
+    DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+    def run_reader(self, reader, value, tmp_path, monkeypatch):
+        argv, flag, text = self.READERS[reader]
+        (tmp_path / "bad.json").write_text(text % value)
+        monkeypatch.chdir(tmp_path)
+        return run([*argv, flag, "bad.json"])
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_deep_nesting_is_input_error(
+        self, tmp_path, capsys, monkeypatch, inst_file, reader
+    ):
+        deep = "[" * 3000 + "]" * 3000
+        assert self.run_reader(reader, deep, tmp_path, monkeypatch) == 3
+        assert capsys.readouterr().err == (
+            "input error: top level: arrays or objects nested too deeply\n"
+        )
+
+    @pytest.mark.skipif(not DIGIT_LIMIT, reason="no int-to-str digit limit")
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_integer_over_the_digit_limit_is_input_error(
+        self, tmp_path, capsys, monkeypatch, inst_file, reader
+    ):
+        huge = "9" * (self.DIGIT_LIMIT + 1)
+        assert self.run_reader(reader, huge, tmp_path, monkeypatch) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input error: top level: ")
+        assert str(self.DIGIT_LIMIT) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "agents, items, message",
+        [
+            (0, 0, "agents: expected a positive integer"),
+            (-1, 1, "agents: expected a positive integer"),
+            (1, -1, "items: expected a non-negative integer"),
+        ],
+    )
+    def test_agent_and_item_counts_name_their_field(
+        self, tmp_path, capsys, agents, items, message
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            json.dumps(
+                {"format_version": 1, "agents": agents, "items": items,
+                 "values": []}
+            )
+        )
+        out = str(tmp_path / "o.json")
+        assert run(["solve", "--algo", "efr", "-i", str(bad), "-o", out]) == 3
+        assert capsys.readouterr().err == f"input error: {message}\n"
 
     def test_usage_error_maps_to_input_error(self):
         assert run(["solve", "--algo", "efr"]) == 3

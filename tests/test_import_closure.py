@@ -39,8 +39,11 @@ FIXED_N = BASE | {"mannafair.fixed_n", "mannafair.welfare"}
 ORACLES = BASE | {"mannafair.oracles"}
 WELFARE = BASE | {"mannafair.welfare"}
 
-# modules no command may load: `dataclasses` alone costs more than a layer
-NEVER = {"dataclasses", "inspect"}
+# modules no command may load: `dataclasses` alone costs more than a layer,
+# and `typing` would serve annotations only
+NEVER = {"dataclasses", "inspect", "typing"}
+# a module only `gen --family random` may load
+RANDOM = "random"
 
 
 def fresh(code, cwd):
@@ -66,7 +69,7 @@ def loaded_by(code, cwd):
 def test_import_loads_no_submodule(tmp_path):
     _, modules = loaded_by("import mannafair\nresult = 0", tmp_path)
     assert {m for m in modules if m.startswith("mannafair")} == {"mannafair"}
-    assert not modules & NEVER
+    assert not modules & (NEVER | {RANDOM})
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +155,7 @@ def test_each_command_loads_exactly_its_closure(files, name):
     assert int(result) in codes
     assert {m for m in modules if m.startswith("mannafair")} == closure
     assert not modules & NEVER
+    assert (RANDOM in modules) == (name == "gen-random")
 
 
 def test_old_public_names_resolve():

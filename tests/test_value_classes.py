@@ -3,7 +3,8 @@
 Each class is built positionally and by keyword, compares and hashes by
 its declared fields only, prints as `Name(field=value, ...)` and refuses
 attribute assignment.  Derived state (`Instance.scaled`,
-`PerturbedInstance._pert`) stays out of `==`, `hash` and `repr`.
+`PerturbedInstance._pert`) stays out of `==`, `hash` and `repr`.  A new
+`FrozenRecord` that declares only `_fields` and `__init__` gets the same.
 """
 
 import copy
@@ -13,7 +14,7 @@ from fractions import Fraction as F
 import pytest
 
 from mannafair.algorithms import PickingState
-from mannafair.core import Allocation, EfrCertificate, EnvyGraph, Instance
+from mannafair.core import Allocation, EfrCertificate, EnvyGraph, FrozenRecord, Instance
 from mannafair.oracles import EfrDecision
 from mannafair.welfare import (
     PerturbedInstance,
@@ -257,3 +258,41 @@ def test_pert_is_outside_equality_hash_and_repr():
     assert twin.pert_values != PERT.pert_values
     assert twin == PERT and hash(twin) == hash(PERT)
     assert "_pert" not in repr(twin)
+
+
+class One(FrozenRecord):
+    _fields = ("a",)
+
+    def __init__(self, a):
+        object.__setattr__(self, "a", a)
+
+
+class Three(FrozenRecord):
+    _fields = ("a", "b", "c")
+
+    def __init__(self, a, b, c):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+
+
+@pytest.mark.parametrize(
+    "cls, args, text",
+    [
+        (One, ((1, 2),), "One(a=(1, 2))"),
+        (Three, (1, "x", frozenset({2})), "Three(a=1, b='x', c=frozenset({2}))"),
+    ],
+    ids=["one-field", "three-fields"],
+)
+def test_a_new_record_derives_its_key_from_fields(cls, args, text):
+    obj, twin = cls(*args), cls(*args)
+    assert obj == twin and not obj != twin
+    assert hash(obj) == hash(twin) == hash(args)
+    assert obj.__eq__(args) is NotImplemented and obj != args
+    assert obj != cls(*args[:-1], None)
+    assert repr(obj) == text
+    with pytest.raises(AttributeError):
+        obj.a = 0
+    with pytest.raises(AttributeError):
+        del obj.a
+    assert obj.a == args[0]
