@@ -9,6 +9,9 @@ Every choice reads the integer value kernel of `core` (`Instance.scaled`
 and `profile`).  Greedy picks walk each agent's preference order (highest
 value first, lowest index among ties) with a pointer that skips taken
 items, so a whole picking sequence costs O(nm) after an O(nm log m) sort.
+The EFR-(n-1) step reads each agent's best good outside its bundle from
+the same round-2 order of the double round robin, so it walks at most
+that bundle's items plus one instead of scanning all m.
 """
 
 from __future__ import annotations
@@ -66,6 +69,12 @@ def double_round_robin_ef1(inst: Instance) -> Allocation:
     remaining item, passing whenever every remaining item is negative for
     them.
     """
+    return _double_round_robin(inst)[0]
+
+
+def _double_round_robin(inst: Instance):
+    """`double_round_robin_ef1`, with each agent's round-2 preference
+    order: every item that is not a shared chore, best first."""
     n, m = inst.num_agents, inst.num_items
     rows = inst.scaled
     shared = [t for t in range(m) if all(row[t] < 0 for row in rows)]
@@ -95,7 +104,7 @@ def double_round_robin_ef1(inst: Instance) -> Allocation:
             bundles[i].add(best)
             remaining.discard(best)
 
-    return Allocation(tuple(frozenset(b) for b in bundles))
+    return Allocation(tuple(frozenset(b) for b in bundles)), prefs.orders
 
 
 def resolve_top_trading_cycles(inst: Instance, alloc: Allocation) -> Allocation:
@@ -129,16 +138,22 @@ def _trade_cycles(inst: Instance, alloc: Allocation):
     return Allocation(tuple(bundles)), vals
 
 
-def _lowest_chore(inst, bundle, agent):
-    row = inst.scaled[agent]
+def _lowest_chore(row, bundle):
     chores = [t for t in bundle if row[t] < 0]
     return min(chores, key=lambda t: (row[t], t), default=None)
 
 
-def _best_outside_good(inst, bundle, agent):
-    row = inst.scaled[agent]
-    goods = [t for t in range(len(row)) if t not in bundle and row[t] >= 0]
-    return max(goods, key=lambda t: (row[t], -t), default=None)
+def _best_outside_good(row, order, bundle):
+    """The agent's highest-valued good outside `bundle`, the lowest index
+    among ties, or None; `order` is its round-2 preference order.
+
+    The order holds every item but the shared chores, which are negative
+    for everyone, so the first item not in `bundle` is the best one.
+    """
+    for t in order:
+        if t not in bundle:
+            return t if row[t] >= 0 else None
+    return None
 
 
 def efr_n_minus_1(inst: Instance) -> EfrCertificate:
@@ -152,13 +167,16 @@ def efr_n_minus_1(inst: Instance) -> EfrCertificate:
     i itself.
     """
     n = inst.num_agents
-    base, vals = _trade_cycles(inst, double_round_robin_ef1(inst))
+    drr, orders = _double_round_robin(inst)
+    base, vals = _trade_cycles(inst, drr)
     sink = next(i for i, row in enumerate(vals) if row[i] >= max(row))
     realloc = set()
     witnesses: list[Allocation] = []
     for i in range(n):
         bundle, row = base.bundles[i], inst.scaled[i]
-        options = (_lowest_chore(inst, bundle, i), _best_outside_good(inst, bundle, i))
+        options = (
+            _lowest_chore(row, bundle), _best_outside_good(row, orders[i], bundle)
+        )
         options = [t for t in options if t is not None]
         if i == sink or not options:
             # i is envy-free, or holds only goods and owns all its goods
@@ -200,7 +218,7 @@ def run_picking_rounds(inst: Instance):
     PickingState per outer-loop iteration, recorded at iteration end.
     """
     n, m = inst.num_agents, inst.num_items
-    if any(v < 0 for row in inst.scaled for v in row):
+    if any(min(row, default=0) < 0 for row in inst.scaled):
         raise ValueError("conflict-aware picking requires nonnegative values")
 
     active = set(range(n))

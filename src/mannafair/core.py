@@ -6,6 +6,13 @@ times the LCM of its denominators: every predicate compares values of one
 agent only, which a positive per-agent scale leaves exact.  The envy
 predicates read `profile`, the n x n matrix of scaled v_i(A_j).
 
+Every bundle sum goes through one kernel, `_getters`: one
+`operator.itemgetter` per bundle, built once per call and applied to each
+agent's row, so v_i(A_j) is `sum(getter_j(row_i))` and the per-item loop
+runs in C.  `profile`, `is_envy_free_for`, `is_ef1` and the witness
+re-sums of `validate_certificate` all read it; nothing is kept between
+calls.
+
 Every matrix or vector of values enters through one intake kernel,
 `rational_rows`, which converts each entry exactly once: `Instance`,
 `welfare.PerturbedInstance`, `welfare.WeightVector`,
@@ -26,7 +33,7 @@ from bisect import insort
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 Rational = Fraction
 
@@ -108,6 +115,15 @@ class FrozenRecord:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def short_repr(value) -> str:
+    """`repr(value)` cut to a few levels, a few entries per level and a
+    few dozen characters per string or number, for error messages that
+    echo input: a deeply nested or long JSON value stays a short line."""
+    import reprlib  # only error messages need it
+
+    return reprlib.repr(value)
+
+
 def as_rational(x: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or integer, "p/q" or decimal string to an
     exact Fraction.
@@ -120,13 +136,13 @@ def as_rational(x: RationalLike) -> Fraction:
     if type(x) is Fraction:
         return x
     if isinstance(x, bool):
-        raise TypeError(f"cannot interpret {x!r} as an exact rational")
+        raise TypeError(f"cannot interpret {short_repr(x)} as an exact rational")
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     if isinstance(x, str):
         match = re.fullmatch(_RATIONAL_STR, x)
         if match is None:
-            raise ValueError(f"bad rational {x!r}")
+            raise ValueError(f"bad rational {short_repr(x)}")
         sign, p, q, whole, digits = match.groups()
         if p is None:  # a decimal, read as `Fraction(str)` reads it
             q = 10 ** len(digits)
@@ -136,8 +152,8 @@ def as_rational(x: RationalLike) -> Fraction:
         try:
             return Fraction(-p if sign == "-" else p, q)
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {x!r}") from None
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
+            raise ValueError(f"zero denominator in {short_repr(x)}") from None
+    raise TypeError(f"cannot interpret {short_repr(x)} as an exact rational")
 
 
 def rational_rows(rows) -> tuple:
@@ -340,13 +356,30 @@ def bundle_value(inst: Instance, agent: int, bundle: frozenset[int]) -> Fraction
     return total
 
 
-def _row_profile(row, alloc: Allocation) -> list:
-    return [sum(map(row.__getitem__, b)) for b in alloc.bundles]
+def _getters(bundles) -> list:
+    """The bundle-sum kernel: for each bundle, a getter that maps any row
+    to the tuple of its entries on the bundle, so `sum(getter(row))` is
+    the row's value of the bundle.
+
+    `itemgetter` of one index returns the bare entry and of none raises,
+    so a bundle of at most one item reads a slice of the row instead.
+    """
+    return [itemgetter(*b) if len(b) > 1 else _slice_getter(b) for b in bundles]
+
+
+def _slice_getter(bundle):
+    for t in bundle:  # the one item
+        return itemgetter(slice(t, t + 1))
+    return itemgetter(slice(0))
+
+
+def _profile(rows, getters) -> list:
+    return [[sum(get(row)) for get in getters] for row in rows]
 
 
 def profile(inst: Instance, alloc: Allocation) -> list:
     """n x n matrix of v_i(A_j) in agent i's scale (`Instance.scaled`)."""
-    return [_row_profile(row, alloc) for row in inst.scaled]
+    return _profile(inst.scaled, _getters(alloc.bundles))
 
 
 def build_envy_graph(inst: Instance, alloc: Allocation) -> EnvyGraph:
@@ -358,7 +391,7 @@ def build_envy_graph(inst: Instance, alloc: Allocation) -> EnvyGraph:
 def is_envy_free_for(inst: Instance, alloc: Allocation, agent: int) -> bool:
     """True iff `agent` values its own bundle at least as much as every other."""
     validate_allocation(inst, alloc)
-    vals = _row_profile(inst.scaled[agent], alloc)
+    (vals,) = _profile((inst.scaled[agent],), _getters(alloc.bundles))
     return vals[agent] >= max(vals)
 
 
@@ -375,15 +408,15 @@ def is_ef1(inst: Instance, alloc: Allocation) -> bool:
     i's highest item in A_j closes the most envy, so only those are tried.
     """
     validate_allocation(inst, alloc)
-    bundles = alloc.bundles
-    for i, (row, vals) in enumerate(zip(inst.scaled, profile(inst, alloc))):
+    rows, getters = inst.scaled, _getters(alloc.bundles)
+    for i, (row, vals) in enumerate(zip(rows, _profile(rows, getters))):
         own = vals[i]
         # an empty bundle offers 0, which cannot close positive envy
-        drop = -min(map(row.__getitem__, bundles[i]), default=0)
+        drop = -min(getters[i](row), default=0)
         for j, other in enumerate(vals):
             if own >= other:
                 continue
-            take = max(map(row.__getitem__, bundles[j]), default=0)
+            take = max(getters[j](row), default=0)
             if max(drop, take) < other - own:
                 return False
     return True
@@ -429,8 +462,8 @@ def validate_certificate(inst: Instance, cert: EfrCertificate) -> bool:
         ):
             return False
         row, vals = inst.scaled[i], list(prof[i])
-        for j, w in zip(changed, new):
-            vals[j] = sum(map(row.__getitem__, w))
+        for j, get in zip(changed, _getters(new)):
+            vals[j] = sum(get(row))
         if vals[i] < max(vals):
             return False
     return True

@@ -4,7 +4,8 @@ All files are JSON with a fixed key order so serialization is canonical
 and diff-friendly, in the layout of `json.dumps(indent=2)`.  Values are
 written as integers or "p/q" strings and read from integers or integer,
 "p/q" or decimal strings; agent and item indices are 1-based on disk and
-0-based in memory.
+0-based in memory.  An error message echoes at most a short, truncated
+form of the offending value.
 """
 
 from __future__ import annotations
@@ -12,7 +13,14 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .core import Allocation, EfrCertificate, Instance, as_rational, rational_rows
+from .core import (
+    Allocation,
+    EfrCertificate,
+    Instance,
+    as_rational,
+    rational_rows,
+    short_repr,
+)
 
 FORMAT_VERSION = 1
 
@@ -113,7 +121,7 @@ def _rational_in(raw, where: str) -> Fraction:
     try:
         return as_rational(raw)
     except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: bad rational {raw!r}") from exc
+        raise ParseError(f"{where}: bad rational {short_repr(raw)}") from exc
 
 
 def _dump(obj) -> str:
@@ -189,7 +197,9 @@ def _fields(doc, keys: tuple[str, ...], where: str, prefix: str = "") -> dict:
             raise ParseError(f"missing field {prefix + key!r}")
     version = doc.get("format_version", FORMAT_VERSION)
     if type(version) is not int or version != FORMAT_VERSION:
-        raise ParseError(f"{prefix}format_version: unsupported version {version!r}")
+        raise ParseError(
+            f"{prefix}format_version: unsupported version {short_repr(version)}"
+        )
     return doc
 
 
@@ -274,7 +284,7 @@ def _items_in(raw, num_items: int, where: str, sets: dict) -> frozenset:
     if items is None:
         for t in raw:  # raises whenever key is None
             if type(t) is not int or t < 1:
-                raise ParseError(f"{where}: bad item id {t!r}")
+                raise ParseError(f"{where}: bad item id {short_repr(t)}")
             if t > num_items:
                 raise ParseError(
                     f"{where}: item id {t} out of range 1..{num_items}"

@@ -648,6 +648,57 @@ class TestExitCodes:
         assert err.startswith("input error: top level: ")
         assert str(self.DIGIT_LIMIT) in err and "Traceback" not in err
 
+    # values a message may echo: 400 nested lists, well under the
+    # decoder's nesting limit, and a 5,000-character string
+    DEEP = "[" * 400 + "]" * 400
+    LONG = '"' + "x" * 5000 + '"'
+    BASE = "[[1, 2, 3, 4, 5], [], []]"  # a partition for `inst_file`
+
+    @pytest.mark.parametrize("value", [DEEP, LONG], ids=["deep", "long"])
+    @pytest.mark.parametrize(
+        "argv, flag, text, field",
+        [
+            (
+                ["solve", "--algo", "efr", "-o", "out.json"], "-i",
+                '{"format_version": 1, "agents": 1, "items": 1,'
+                ' "values": [[%s]]}',
+                "values[0][0]",
+            ),
+            (
+                ["solve", "--algo", "efr", "-o", "out.json"], "-i",
+                '{"format_version": %s, "agents": 1, "items": 1,'
+                ' "values": [[1]]}',
+                "format_version",
+            ),
+            (
+                ["check-po", "-i", "inst.json"], "--alloc",
+                '{"bundles": [%s, [1, 2, 3, 4, 5], []]}', "bundles[0]",
+            ),
+            (
+                ["verify", "-i", "inst.json"], "--cert",
+                '{"base": %s, "realloc_set": [%%s], "witnesses": []}' % BASE,
+                "realloc_set",
+            ),
+            (
+                ["verify", "-i", "inst.json"], "--cert",
+                '{"base": %s, "realloc_set": [],'
+                ' "witnesses": [[[1, 2, 3, 4, 5], [%%s], []]]}' % BASE,
+                "witnesses[0][1]",
+            ),
+        ],
+        ids=["value", "format-version", "bundle", "realloc-item", "witness-item"],
+    )
+    def test_echoed_value_is_cut_short(
+        self, tmp_path, capsys, monkeypatch, inst_file, argv, flag, text,
+        field, value,
+    ):
+        (tmp_path / "bad.json").write_text(text % value)
+        monkeypatch.chdir(tmp_path)
+        assert run([*argv, flag, "bad.json"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {field}: ")
+        assert len(err) < 100, err
+
     @pytest.mark.parametrize(
         "agents, items, message",
         [
