@@ -191,31 +191,30 @@ def efr_n_minus_1(inst: Instance) -> EfrCertificate:
 
 
 class PickingState(FrozenRecord):
-    """Snapshot of the conflict-aware picking loop after one outer iteration."""
+    """What the conflict-aware picking loop decided in one outer iteration.
 
-    # partial: tuple[frozenset[int], ...]
-    _fields = ("active", "deferred", "reserved", "unallocated", "partial")
+    `picks[i]` is the item agent i took in the iteration, or None; replaying
+    the picks of the states so far gives the partial bundles.  The reserve
+    holds at most floor(n/2) items, so a state holds O(n) items, not O(m).
+    """
+
+    _fields = ("active", "deferred", "reserved", "picks")
 
     def __init__(
-        self,
-        active: frozenset,
-        deferred: frozenset,
-        reserved: frozenset,
-        unallocated: frozenset,
-        partial: tuple,
+        self, active: frozenset, deferred: frozenset, reserved: frozenset, picks: tuple
     ):
         object.__setattr__(self, "active", active)
         object.__setattr__(self, "deferred", deferred)
         object.__setattr__(self, "reserved", reserved)
-        object.__setattr__(self, "unallocated", unallocated)
-        object.__setattr__(self, "partial", partial)
+        object.__setattr__(self, "picks", picks)
 
 
 def run_picking_rounds(inst: Instance):
     """Run the conflict-aware picking loop, without dumping the reserve.
 
     Returns (partial_bundles, reserved, trace) where `trace` holds one
-    PickingState per outer-loop iteration, recorded at iteration end.
+    PickingState per outer-loop iteration, recorded at iteration end: the
+    agent sets and reserve then, and the iteration's picks.
     """
     n, m = inst.num_agents, inst.num_items
     if any(min(row, default=0) < 0 for row in inst.scaled):
@@ -250,22 +249,16 @@ def run_picking_rounds(inst: Instance):
             # favorites are unchanged
             for i in movers:
                 del favorites[i]
+        picks = [None] * n
         for group in (sorted(active), sorted(deferred)):
             for i in group:
                 if not unallocated:
                     break
-                pick = prefs.best(i)
+                pick = picks[i] = prefs.best(i)
                 bundles[i].add(pick)
                 unallocated.discard(pick)
-        trace.append(
-            PickingState(
-                frozenset(active),
-                frozenset(deferred),
-                frozenset(reserved),
-                frozenset(unallocated),
-                tuple(frozenset(b) for b in bundles),
-            )
-        )
+        sets = frozenset(active), frozenset(deferred), frozenset(reserved)
+        trace.append(PickingState(*sets, tuple(picks)))
     return tuple(frozenset(b) for b in bundles), frozenset(reserved), trace
 
 

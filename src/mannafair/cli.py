@@ -112,7 +112,10 @@ def solve_instance(
     if algo == "fixed-n":
         from . import fixed_n
 
-        _, cert, _ = fixed_n.search_efr_po(inst, max_candidates=max_candidates)
+        try:
+            _, cert, _ = fixed_n.search_efr_po(inst, max_candidates=max_candidates)
+        except ValueError as exc:  # its one input check is the agent cap
+            raise ValueError(f"agents: {exc}") from None
         return cert
     from . import algorithms
 
@@ -154,7 +157,10 @@ def _cmd_decide_efr(args) -> int:
 
     inst = harness.parse_instance(_read(args.input))
     alloc = harness.parse_allocation(_read(args.alloc), inst)
-    decision = oracles.decide_efr_k(inst, alloc, args.k, budget=args.budget)
+    try:
+        decision = oracles.decide_efr_k(inst, alloc, args.k, budget=args.budget)
+    except ValueError as exc:  # the parsed allocation is valid, so k is out of range
+        raise ValueError(f"--k: {exc}") from None
     print("true" if decision.verdict else "false")
     return EXIT_OK if decision.verdict else EXIT_FALSE
 

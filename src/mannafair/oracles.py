@@ -245,7 +245,7 @@ def is_pareto_optimal_bruteforce(
     tracker = Budget(budget, "Pareto-scan allocation prefixes")
     rows = inst.scaled
     cols = list(zip(*rows))  # cols[t][i] is agent i's value of item t
-    own = [sum(row[t] for t in b) for row, b in zip(rows, alloc.bundles)]
+    own = [vals[i] for i, vals in enumerate(profile(inst, alloc))]
     if sum(map(max, cols)) == sum(own):
         return True  # a Pareto improvement would raise the utility sum
     slack = [sum(v for v in row if v > 0) - u for row, u in zip(rows, own)]

@@ -3,7 +3,7 @@ from unittest import mock
 import pytest
 
 from mannafair import oracles
-from mannafair.core import Budget, BudgetExceededError
+from mannafair.core import Budget, BudgetExceededError, bundle_value
 from mannafair.fixed_n import build_f_ij, reconstruct_I
 
 ACCEPTANCE_LINES = []
@@ -96,3 +96,45 @@ def assert_budget_is_own_spend(call, below):
             call(limit)
     assert call(spent) == result
     return spent
+
+
+def replay_picks(n, trace):
+    """Each state of a `run_picking_rounds` trace with the bundles its picks
+    and those of the states before it add up to."""
+    held = [frozenset()] * n
+    for state in trace:
+        held = [b if t is None else b | {t} for b, t in zip(held, state.picks)]
+        yield state, held
+
+
+def picking_invariant_violation(inst, trace):
+    """The first loop invariant that a state of `trace` breaks, or None.
+
+    After each outer iteration every active agent is envy-free, and every
+    deferred agent is envy-free once granted all reserved items and EF1
+    without them.
+    """
+    n = inst.num_agents
+    for k, (state, held) in enumerate(replay_picks(n, trace)):
+        for i in state.active:
+            for j in range(n):
+                if bundle_value(inst, i, held[i]) < bundle_value(inst, i, held[j]):
+                    return f"iteration {k}: active agent {i} envies {j}"
+        for i in state.deferred:
+            granted = held[i] | state.reserved
+            for j in range(n):
+                if j == i:
+                    continue
+                if bundle_value(inst, i, granted) < bundle_value(inst, i, held[j]):
+                    return f"iteration {k}: deferred agent {i} granted R envies {j}"
+                if bundle_value(inst, i, held[i]) >= bundle_value(inst, i, held[j]):
+                    continue
+                # EF1 without the reserve: dropping some single item of
+                # either bundle clears the envy
+                if not any(
+                    bundle_value(inst, i, held[i] - {t})
+                    >= bundle_value(inst, i, held[j] - {t})
+                    for t in held[i] | held[j]
+                ):
+                    return f"iteration {k}: deferred agent {i} not EF1 to {j}"
+    return None

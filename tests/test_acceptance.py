@@ -43,7 +43,11 @@ from mannafair.harness import (
     gen_random,
 )
 
-from conftest import ACCEPTANCE_LINES, separators_recover
+from conftest import (
+    ACCEPTANCE_LINES,
+    picking_invariant_violation,
+    separators_recover,
+)
 
 
 def report(num, title, ok, elapsed=None):
@@ -126,30 +130,7 @@ def test_03_picking_sequence_on_goods_with_loop_invariants():
         ok = ok and validate_certificate(inst, cert)
         ok = ok and len(cert.realloc_set) <= n // 2
         _, _, trace = run_picking_rounds(inst)
-        for state in trace:
-            held = [set(b) for b in state.partial]
-            for i in state.active:
-                ok = ok and all(
-                    bundle_value(inst, i, held[i])
-                    >= bundle_value(inst, i, held[j])
-                    for j in range(n)
-                )
-            for i in state.deferred:
-                granted = held[i] | set(state.reserved)
-                for j in range(n):
-                    if j == i:
-                        continue
-                    ok = ok and bundle_value(inst, i, granted) >= bundle_value(
-                        inst, i, held[j]
-                    )
-                    if bundle_value(inst, i, held[i]) < bundle_value(
-                        inst, i, held[j]
-                    ):
-                        ok = ok and any(
-                            bundle_value(inst, i, held[i] - {t})
-                            >= bundle_value(inst, i, held[j] - {t})
-                            for t in held[i] | held[j]
-                        )
+        ok = ok and picking_invariant_violation(inst, trace) is None
         if not ok:
             break
     elapsed = time.time() - start

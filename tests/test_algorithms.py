@@ -24,6 +24,8 @@ from mannafair.algorithms import (
 from mannafair.oracles import min_efr_k
 from mannafair.harness import gen_identical_chores, gen_paired_goods, gen_random
 
+from conftest import picking_invariant_violation, replay_picks
+
 
 def make_instance(rows):
     return Instance(tuple(tuple(F(v) for v in row) for row in rows))
@@ -137,37 +139,30 @@ class TestConflictAwarePicking:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_loop_invariants_per_iteration(self, seed):
-        # after each outer iteration: active agents envy-free; deferred
-        # agents EF1 and envy-free once granted all reserved items
         n = 2 + seed % 5
         inst = gen_random(n, 3 + seed % 8, 9, F(0), seed=seed)
         _, _, trace = run_picking_rounds(inst)
-        for state in trace:
-            held = [set(b) for b in state.partial]
-            for i in state.active:
-                for j in range(n):
-                    assert bundle_value(inst, i, held[i]) >= bundle_value(
-                        inst, i, held[j]
-                    )
-            for i in state.deferred:
-                granted = held[i] | set(state.reserved)
-                for j in range(n):
-                    if j == i:
-                        continue
-                    assert bundle_value(inst, i, granted) >= bundle_value(
-                        inst, i, held[j]
-                    )
-                    # EF1 without the reserve: dropping some single item
-                    # of either bundle clears the envy
-                    if bundle_value(inst, i, held[i]) >= bundle_value(
-                        inst, i, held[j]
-                    ):
-                        continue
-                    assert any(
-                        bundle_value(inst, i, held[i] - {t})
-                        >= bundle_value(inst, i, held[j] - {t})
-                        for t in held[i] | held[j]
-                    )
+        assert picking_invariant_violation(inst, trace) is None
+
+    @pytest.mark.parametrize(
+        "n, m, values, seed",
+        [(2 + s % 5, 3 + s % 8, 9, s) for s in range(40)]
+        + [(1, 5, 9, 0), (3, 0, 9, 0), (7, 40, 2, 1), (12, 90, 2, 2), (40, 700, 9, 1)],
+    )
+    def test_trace_replays_to_the_result(self, n, m, values, seed):
+        inst = gen_random(n, m, values, F(0), seed=seed)
+        partial, reserved, trace = run_picking_rounds(inst)
+        held = [frozenset()] * n  # what an empty trace (m = 0) replays to
+        for state, held in replay_picks(n, trace):
+            assert state.active.isdisjoint(state.deferred)
+            assert state.active | state.deferred == set(range(n))
+            assert len(state.picks) == n
+            assert len(state.reserved) <= n // 2
+        assert tuple(held) == partial
+        assert (trace[-1].reserved if trace else frozenset()) == reserved
+        # each item is picked once or reserved, never both
+        picked = [t for state in trace for t in state.picks if t is not None]
+        assert sorted(picked + list(reserved)) == list(range(m))
 
 
 class TestExtendWithRoundRobin:

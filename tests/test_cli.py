@@ -439,6 +439,32 @@ class TestExitCodes:
         assert run([*argv, "--max-candidates", budget]) == 3
         assert "--max-candidates" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", ["-1", "9"])
+    def test_k_out_of_range_names_the_flag(self, tmp_path, capsys, k):
+        inst, alloc = tmp_path / "inst.json", tmp_path / "alloc.json"
+        argv = ["gen", "--family", "random", "--n", "2", "--m", "4", "--seed", "1"]
+        run([*argv, "-o", str(inst)])
+        run(["solve", "--algo", "ef1", "-i", str(inst), "-o", str(alloc)])
+        capsys.readouterr()
+        argv = ["decide-efr", "-i", str(inst), "--alloc", str(alloc), "--k", k]
+        assert run(argv) == 3
+        assert capsys.readouterr().err == (
+            f"input error: --k: k={k} outside [0, m=4]\n"
+        )
+
+    def test_fixed_n_agent_cap_names_the_field(self, tmp_path, capsys):
+        inst, out = tmp_path / "five.json", tmp_path / "out.json"
+        argv = ["gen", "--family", "random", "--n", "5", "--m", "3", "--seed", "0"]
+        run([*argv, "-o", str(inst)])
+        capsys.readouterr()
+        argv = ["solve", "--algo", "fixed-n", "-i", str(inst), "-o", str(out)]
+        assert run(argv) == 3
+        assert capsys.readouterr().err == (
+            "input error: agents: the fixed-n search takes at most 4 agents "
+            "(its cost is exponential in n), got 5\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["check-po", "decide-efr"])
     def test_budget_below_one_is_input_error(
         self, tmp_path, capsys, inst_file, command

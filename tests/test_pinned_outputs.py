@@ -2,7 +2,10 @@
 
 Recorded once from the implementation that compared `Fraction` values and
 rescanned the remaining items on every greedy pick, before the integer value
-kernel replaced it.  Values in {1, 2} (or {-2, -1}) make most picks ties, so
+kernel replaced it.  The picking loop's per-iteration picks were read off
+the differences between consecutive bundle snapshots of the trace that
+copied every partial bundle on each iteration, before it recorded only the
+picks.  Values in {1, 2} (or {-2, -1}) make most picks ties, so
 the rows pin the lowest-index tie-breaking of every picker as well as the
 picks themselves.
 
@@ -63,8 +66,9 @@ def build(name):
 
 
 # drr: double_round_robin_ef1; ttc: resolve_top_trading_cycles on the drr
-# bundles shifted by one agent; efr_*: efr_n_minus_1; reserve/iterations:
-# run_picking_rounds; goods_rr: extend_with_round_robin (goods rows only)
+# bundles shifted by one agent; efr_*: efr_n_minus_1; reserve/iterations/
+# picks: run_picking_rounds, picks holding each trace state's picks;
+# goods_rr: extend_with_round_robin (goods rows only)
 PINNED = {
     'mixed-3x8': {
         'drr': [[0, 2], [3, 4, 5], [1, 6, 7]],
@@ -121,6 +125,7 @@ PINNED = {
         'efr_base': [[1, 7], [2, 6], [3, 5, 9], [0, 4, 8]],
         'reserve': [9],
         'iterations': 3,
+        'picks': [[1, 0, 3, 2], [5, 4, 7, 6], [8, None, None, None]],
         'goods_rr': [[1, 5, 8], [0, 4, 9], [3, 7], [2, 6]],
     },
     'goods-5x12': {
@@ -130,6 +135,7 @@ PINNED = {
         'efr_base': [[3, 7], [8, 10], [4, 5], [0, 2, 11], [1, 6, 9]],
         'reserve': [4],
         'iterations': 3,
+        'picks': [[0, 8, 1, 2, 3], [7, 10, 5, 11, 6], [9, None, None, None, None]],
         'goods_rr': [[0, 7, 9], [4, 8, 10], [1, 5], [2, 11], [3, 6]],
     },
     'goods-6x11': {
@@ -139,6 +145,7 @@ PINNED = {
         'efr_base': [[5], [3, 10], [4, 9], [1, 8], [2, 6], [0, 7]],
         'reserve': [2],
         'iterations': 2,
+        'picks': [[1, 0, 4, 5, 6, 7], [3, 8, 9, 10, None, None]],
         'goods_rr': [[1, 3], [0, 8], [4, 9], [5, 10], [2, 6], [7]],
     },
     'goods-3x9': {
@@ -148,6 +155,7 @@ PINNED = {
         'efr_base': [[1, 4, 6], [3, 7, 8], [0, 2, 5]],
         'reserve': [0],
         'iterations': 3,
+        'picks': [[1, 3, 5], [4, 7, 2], [6, 8, None]],
         'goods_rr': [[0, 1, 4, 6], [3, 7, 8], [2, 5]],
     },
     'goods-1x5': {
@@ -157,6 +165,7 @@ PINNED = {
         'efr_base': [[0, 1, 2, 3, 4]],
         'reserve': [],
         'iterations': 5,
+        'picks': [[0], [1], [2], [3], [4]],
         'goods_rr': [[0, 1, 2, 3, 4]],
     },
     'mixed-3x0': {
@@ -166,6 +175,7 @@ PINNED = {
         'efr_base': [[], [], []],
         'reserve': [],
         'iterations': 0,
+        'picks': [],
         'goods_rr': [[], [], []],
     },
     'rational-3x5': {
@@ -181,6 +191,7 @@ PINNED = {
         'efr_base': [[], [], [], [1], [0], [2]],
         'reserve': [0, 1, 2],
         'iterations': 1,
+        'picks': [[None, None, None, None, None, None]],
         'goods_rr': [[0], [1], [2], [], [], []],
     },
 }
@@ -206,6 +217,7 @@ def test_pipeline_outputs_are_pinned(name):
     partial, reserved, trace = algorithms.run_picking_rounds(inst)
     assert sorted(reserved) == want["reserve"]
     assert len(trace) == want["iterations"]
+    assert [list(state.picks) for state in trace] == want["picks"]
     extended = algorithms.extend_with_round_robin(inst, partial, reserved)
     assert bundles(extended) == want["goods_rr"]
 

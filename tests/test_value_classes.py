@@ -103,15 +103,11 @@ CASES = {
         "EfrDecision(verdict=True, certificate=" + repr(CERT) + ")",
     ),
     PickingState: (
-        ("active", "deferred", "reserved", "unallocated", "partial"),
-        (
-            frozenset({0}), frozenset({1}), frozenset({2}), frozenset({3}),
-            (frozenset({4}), frozenset()),
-        ),
-        (frozenset(), frozenset(), frozenset(), frozenset(), ()),
+        ("active", "deferred", "reserved", "picks"),
+        (frozenset({0}), frozenset({1}), frozenset({2}), (4, None)),
+        (frozenset(), frozenset(), frozenset(), ()),
         "PickingState(active=frozenset({0}), deferred=frozenset({1}), "
-        "reserved=frozenset({2}), unallocated=frozenset({3}), "
-        "partial=(frozenset({4}), frozenset()))",
+        "reserved=frozenset({2}), picks=(4, None))",
     ),
 }
 
