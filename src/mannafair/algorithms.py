@@ -218,7 +218,14 @@ def run_picking_rounds(inst: Instance):
     """
     n, m = inst.num_agents, inst.num_items
     if any(min(row, default=0) < 0 for row in inst.scaled):
-        raise ValueError("conflict-aware picking requires nonnegative values")
+        i, t, v = next(
+            (i, t, v) for i, row in enumerate(inst.values)
+            for t, v in enumerate(row) if v < 0
+        )
+        raise ValueError(
+            f"values[{i}][{t}]: conflict-aware picking requires nonnegative "
+            f"values, got {v}"
+        )
 
     active = set(range(n))
     deferred = set()

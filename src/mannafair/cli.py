@@ -226,7 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_MAX_CANDIDATES,
         help="fixed-n search budget; one unit is one separator combination, "
         "one joined tuple of per-agent item sets or one screened "
-        "(R, demand, tuple) candidate",
+        "(R, demand, tuple) candidate. The perturbation runs before any "
+        "candidate, under the fixed welfare.CYCLE_BUDGET (10^7 agent-item "
+        "cycle traversals), which this option does not lower",
     )
     solve.add_argument("-i", "--input", required=True)
     solve.add_argument("-o", "--output", required=True)

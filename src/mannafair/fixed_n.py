@@ -191,7 +191,7 @@ def search_efr_po(inst: Instance, max_candidates: int = DEFAULT_MAX_CANDIDATES):
                     continue
                 demand = {t: (i,) for i, items in enumerate(item_sets) for t in items}
                 demand.update(zip(realloc, demand_combo))
-                w = po_certificate_lp(pert, [demand[t] for t in range(m)])
+                w = po_certificate_lp(pert, demand)
                 if w is None:
                     continue
                 base, witnesses = found

@@ -366,6 +366,11 @@ def parse_certificate(text: str, inst: Instance) -> EfrCertificate:
         _bundles_in(w, inst, f"witnesses[{i}]", sets)
         for i, w in enumerate(doc["witnesses"])
     )
+    # counted after the entries, so an error inside one is reported first
+    if len(witnesses) != inst.num_agents:
+        raise ParseError(
+            f"witnesses: expected {inst.num_agents} allocations, one per agent"
+        )
     return EfrCertificate(base, realloc, witnesses)
 
 

@@ -124,34 +124,6 @@ class PerturbedInstance(FrozenRecord):
         return sum((row[t] for t in bundle), Fraction(0))
 
 
-class TieGraph(FrozenRecord):
-    """Bipartite agent/tie-item graph of the demand structure."""
-
-    # edges: frozenset[tuple[int, int]] of (agent, item)
-    _fields = ("num_agents", "tie_items", "edges")
-
-    def __init__(self, num_agents: int, tie_items: tuple, edges: frozenset):
-        object.__setattr__(self, "num_agents", num_agents)
-        object.__setattr__(self, "tie_items", tie_items)
-        object.__setattr__(self, "edges", edges)
-
-    def is_acyclic(self) -> bool:
-        parent: dict = {}
-
-        def find(x):
-            while parent.setdefault(x, x) != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for (i, t) in sorted(self.edges):
-            ra, rt = find(("a", i)), find(("t", t))
-            if ra == rt:
-                return False
-            parent[ra] = rt
-        return True
-
-
 def compute_params(inst: Instance) -> PerturbParams:
     """Perturbation parameters for an integer-valued instance.
 
@@ -310,41 +282,58 @@ def perturb_nondegenerate(inst: Instance) -> PerturbedInstance:
     )
 
 
-def demand_sets(pert: PerturbedInstance, w: WeightVector):
-    """Per-item demand sets, tie set, and tie graph under shifted weights.
-
-    D(t) is the set of agents maximizing (w_i + eta) * vbar_i(t); the tie
-    set collects items with at least two demanders.
+def demand_sets(pert: PerturbedInstance, w: WeightVector) -> tuple:
+    """The demand map under shifted weights, the shape `po_certificate_lp`
+    reads: entry t lists, in increasing order, the agents maximizing
+    (w_i + eta) * vbar_i(t).  An item with two or more demanders is tied.
     """
-    n, m = pert.base.num_agents, pert.base.num_items
-    if w.n != n:
+    if w.n != pert.base.num_agents:
         raise ValueError("weight vector length mismatch")
-    eta = pert.params.eta
-    demand: dict[int, tuple[int, ...]] = {}
-    ties = []
-    for t in range(m):
-        scores = [(w.weights[i] + eta) * pert.pert_value(i, t) for i in range(n)]
+    shifted = [wi + pert.params.eta for wi in w.weights]
+    demand = []
+    for col in zip(*pert.pert_values):
+        scores = [s * v for s, v in zip(shifted, col)]
         best = max(scores)
-        d = tuple(i for i in range(n) if scores[i] == best)
-        demand[t] = d
-        if len(d) >= 2:
-            ties.append(t)
-    edges = frozenset(
-        (i, t) for t in ties for i in demand[t]
-    )
-    return demand, tuple(ties), TieGraph(n, tuple(ties), edges)
+        demand.append(tuple(i for i, s in enumerate(scores) if s == best))
+    return tuple(demand)
+
+
+def tie_graph_is_forest(demand) -> bool:
+    """Whether the bipartite graph joining each tied item of a demand map to
+    its demanders has no cycle.
+
+    Union-find over the agents: a tied item closes a cycle exactly when two
+    of its demanders are already connected, and otherwise joins them all.
+    A forest on n agents has at most n-1 tied items.
+    """
+    parent: dict[int, int] = {}
+
+    def find(i):
+        while parent.setdefault(i, i) != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for agents in demand:
+        if len(agents) > 1:
+            roots = {find(i) for i in agents}
+            if len(roots) < len(agents):
+                return False
+            first = roots.pop()
+            for r in roots:
+                parent[r] = first
+    return True
 
 
 def max_weighted_welfare(pert: PerturbedInstance, w: WeightVector) -> Allocation:
     """Allocation maximizing shifted weighted welfare under perturbed values.
 
-    Additivity makes the per-item argmax optimal; ties go to the lowest
-    agent index.
+    Additivity makes the per-item argmax optimal; each item goes to its
+    first (lowest-index) demander.
     """
-    demand, _, _ = demand_sets(pert, w)
     bundles = [set() for _ in range(pert.base.num_agents)]
-    for t in range(pert.base.num_items):
-        bundles[min(demand[t])].add(t)
+    for t, agents in enumerate(demand_sets(pert, w)):
+        bundles[agents[0]].add(t)
     return Allocation(tuple(frozenset(b) for b in bundles))
 
 
@@ -412,18 +401,17 @@ def solve_leq_system(constraints, nvars: int) -> list[Fraction] | None:
     return point
 
 
-def po_certificate_lp(
-    pert: PerturbedInstance, demand: list[tuple[int, ...]]
-) -> WeightVector | None:
+def po_certificate_lp(pert: PerturbedInstance, demand) -> WeightVector | None:
     """Weight vector under which every item goes to one of its demanders.
 
     `demand[t]` lists the agents that item t may go to, for every item t
     in range(m): one agent for an item it holds alone, at least two for a
-    reallocated item.  Feasibility of the system { (w_j+eta) vbar_j(t) <=
-    (w_i+eta) vbar_i(t) for each t, i in demand[t], j != i;  w in the
-    simplex } is decided exactly, with the weights as the LP variables
-    (w >= 0, and sum(w) = 1 as two rows).  Two demanders of one item get
-    both rows, so they tie.  A feasible w makes every placement of the
+    reallocated item.  `demand` is a demand map as `demand_sets` returns
+    it, or any mapping with the m keys 0..m-1.  Feasibility of the system
+    { (w_j+eta) vbar_j(t) <= (w_i+eta) vbar_i(t) for each t, i in
+    demand[t], j != i;  w in the simplex } is decided exactly, with the
+    weights as the LP variables (w >= 0, and sum(w) = 1 as two rows).  Two
+    demanders of one item get both rows, so they tie.  A feasible w makes every placement of the
     items among their demanders maximize eta-shifted weighted welfare
     under the perturbed values, hence Pareto optimal under the original
     values.

@@ -126,8 +126,15 @@ class TestConflictAwarePicking:
         assert validate_certificate(PAIRED4, cert)
 
     def test_negative_value_rejected(self):
-        with pytest.raises(ValueError):
-            conflict_aware_picking(make_instance([[1, -1], [1, 1]]))
+        # the message names the first negative entry, as the file reader does
+        inst = make_instance([[1, 2, 3], [4, F(-1, 2), -3]])
+        message = (
+            r"^values\[1\]\[1\]: conflict-aware picking requires nonnegative "
+            r"values, got -1/2$"
+        )
+        for picking in (conflict_aware_picking, run_picking_rounds):
+            with pytest.raises(ValueError, match=message):
+                picking(inst)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_goods_instances(self, seed):

@@ -217,6 +217,23 @@ class TestSolveAndVerify:
         )
         assert run(["verify", "--cert", str(cert), "-i", str(inst)]) == 0
 
+    @pytest.mark.parametrize("extend", [[], ["--extend-round-robin"]])
+    def test_goods_solver_names_the_negative_value(self, tmp_path, capsys, extend):
+        inst, cert = tmp_path / "inst.json", tmp_path / "cert.json"
+        inst.write_text(
+            json.dumps(
+                {"format_version": 1, "agents": 2, "items": 3,
+                 "values": [[1, 2, -3], [4, 5, -6]]}
+            )
+        )
+        argv = ["solve", "--algo", "goods", *extend]
+        assert run([*argv, "-i", str(inst), "-o", str(cert)]) == 3
+        assert capsys.readouterr().err == (
+            "input error: values[0][2]: conflict-aware picking requires "
+            "nonnegative values, got -3\n"
+        )
+        assert not cert.exists()
+
     def test_invalid_certificate_exits_one(self, tmp_path, inst_file):
         cert = tmp_path / "cert.json"
         run(["solve", "--algo", "efr", "-i", str(inst_file), "-o", str(cert)])
@@ -585,6 +602,24 @@ class TestExitCodes:
         assert run(["verify", "--cert", str(cert), "-i", str(inst)]) == 3
         err = capsys.readouterr().err
         assert err == f"input error: {field}: item id 9 out of range 1..4\n"
+
+    @pytest.mark.parametrize("keep", [0, 2, 4])
+    def test_witness_count_other_than_n_is_input_error(
+        self, tmp_path, capsys, keep
+    ):
+        inst, cert = tmp_path / "inst.json", tmp_path / "cert.json"
+        assert run(["gen", "--family", "random", "--n", "3", "--m", "4",
+                    "--seed", "1", "-o", str(inst)]) == 0
+        assert run(["solve", "--algo", "efr", "-i", str(inst),
+                    "-o", str(cert)]) == 0
+        doc = json.loads(cert.read_text())
+        doc["witnesses"] = (doc["witnesses"] * 2)[:keep]
+        cert.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["verify", "--cert", str(cert), "-i", str(inst)]) == 3
+        assert capsys.readouterr().err == (
+            "input error: witnesses: expected 3 allocations, one per agent\n"
+        )
 
     def test_bool_bundle_item_is_input_error(self, tmp_path, inst_file):
         alloc = tmp_path / "alloc.json"

@@ -120,8 +120,8 @@ class TestReconstructI:
         raw = [F(i + 2) for i in range(n)]
         w = WeightVector(tuple(r / sum(raw) for r in raw))
         alloc = max_weighted_welfare(pert, w)
-        _, ties, _ = demand_sets(pert, w)
-        tie_set = frozenset(ties)
+        demand = demand_sets(pert, w)
+        tie_set = frozenset(t for t, d in enumerate(demand) if len(d) > 1)
         true_i = [frozenset(alloc.bundles[i]) - tie_set for i in range(n)]
         assert separators_recover(pert, true_i)
 
@@ -318,7 +318,7 @@ def test_search_output_is_supported_by_its_weights(n, m, chore_prob):
     for seed in range(10):
         inst = gen_random(n, m, 9, chore_prob, seed)
         alloc, cert, w = search_efr_po(inst)
-        demand, _, _ = demand_sets(perturb_nondegenerate(inst), w)
+        demand = demand_sets(perturb_nondegenerate(inst), w)
         assert all(len(demand[t]) >= 2 for t in cert.realloc_set)
         for placed in (alloc, *cert.witnesses):
             assert all(

@@ -17,20 +17,22 @@ from mannafair import cli, core
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# `mannafair.__all__` as it was when the package imported every layer
+# `mannafair.__all__` as it was when the package imported every layer,
+# with the `TieGraph` record since replaced by `tie_graph_is_forest`
 OLD_ALL = (
     "Allocation", "Budget", "BudgetExceededError", "EfrCertificate",
     "EfrDecision", "EnvyGraph", "IncompleteCertificateError", "Instance",
-    "PerturbParams", "PerturbedInstance", "Rational", "TieGraph",
-    "WeightVector", "algorithms", "build_envy_graph", "build_f_ij",
-    "bundle_value", "check_nondegenerate", "compute_params",
-    "conflict_aware_picking", "core", "decide_efr_k", "demand_sets",
+    "PerturbParams", "PerturbedInstance", "Rational", "WeightVector",
+    "algorithms", "build_envy_graph", "build_f_ij", "bundle_value",
+    "check_nondegenerate", "compute_params", "conflict_aware_picking",
+    "core", "decide_efr_k", "demand_sets",
     "double_round_robin_ef1", "efr_n_minus_1", "extend_with_round_robin",
     "fixed_n", "is_ef1", "is_envy_free", "is_envy_free_for",
     "is_pareto_optimal_bruteforce", "max_weighted_welfare", "min_efr_k",
     "oracles", "perturb_nondegenerate", "po_certificate_lp", "reconstruct_I",
     "resolve_top_trading_cycles", "run_picking_rounds", "search_efr_po",
-    "solve_partition", "validate_certificate", "welfare",
+    "solve_partition", "tie_graph_is_forest", "validate_certificate",
+    "welfare",
 )
 
 BASE = {"mannafair", "mannafair.cli", "mannafair.core", "mannafair.harness"}

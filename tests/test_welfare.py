@@ -4,6 +4,8 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mannafair.core import (
     Allocation,
@@ -23,6 +25,7 @@ from mannafair.welfare import (
     perturb_nondegenerate,
     po_certificate_lp,
     solve_leq_system,
+    tie_graph_is_forest,
 )
 from mannafair.harness import gen_identical_chores, gen_random
 
@@ -139,27 +142,68 @@ class TestPerturbNondegenerate:
                 )
 
 
+def argmax_demand(pert, w):
+    """The demand map by a brute-force argmax per item: every agent whose
+    shifted score is at least every other agent's."""
+    n, m, eta = pert.base.num_agents, pert.base.num_items, pert.params.eta
+    score = [
+        [(w.weights[i] + eta) * pert.pert_value(i, t) for t in range(m)]
+        for i in range(n)
+    ]
+    return tuple(
+        tuple(
+            i for i in range(n) if all(score[i][t] >= score[j][t] for j in range(n))
+        )
+        for t in range(m)
+    )
+
+
+def forest_by_counting(demand):
+    """Whether the tie graph of `demand` is a forest, by |E| = |V| - c.
+
+    The vertices are the agents of the tied items plus those items, the
+    edges join each tied item to its demanders, and c, the number of
+    components, is found by breadth-first search.
+    """
+    adj = {}
+    for t, agents in enumerate(demand):
+        if len(agents) > 1:
+            for i in agents:
+                adj.setdefault(("agent", i), []).append(("item", t))
+                adj.setdefault(("item", t), []).append(("agent", i))
+    edges = sum(map(len, adj.values())) // 2
+    seen, components = set(), 0
+    for start in adj:
+        if start not in seen:
+            components += 1
+            seen.add(start)
+            queue = [start]
+            while queue:
+                queue = [v for u in queue for v in adj[u] if v not in seen]
+                seen.update(queue)
+    return edges == len(adj) - components
+
+
 class TestDemandSets:
     def test_single_agent_demands_everything(self):
         pert = perturb_nondegenerate(make_instance([[1, 2, 3]]))
-        demand, ties, graph = demand_sets(pert, WeightVector((F(1),)))
-        assert all(demand[t] == (0,) for t in range(3))
-        assert ties == ()
-        assert graph.is_acyclic()
+        demand = demand_sets(pert, WeightVector((F(1),)))
+        assert demand == ((0,), (0,), (0,))
+        assert tie_graph_is_forest(demand)
 
     def test_identical_rows_tie_everywhere_without_perturbation(self):
         # hand-built perturbed instance with eps = 0 is degenerate on
-        # purpose: uniform weights then tie every item among all agents
+        # purpose: uniform weights then tie every item among all agents,
+        # and the two tied items close the cycle 0 - item 0 - 1 - item 1
         inst = make_instance([[1, 2], [1, 2]])
         params = compute_params(inst)
         pert = PerturbedInstance(
             inst, ((F(0), F(0)), (F(0), F(0))), params
         )
-        demand, ties, _ = demand_sets(
-            pert, WeightVector((F(1, 2), F(1, 2)))
-        )
-        assert ties == (0, 1)
-        assert demand[0] == (0, 1)
+        demand = demand_sets(pert, WeightVector((F(1, 2), F(1, 2))))
+        assert demand == ((0, 1), (0, 1))
+        assert not tie_graph_is_forest(demand)
+        assert not forest_by_counting(demand)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_tie_graph_acyclic_and_tie_set_small(self, seed):
@@ -167,9 +211,42 @@ class TestDemandSets:
         inst = gen_random(n, 6, 9, F(1, 2), seed=seed)
         pert = perturb_nondegenerate(inst)
         for w in weight_grid(n):
-            _, ties, graph = demand_sets(pert, w)
-            assert graph.is_acyclic()
-            assert len(ties) <= n - 1
+            demand = demand_sets(pert, w)
+            assert tie_graph_is_forest(demand)
+            assert sum(len(d) > 1 for d in demand) <= n - 1
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_brute_force_argmax(self, seed):
+        # the unperturbed copy (eps = 0) keeps the ties of integer values
+        n = 2 + seed % 3
+        inst = gen_random(n, 6, 3, F(1, 2), seed=seed)
+        unperturbed = PerturbedInstance(
+            inst, ((F(0),) * 6,) * n, compute_params(inst)
+        )
+        for pert in (perturb_nondegenerate(inst), unperturbed):
+            for w in weight_grid(n):
+                assert demand_sets(pert, w) == argmax_demand(pert, w)
+
+
+class TestTieGraphIsForest:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.sets(st.integers(0, n - 1), min_size=1).map(sorted).map(tuple),
+                max_size=6,
+            )
+        )
+    )
+    def test_agrees_with_edge_counting(self, demand):
+        assert tie_graph_is_forest(demand) == forest_by_counting(demand)
+
+    def test_cycles_and_forests(self):
+        assert tie_graph_is_forest(())
+        assert tie_graph_is_forest(((0,), (1,), (0, 1)))
+        assert tie_graph_is_forest(((0, 1), (1, 2), (2, 3)))
+        assert not tie_graph_is_forest(((0, 1), (1, 2), (0, 2)))
+        assert not tie_graph_is_forest(((0, 1, 2), (0, 2)))
 
 
 class TestMaxWeightedWelfare:
@@ -283,11 +360,11 @@ class TestPoCertificateLp:
         inst = gen_random(n, 5, 9, F(1, 2), seed=seed)
         pert = perturb_nondegenerate(inst)
         for w0 in weight_grid(n):
-            demand, _, _ = demand_sets(pert, w0)
-            w = po_certificate_lp(pert, [demand[t] for t in range(5)])
+            demand = demand_sets(pert, w0)
+            w = po_certificate_lp(pert, demand)
             assert w is not None
             # the returned weights support the same demand map
-            supported, _, _ = demand_sets(pert, w)
+            supported = demand_sets(pert, w)
             assert all(set(demand[t]) <= set(supported[t]) for t in range(5))
 
     def test_forced_contradiction_is_infeasible(self):
