@@ -18,6 +18,14 @@ and one denominator edge, so the ratio product is unchanged), a path
 carries its running numerator and denominator, and a closing edge is one
 comparison of two integer products.  Cycles sharing a prefix share its
 multiplications, and no `Fraction` is built per step.
+
+The perturbation first screens each entry's forbidden values by their
+residues mod the prime `_P` = 2^61 - 1 (residue fingerprints, after Karp
+and Rabin, 1987): a path carries one residue, extended and closed by one
+modular product each.  Equal values have equal residues, so distinct
+residues prove the values distinct and their count exact, and a grid
+point whose residue misses them is allowed.  An entry the screen cannot
+settle runs the exact walk, so the result never depends on `_P`.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from .core import (
 )
 
 CYCLE_BUDGET = 10**7
+_P = 2**61 - 1  # a Mersenne prime; the perturbation screens by residues mod _P
 
 
 class PerturbParams(FrozenRecord):
@@ -245,6 +254,78 @@ def _forbidden_eps(inst, rows, pert_row, agent, item):
     return forbidden
 
 
+def _residue(num: int, den: int):
+    """num/den mod `_P`, or None when `_P` divides den."""
+    den %= _P
+    return num * pow(den, -1, _P) % _P if den else None
+
+
+def _inverses(xs) -> list:
+    """The inverses mod `_P` of nonzero residues, with one `pow` (Montgomery's
+    batch inversion)."""
+    prefix = [1]
+    for x in xs:
+        prefix.append(prefix[-1] * x % _P)
+    inv = pow(prefix[-1], -1, _P)
+    out = [0] * len(xs)
+    for j in range(len(xs) - 1, -1, -1):
+        out[j] = inv * prefix[j] % _P
+        inv = inv * xs[j] % _P
+    return out
+
+
+def _forbid_residues(step, close, a, r, free, items, lo, xs) -> None:
+    """Append to `xs` the residues of the values that cycles extending this
+    path solve for, as `_forbid` walks them.
+
+    The path has residue r at agent `a`.  `items` lists its unused items,
+    the `lo` items before the entry's item first; it closes on one of
+    those and may still visit the `free` agents through any unused item.
+    The leaves, paths with no free agent left, are one list comprehension
+    per parent.
+    """
+    row = close[a]
+    xs += [r * row[i] % _P for i in items[:lo]]
+    for b in free:
+        st = step[a][b]
+        rest = [c for c in free if c != b]
+        if rest:
+            for j, i in enumerate(items):
+                rest_items = items[:j] + items[j + 1 :]
+                _forbid_residues(
+                    step, close, b, r * st[i] % _P, rest, rest_items, lo - (j < lo), xs
+                )
+            continue
+        row = close[b]
+        cs = [row[i] for i in items[:lo]]
+        leaves = [s * c % _P for s in [r * st[i] % _P for i in items] for c in cs]
+        del leaves[: lo * lo : lo + 1]  # b cannot close on the item it was reached by
+        xs += leaves
+
+
+def _residue_screen(res, step, close, agent, item, v, eps_r):
+    """(grid size, residue of v - epsilon / grid) when residues settle the
+    entry (agent, item) at its first grid point, else None.
+
+    `xs` holds the residue of every value x the entry must avoid: 0, and
+    each closing's solution (eps = v - x is then forbidden).  Pairwise
+    distinct residues make the values distinct, so the grid counts them
+    exactly, and a grid point whose residue misses them all is allowed.
+    """
+    xs = [0]
+    if agent and item:
+        items = [i for i in range(len(res[0])) if i != item]
+        for b in range(agent):
+            free = [a for a in range(agent) if a != b]
+            _forbid_residues(step, close, b, res[b][item], free, items, item, xs)
+    grid = len(xs) + 2
+    x = _residue(v * grid - eps_r, grid)
+    seen = set(xs)
+    if x is not None and len(seen) == len(xs) and x not in seen:
+        return grid, x
+    return None
+
+
 def perturb_nondegenerate(inst: Instance) -> PerturbedInstance:
     """Deterministically choose perturbations yielding non-degenerate values.
 
@@ -255,6 +336,13 @@ def perturb_nondegenerate(inst: Instance) -> PerturbedInstance:
     is picked from a uniform grid in (0, epsilon) with more points than
     forbidden values.  The cycle budget of `check_nondegenerate` applies,
     and `search_efr_po` inherits it (at n = 3 it is reached at m = 172).
+
+    The forbidden values are screened by their residues mod `_P`
+    (`_residue_screen`), two modular products per cycle: distinct residues
+    prove the values distinct and the first grid point allowed.  An entry
+    the screen does not settle runs the exact `_forbidden_eps` and grid
+    loop, and once a residue is undefined or zero every remaining entry
+    does, so the result is the exact walk's in every case.
     """
     n, m = inst.num_agents, inst.num_items
     _spend_cycles(n, m)
@@ -262,21 +350,48 @@ def perturb_nondegenerate(inst: Instance) -> PerturbedInstance:
     if scale > 1:
         inst = Instance(tuple(tuple(v * scale for v in row) for row in inst.values))
     params = compute_params(inst)
+    epsilon = params.epsilon
+    eps_r = _residue(epsilon.numerator, epsilon.denominator)
     eps_matrix = [[None] * m for _ in range(n)]
     rows = []  # the finished perturbed rows, scaled to integers
+    res, inv = [], []  # their residues and the residues' inverses
+    step = [[None] * n for _ in range(n)]  # step[a][b][t] = r(pert_b[t] / pert_a[t])
     for i in range(n):
-        pert = [None] * m
+        pert, cur = [None] * m, []
+        close = [[] for _ in range(i)]  # close[a][t] = r(pert_i[t] / pert_a[t])
         for t in range(m):
-            forbidden = _forbidden_eps(inst, rows, pert, i, t)
-            grid = len(forbidden) + 2
-            for k in range(1, grid):  # grid - 1 points, so one is admissible
-                chosen = params.epsilon * k / grid
-                if (chosen.numerator, chosen.denominator) not in forbidden:
-                    break
-            del forbidden  # else it lives on while the next entry's set grows
+            v = inst.values[i][t]
+            hit = eps_r and _residue_screen(res, step, close, i, t, v.numerator, eps_r)
+            if hit:
+                grid, x = hit
+                chosen = epsilon / grid
+            else:
+                forbidden = _forbidden_eps(inst, rows, pert, i, t)
+                grid = len(forbidden) + 2
+                for k in range(1, grid):  # grid - 1 points, so one is admissible
+                    chosen = epsilon * k / grid
+                    if (chosen.numerator, chosen.denominator) not in forbidden:
+                        break
+                del forbidden  # else it lives on while the next entry's set grows
             eps_matrix[i][t] = chosen
-            pert[t] = inst.values[i][t] - chosen
+            pert[t] = v - chosen
+            if eps_r:
+                if not hit:
+                    x = _residue(pert[t].numerator, pert[t].denominator)
+                if not x:  # no inverse: the exact walk from here on
+                    eps_r = None
+                    continue
+                cur.append(x)
+                for a in range(i):
+                    close[a].append(inv[a][t] * x % _P)
         rows.append(scale_row(pert)[1])
+        if eps_r:
+            cur_inv = _inverses(cur)
+            for a in range(i):
+                step[a][i] = [p * q % _P for p, q in zip(inv[a], cur)]
+                step[i][a] = [p * q % _P for p, q in zip(cur_inv, res[a])]
+            res.append(cur)
+            inv.append(cur_inv)
     return PerturbedInstance(
         inst, tuple(tuple(row) for row in eps_matrix), params
     )

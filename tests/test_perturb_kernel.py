@@ -6,6 +6,11 @@ implementations, which enumerate item and agent permutations and multiply
 `Fraction` ratios edge by edge; the walk must agree with them on every
 matrix, including zeros, negatives, mixed denominators and planted
 product-one cycles of length 2 and 3.
+
+`perturb_nondegenerate` screens forbidden values by residues mod
+`welfare._P` before it runs the exact walk.  A small modulus forced in its
+place makes the screen fall back on most entries, and the eps matrix must
+stay the reference's either way.
 """
 
 import hashlib
@@ -16,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mannafair import welfare
 from mannafair.cli import main
 from mannafair.core import BudgetExceededError, Instance, as_rational, scale_row
 from mannafair.harness import gen_random, serialize_instance, serialize_perturbed
@@ -198,12 +204,15 @@ def test_perturbation_matches_reference(data):
 
 
 # SHA-256 of serialize_perturbed(perturb_nondegenerate(gen_random(n, m, 9,
-# 1/2, seed=1))), recorded from the Fraction implementation
+# 1/2, seed=1))), recorded from the Fraction implementation; (5, 7) and
+# (6, 5) from the exact integer walk, before the residue screen
 PINNED = {
     (4, 8): "2cf88a4e464c8eed0a374e723b16a8b92b448bcd1965d3636bda0ba0af1f0328",
     (5, 6): "27abfb63a0bb5e7c5810501ef6ab97ffe402ce47ab23cdc12f7b56335724cac8",
     (3, 8): "ee284bc6cc55685df864020bbfd7cc8fb35aa5b3066b24e29d744e1001e63ad0",
     (2, 12): "38a2e60de426fb1434fbbefc2c1fc7f7f7db2bb3767750be19807987ad0e270a",
+    (5, 7): "44ab400c82177577039b69330f8287677d8991761485210780decd9452dd89c6",
+    (6, 5): "bcf18a76ab5c9c8a8914e7eb90e78beb92cc2fe327eb2cc312d2c24be182effa",
 }
 
 
@@ -212,6 +221,73 @@ def test_pinned_perturbations(shape):
     pert = perturb_nondegenerate(gen_random(*shape, 9, F(1, 2), seed=1))
     digest = hashlib.sha256(serialize_perturbed(pert).encode()).hexdigest()
     assert digest == PINNED[shape]
+
+
+@st.composite
+def degenerate_instances(draw):
+    """Zeros, rationals, and identical or proportional rows."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 5))
+    first = [draw(VALUE) for _ in range(m)]
+    shape = draw(st.sampled_from(["any", "identical", "proportional"]))
+    if shape == "any":
+        rows = [first] + [[draw(VALUE) for _ in range(m)] for _ in range(n - 1)]
+    elif shape == "identical":
+        rows = [first] * n
+    else:
+        rows = [[v * draw(VALUE.filter(bool)) for v in first] for _ in range(n)]
+    return Instance(tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("prime", [2, 3, 101])
+@settings(max_examples=40, deadline=None)
+@given(inst=degenerate_instances())
+def test_fallback_matches_reference_at_small_primes(prime, inst):
+    """A small modulus makes residues collide, vanish or lose their inverse,
+    so entries take the exact fallback; the eps matrix must not change."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(welfare, "_P", prime)
+        pert = perturb_nondegenerate(inst)
+    assert pert.eps_matrix == ref_perturb_eps(pert.base)
+
+
+@pytest.mark.parametrize("shape", sorted(PINNED))
+def test_residue_screen_decides_pinned_shapes(shape, monkeypatch):
+    """At the real modulus no entry of these shapes needs the exact walk."""
+
+    def exact_walk(*args):
+        raise AssertionError("the residue screen fell back")
+
+    monkeypatch.setattr(welfare, "_forbidden_eps", exact_walk)
+    pert = perturb_nondegenerate(gen_random(*shape, 9, F(1, 2), seed=1))
+    digest = hashlib.sha256(serialize_perturbed(pert).encode()).hexdigest()
+    assert digest == PINNED[shape]
+
+
+def test_residue_of_unreduced_fraction_and_undefined_residue():
+    p = welfare._P
+    assert welfare._residue(2 * 7, 4 * 7) == welfare._residue(1, 2)
+    assert welfare._residue(1, 2) * 2 % p == 1
+    assert welfare._residue(-3, 5) == (p - welfare._residue(3, 5)) % p
+    assert welfare._residue(p, 3) == 0
+    assert welfare._residue(3, p) is None
+    assert welfare._residue(p, 2 * p) is None  # 1/2, but unreduced by p
+
+
+def test_screen_refuses_repeated_residues_and_a_forbidden_grid_point():
+    """Entry (1, 2) after one finished row: its two 2-cycles solve for
+    res[0][2] * close[0][j], j = 0, 1, so xs = [0, 7 * c0, 7 * c1]."""
+    res, step = [[1, 1, 7, 1]], [[None]]
+    screen = welfare._residue_screen
+    assert screen(res, step, [[5, 6]], 1, 2, 36, 10) == (5, 34)  # 36 - 10 / 5
+    assert screen(res, step, [[5, 5]], 1, 2, 36, 10) is None  # 35 twice
+    # v - eps / grid = 36 - 5 / 5 = 35 = 7 * 5 is a closing's value
+    assert screen(res, step, [[5, 6]], 1, 2, 36, 5) is None
+
+
+def test_batch_inverses():
+    xs = [1, 2, 3, welfare._P - 1, 2**60 + 12345]
+    assert [x * y % welfare._P for x, y in zip(xs, welfare._inverses(xs))] == [1] * 5
+    assert welfare._inverses([]) == []
 
 
 def test_perturb_budget_raises_before_work():
