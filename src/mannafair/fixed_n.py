@@ -2,24 +2,17 @@
 
 Each ordered agent pair's (good, chore) separator options fix ratio-filter
 sets F_ij; intersecting one per pair gives an agent's uniquely-demanded set
-I_i.  `build_f_ij` sorts a pair's common goods and chores by value ratio
-once and reads every option's F_ij as prefixes of those orders;
-`reconstruct_I` lists an agent's distinct I_i.  The I_i are joined into
-pairwise disjoint tuples and grouped by the reallocation set R of items
-they leave uncovered.
+I_i.  Sets are item bitmasks (`build_f_ij`, `reconstruct_I`) until the
+join (`_join`) keeps pairwise disjoint tuples of them, grouped by the
+reallocation set R of items they leave uncovered.
 
 A candidate is one joined tuple plus demand sets over R: agent i alone
 demands each item of I_i, and a set D(t) of at least two agents each item t
-of R.  For each R (by size, then lexicographic), demand sets over R and
-joined tuple, the candidate is screened with the reassignment-based
-envy-freeness test (under the original values), then its per-item demand
-map with the weighted-welfare LP.  The base gives each item of R to its
-lowest demander; each witness is the base plus the moves of one other
-placement of R among its demanders (`Allocation.reassign`), so the screen
-profiles the base once and re-sums only the moved items per placement.
-The LP certifies that every placement maximizes eta-shifted weighted
-welfare under the perturbed values, so the base and every witness are
-Pareto optimal.
+of R.  By R (by size, then lexicographic), demand sets and tuple, each
+candidate is screened for envy-free witnesses (`_efr_witnesses`), then the
+weighted-welfare LP certifies that every placement of R among its
+demanders maximizes eta-shifted welfare under the perturbed values, so the
+base and every witness are Pareto optimal.
 
 The search takes at most `HARD_AGENT_CAP` = 4 agents: each agent's
 separator product grows like m^(2(n-1)), and the join multiplies them.
@@ -29,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
+from functools import cmp_to_key, reduce
 
 from .core import (
     DEFAULT_MAX_CANDIDATES,
@@ -44,73 +37,86 @@ from .welfare import PerturbedInstance, perturb_nondegenerate, po_certificate_lp
 HARD_AGENT_CAP = 4
 
 
-def _prefixes(ratio):
-    """Each item's filter set: the items whose ratio is at most its own."""
-    order = sorted(ratio, key=ratio.__getitem__)
-    ratios = [ratio[t] for t in order]
-    return {
-        t: frozenset(order[: bisect_right(ratios, r)]) for t, r in ratio.items()
-    }
+def _prefix_masks(items, num, den) -> dict:
+    """Each item's mask of the items whose ratio num/den (`den` of one sign)
+    is at most its own: items in cross-product order, each run of equal
+    ratios sharing the prefix that ends it."""
+    ratio = cmp_to_key(lambda s, t: num[s] * den[t] - num[t] * den[s])
+    masks, acc = {}, 0
+    for _, run in itertools.groupby(sorted(items, key=ratio), ratio):
+        run = list(run)
+        acc |= sum(1 << t for t in run)
+        masks.update(dict.fromkeys(run, acc))
+    return masks
 
 
-def build_f_ij(
-    pert: PerturbedInstance, i: int, j: int
-) -> dict[tuple[int | None, int | None], frozenset]:
-    """Ratio-filter sets F_ij = Q_ij | G_ij | B_ij of every separator option.
+def build_f_ij(pert: PerturbedInstance, i: int, j: int) -> dict[tuple, int]:
+    """Ratio-filter masks F_ij = Q_ij | G_ij | B_ij of every separator option.
 
-    Keys are (good, chore) separator options, each None or a common good
-    (chore) of i and j, in the order `[None] + goods` by `[None] + chores`
-    with goods and chores by increasing item.  Q_ij holds the items that
-    are goods for i and chores for j; G_ij the common goods whose ratio
-    vbar_j/vbar_i is at most the separating good's, B_ij the common chores
-    whose |vbar_i|/|vbar_j| is at most the separating chore's.  Each order
-    is sorted once per pair, so equal ratios fall on the same side.
+    Keys are (good, chore) options, each None or a common good (chore) of i
+    and j, in the order `[None] + goods` by `[None] + chores` by increasing
+    item.  Q_ij holds the goods of i that are chores of j; G_ij the common
+    goods whose ratio vbar_j/vbar_i is at most the separating good's, B_ij
+    the common chores whose |vbar_i|/|vbar_j| is at most the separating
+    chore's.  The rows `pert.scaled` keep each sign and a pair's ratio order.
     """
-    vi, vj = pert.pert_values[i], pert.pert_values[j]
-    goods, chores, q = [], [], []
+    vi, vj = pert.scaled[i], pert.scaled[j]
+    goods, chores, q = [], [], 0
     for t, (a, b) in enumerate(zip(vi, vj)):
         if a > 0 and b > 0:
             goods.append(t)
         elif a < 0 and b < 0:
             chores.append(t)
         elif a > 0 > b:
-            q.append(t)
-    good_sets = _prefixes({t: vj[t] / vi[t] for t in goods})
-    chore_sets = _prefixes({t: vi[t] / vj[t] for t in chores})
-    base = frozenset(q)
-    return {
-        (g, c): base.union(good_sets.get(g, ()), chore_sets.get(c, ()))
-        for g in [None] + goods
-        for c in [None] + chores
-    }
+            q |= 1 << t
+    below_g, below_c = _prefix_masks(goods, vj, vi), _prefix_masks(chores, vi, vj)
+    options = itertools.product([None, *goods], [None, *chores])
+    return {(g, c): q | below_g.get(g, 0) | below_c.get(c, 0) for g, c in options}
 
 
-def reconstruct_I(pert: PerturbedInstance, i: int, budget: Budget) -> list[frozenset]:
-    """Agent i's distinct uniquely-demanded sets I_i.
+def reconstruct_I(pert: PerturbedInstance, i: int, budget: Budget) -> list[int]:
+    """Agent i's distinct uniquely-demanded sets I_i, as masks.
 
     The empty set (agent i claims nothing) comes first, then each
     intersection of one F_ij per other agent j, in first-seen order over
     the product of the pairs' option orders, whose size is spent first.
+    Each pair keeps distinct prefixes; a repeated one yields no new set.
     """
-    per_pair = [
-        build_f_ij(pert, i, j).values()
-        for j in range(pert.base.num_agents)
-        if j != i
-    ]
+    n = pert.base.num_agents
+    per_pair = [build_f_ij(pert, i, j).values() for j in range(n) if j != i]
     budget.spend(math.prod(map(len, per_pair)))
-    all_items = frozenset(range(pert.base.num_items))
-    seen = dict.fromkeys([frozenset()])
-    for filters in itertools.product(*per_pair):
-        seen.setdefault(all_items.intersection(*filters))
-    return list(seen)
+    level = [(1 << pert.base.num_items) - 1]
+    for options in per_pair:
+        level = list(dict.fromkeys([a & f for a in level for f in options]))
+    return list(dict.fromkeys([0, *level]))
 
 
-def _demand_options(n: int):
-    """Agent subsets of size >= 2, by increasing size then lexicographic."""
-    opts = []
-    for size in range(2, n + 1):
-        opts.extend(itertools.combinations(range(n), size))
-    return opts
+def _join(per_agent, m: int) -> dict[frozenset, list]:
+    """The pairwise disjoint tuples of one I_i mask per agent leaving fewer
+    than n items uncovered, in `itertools.product` order, as frozensets
+    grouped by the uncovered R.  A depth-first walk skips each set meeting
+    the claimed items and cuts a node once n or more items lie outside them
+    and `reach` (every set of the agents still to place)."""
+    n, full = len(per_agent), (1 << m) - 1
+    reach = [0] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        reach[k] = reduce(int.__or__, per_agent[k], reach[k + 1])
+    kept: dict[int, list] = {}
+
+    def walk(k, claimed, picked):
+        for s in per_agent[k]:
+            c = claimed | s
+            if not s & claimed and (full ^ (c | reach[k + 1])).bit_count() < n:
+                if k + 1 < n:
+                    walk(k + 1, c, (*picked, s))
+                else:
+                    kept.setdefault(full ^ c, []).append((*picked, s))
+
+    walk(0, 0, ())
+    flat = itertools.chain.from_iterable
+    masks = {*kept, *flat(flat(kept.values()))}
+    sets = {s: frozenset(t for t in range(m) if s >> t & 1) for s in masks}
+    return {sets[r]: [tuple(map(sets.get, t)) for t in ts] for r, ts in kept.items()}
 
 
 def _efr_witnesses(inst, item_sets, realloc, demand_combo):
@@ -173,14 +179,11 @@ def search_efr_po(inst: Instance, max_candidates: int = DEFAULT_MAX_CANDIDATES):
     # order over distinct sets is their first-seen separator-product order
     per_agent = [reconstruct_I(pert, i, budget) for i in range(n)]
     budget.spend(math.prod(map(len, per_agent)))
-    by_realloc: dict[frozenset, list] = {}
-    all_items = frozenset(range(m))
-    for item_sets in itertools.product(*per_agent):
-        claimed = frozenset().union(*item_sets)
-        if sum(map(len, item_sets)) == len(claimed) and m - len(claimed) < n:
-            by_realloc.setdefault(all_items - claimed, []).append(item_sets)
+    by_realloc = _join(per_agent, m)
 
-    demand_opts = _demand_options(n)
+    # demand sets: agent subsets of size >= 2, by size then lexicographic
+    sizes = range(2, n + 1)
+    demand_opts = [c for k in sizes for c in itertools.combinations(range(n), k)]
     for rset in sorted(by_realloc, key=lambda r: (len(r), sorted(r))):
         realloc = sorted(rset)
         for demand_combo in itertools.product(demand_opts, repeat=len(realloc)):

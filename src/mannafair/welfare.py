@@ -9,8 +9,9 @@ certified by an exact linear program: a weight vector under which each
 item's demanders tie and beat every other agent makes every placement
 among the demanders Pareto optimal, the weighted-welfare (fPO)
 certificate of Barman, Krishnamurthy and Vaish (EC 2018).  The LP has
-one variable per agent and is decided by an exact simplex over integer
-rows with fraction-free pivots.
+one variable per agent; its rows are built from the perturbed instance's
+per-agent integer rows and decided by an exact simplex with fraction-free
+pivots, with no `Fraction` until the returned point.
 
 Cycles are walked depth-first over integer rows: each row is scaled by
 the LCM of its denominators (every agent of a cycle heads one numerator
@@ -68,11 +69,8 @@ class PerturbParams(FrozenRecord):
             )
         if epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        object.__setattr__(self, "lambda_lb", lambda_lb)
-        object.__setattr__(self, "Lambda", Lambda)
-        object.__setattr__(self, "omega_lb", omega_lb)
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "epsilon", epsilon)
+        fields = lambda_lb, Lambda, omega_lb, eta, epsilon
+        vars(self).update(zip(self._fields, fields))
 
 
 class WeightVector(FrozenRecord):
@@ -99,8 +97,9 @@ class WeightVector(FrozenRecord):
 class PerturbedInstance(FrozenRecord):
     """An instance plus its perturbation matrix and parameters.
 
-    The perturbed values `_pert` are derived, so they stay out of `==`,
-    `hash` and `repr`.
+    The perturbed values `_pert`, their integer rows `scaled` (as
+    `Instance.scaled`) and those rows' LCMs `_scales` are derived, so they
+    stay out of `==`, `hash` and `repr`.
     """
 
     # eps_matrix: tuple[tuple[Fraction, ...], ...]
@@ -113,13 +112,14 @@ class PerturbedInstance(FrozenRecord):
         ):
             raise ValueError("eps matrix shape mismatch")
         pert = tuple(
-            tuple(base.values[i][t] - eps[i][t] for t in range(base.num_items))
-            for i in range(base.num_agents)
+            tuple(v - e for v, e in zip(vals, row))
+            for vals, row in zip(base.values, eps)
         )
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "eps_matrix", eps)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "_pert", pert)
+        self._fill(base, eps, params, pert, *zip(*map(scale_row, pert)))
+
+    def _fill(self, *parts):
+        """Set the fields, `_pert`, `_scales` and `scaled`, with no check."""
+        vars(self).update(zip((*self._fields, "_pert", "_scales", "scaled"), parts))
 
     @property
     def pert_values(self) -> tuple:
@@ -141,16 +141,10 @@ def compute_params(inst: Instance) -> PerturbParams:
     agent as the value spread between its goods and its chores.
     """
     n, m = inst.num_agents, inst.num_items
-    for row in inst.values:
-        for v in row:
-            if v.denominator != 1:
-                raise ValueError("compute_params requires integer values")
-    lambda_lb = Fraction(1)
-    omega_lb = Fraction(1)
-    spread = max(
-        (sum((abs(v) for v in row), Fraction(0)) for row in inst.values),
-    )
-    Lambda = spread if spread > 0 else Fraction(1)
+    if any(v.denominator != 1 for row in inst.values for v in row):
+        raise ValueError("compute_params requires integer values")
+    lambda_lb = omega_lb = Fraction(1)
+    Lambda = Fraction(max(sum(map(abs, row)) for row in inst.scaled) or 1)
     eta = lambda_lb / (2 * Lambda * n)
     epsilon = eta / (8 * n * max(m, 1)) * min(lambda_lb, omega_lb, Fraction(1))
     return PerturbParams(lambda_lb, Lambda, omega_lb, eta, epsilon)
@@ -336,13 +330,9 @@ def perturb_nondegenerate(inst: Instance) -> PerturbedInstance:
     is picked from a uniform grid in (0, epsilon) with more points than
     forbidden values.  The cycle budget of `check_nondegenerate` applies,
     and `search_efr_po` inherits it (at n = 3 it is reached at m = 172).
-
-    The forbidden values are screened by their residues mod `_P`
-    (`_residue_screen`), two modular products per cycle: distinct residues
-    prove the values distinct and the first grid point allowed.  An entry
-    the screen does not settle runs the exact `_forbidden_eps` and grid
-    loop, and once a residue is undefined or zero every remaining entry
-    does, so the result is the exact walk's in every case.
+    Each entry is screened by residues first (`_residue_screen`); one the
+    screen does not settle runs the exact `_forbidden_eps` and grid loop,
+    and once a residue is undefined or zero every later entry does.
     """
     n, m = inst.num_agents, inst.num_items
     _spend_cycles(n, m)
@@ -352,12 +342,11 @@ def perturb_nondegenerate(inst: Instance) -> PerturbedInstance:
     params = compute_params(inst)
     epsilon = params.epsilon
     eps_r = _residue(epsilon.numerator, epsilon.denominator)
-    eps_matrix = [[None] * m for _ in range(n)]
-    rows = []  # the finished perturbed rows, scaled to integers
+    eps_rows, pert_rows, scaled = [], [], []  # the finished rows, `scale_row` pairs
     res, inv = [], []  # their residues and the residues' inverses
     step = [[None] * n for _ in range(n)]  # step[a][b][t] = r(pert_b[t] / pert_a[t])
     for i in range(n):
-        pert, cur = [None] * m, []
+        eps, pert, cur = [None] * m, [None] * m, []
         close = [[] for _ in range(i)]  # close[a][t] = r(pert_i[t] / pert_a[t])
         for t in range(m):
             v = inst.values[i][t]
@@ -366,6 +355,7 @@ def perturb_nondegenerate(inst: Instance) -> PerturbedInstance:
                 grid, x = hit
                 chosen = epsilon / grid
             else:
+                rows = [row for _, row in scaled]
                 forbidden = _forbidden_eps(inst, rows, pert, i, t)
                 grid = len(forbidden) + 2
                 for k in range(1, grid):  # grid - 1 points, so one is admissible
@@ -373,7 +363,7 @@ def perturb_nondegenerate(inst: Instance) -> PerturbedInstance:
                     if (chosen.numerator, chosen.denominator) not in forbidden:
                         break
                 del forbidden  # else it lives on while the next entry's set grows
-            eps_matrix[i][t] = chosen
+            eps[t] = chosen
             pert[t] = v - chosen
             if eps_r:
                 if not hit:
@@ -384,7 +374,9 @@ def perturb_nondegenerate(inst: Instance) -> PerturbedInstance:
                 cur.append(x)
                 for a in range(i):
                     close[a].append(inv[a][t] * x % _P)
-        rows.append(scale_row(pert)[1])
+        eps_rows.append(tuple(eps))
+        pert_rows.append(tuple(pert))
+        scaled.append(scale_row(pert))
         if eps_r:
             cur_inv = _inverses(cur)
             for a in range(i):
@@ -392,9 +384,9 @@ def perturb_nondegenerate(inst: Instance) -> PerturbedInstance:
                 step[i][a] = [p * q % _P for p, q in zip(cur_inv, res[a])]
             res.append(cur)
             inv.append(cur_inv)
-    return PerturbedInstance(
-        inst, tuple(tuple(row) for row in eps_matrix), params
-    )
+    out = object.__new__(PerturbedInstance)  # every part is checked and built
+    out._fill(inst, tuple(eps_rows), params, tuple(pert_rows), *zip(*scaled))
+    return out
 
 
 def demand_sets(pert: PerturbedInstance, w: WeightVector) -> tuple:
@@ -475,19 +467,17 @@ def _pivot(rows, r, e, d):
     return abs(p)
 
 
-def solve_leq_system(constraints, nvars: int) -> list[Fraction] | None:
-    """A point x >= 0 with c . x <= d for every (c, d) in `constraints`, or None.
+def solve_leq_system(rows, nvars: int) -> list[Fraction] | None:
+    """A point x >= 0 with c . x <= d for every integer row (d, *c), or None.
 
     Chvatal's auxiliary problem (Linear Programming, 1983): maximize -x0
-    subject to c . x - x0 <= d and x, x0 >= 0.  Each row is scaled to
-    integers and x0 keeps coefficient -1 in every row, so entering x0 on a
-    row of least right-hand side gives a feasible dictionary.  Bland's rule
-    (lowest-numbered entering and leaving variables) rules out cycling;
-    the system is feasible once the objective reaches 0.
+    subject to c . x - x0 <= d and x, x0 >= 0.  x0 keeps coefficient -1 in
+    every row, so entering x0 on a row of least right-hand side gives a
+    feasible dictionary.  Bland's rule (lowest-numbered entering and
+    leaving variables, ratios compared by cross-multiplying) rules out
+    cycling; the system is feasible once the objective reaches 0.
     """
-    rows = [
-        list(scale_row([rhs, *coeffs])[1]) + [-1] for coeffs, rhs in constraints
-    ]
+    rows = [[*row, -1] for row in rows]
     point = [Fraction(0)] * nvars
     r = min(range(len(rows)), key=lambda i: rows[i][0], default=None)
     if r is None or rows[r][0] >= 0:
@@ -506,10 +496,13 @@ def solve_leq_system(constraints, nvars: int) -> list[Fraction] | None:
         if not entering:
             return None
         e = min(entering, key=lambda j: cols[j - 1])
-        r = min(
-            (i for i, row in enumerate(rows) if row[e] > 0),
-            key=lambda i: (Fraction(rows[i][0], rows[i][e]), basis[i]),
-        )
+        r = None  # least rows[i][0] / rows[i][e] over rows[i][e] > 0, then basis
+        for i, row in enumerate(rows):
+            if row[e] > 0 and (
+                r is None
+                or (row[0] * rows[r][e], basis[i]) < (rows[r][0] * row[e], basis[r])
+            ):
+                r = i
     for var, row in zip(basis, rows):
         if var < nvars:
             point[var] = Fraction(row[0], d)
@@ -519,33 +512,37 @@ def solve_leq_system(constraints, nvars: int) -> list[Fraction] | None:
 def po_certificate_lp(pert: PerturbedInstance, demand) -> WeightVector | None:
     """Weight vector under which every item goes to one of its demanders.
 
-    `demand[t]` lists the agents that item t may go to, for every item t
-    in range(m): one agent for an item it holds alone, at least two for a
-    reallocated item.  `demand` is a demand map as `demand_sets` returns
-    it, or any mapping with the m keys 0..m-1.  Feasibility of the system
+    `demand[t]` lists the agents item t may go to, for every t in range(m)
+    (a `demand_sets` map, or any mapping with keys 0..m-1): one agent for
+    an item held alone, at least two for a reallocated one.  The system
     { (w_j+eta) vbar_j(t) <= (w_i+eta) vbar_i(t) for each t, i in
-    demand[t], j != i;  w in the simplex } is decided exactly, with the
-    weights as the LP variables (w >= 0, and sum(w) = 1 as two rows).  Two
-    demanders of one item get both rows, so they tie.  A feasible w makes every placement of the
-    items among their demanders maximize eta-shifted weighted welfare
-    under the perturbed values, hence Pareto optimal under the original
-    values.
+    demand[t], j != i;  w >= 0, sum(w) = 1 as two rows } is decided
+    exactly; two demanders of one item get both rows, so they tie.  A
+    feasible w makes every placement of the items among their demanders
+    maximize eta-shifted weighted welfare under the perturbed values, hence
+    Pareto optimal under the original values.  With vbar_a(t) =
+    `scaled[a][t]` / s_a, a row times M = den(eta) s_i s_j is integral;
+    divided by the gcd of M and its entries, it is the row times the LCM of
+    its denominators.
     """
     n, m = pert.base.num_agents, pert.base.num_items
     if len(demand) != m:
         raise ValueError("demand map must cover every item")
-    eta = pert.params.eta
-    constraints = [([1] * n, 1), ([-1] * n, -1)]
+    en, ed = pert.params.eta.numerator, pert.params.eta.denominator
+    values, scales = pert.scaled, pert._scales
+    rows = [[1] * (n + 1), [-1] * (n + 1)]
     for t in range(m):
         if not demand[t] or not set(demand[t]) <= set(range(n)):
             raise ValueError(f"item {t} needs demanders among the agents")
-        col = [pert.pert_value(a, t) for a in range(n)]
         for i in demand[t]:
+            vi, si = values[i][t], scales[i]
             for j in range(n):
                 if j != i:
-                    # (w_j+eta) vbar_j(t) <= (w_i+eta) vbar_i(t)
-                    coeffs = [0] * n
-                    coeffs[j], coeffs[i] = col[j], -col[i]
-                    constraints.append((coeffs, eta * (col[i] - col[j])))
-    point = solve_leq_system(constraints, n)
+                    # (w_j+eta) vbar_j(t) <= (w_i+eta) vbar_i(t), times M
+                    a, b = values[j][t] * si, vi * scales[j]
+                    row = [0] * (n + 1)
+                    row[0], row[1 + j], row[1 + i] = en * (b - a), ed * a, -ed * b
+                    g = gcd(ed * si * scales[j], *row)
+                    rows.append([x // g for x in row])
+    point = solve_leq_system(rows, n)
     return None if point is None else WeightVector(tuple(point))

@@ -3,10 +3,31 @@ from unittest import mock
 import pytest
 
 from mannafair import oracles
-from mannafair.core import Budget, BudgetExceededError, bundle_value
+from mannafair.core import Budget, BudgetExceededError, bundle_value, scale_row
 from mannafair.fixed_n import build_f_ij, reconstruct_I
 
 ACCEPTANCE_LINES = []
+
+
+def items_of(mask):
+    """The item set of a bitmask (bit t for item t)."""
+    return frozenset(t for t in range(mask.bit_length()) if mask >> t & 1)
+
+
+def f_ij_sets(pert, i, j):
+    """`build_f_ij` with each option's mask read as a frozenset."""
+    return {key: items_of(mask) for key, mask in build_f_ij(pert, i, j).items()}
+
+
+def i_sets(pert, i, budget):
+    """`reconstruct_I` with each mask read as a frozenset."""
+    return [items_of(mask) for mask in reconstruct_I(pert, i, budget)]
+
+
+def leq_rows(constraints):
+    """Rational (coeffs, rhs) constraints as the integer rows (rhs, *coeffs)
+    that `welfare.solve_leq_system` reads, each times its denominators' LCM."""
+    return [scale_row([rhs, *coeffs])[1] for coeffs, rhs in constraints]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -52,14 +73,14 @@ def separators_recover(pert, true_i):
     """
     n = pert.base.num_agents
     for i in range(n):
-        sets = reconstruct_I(pert, i, Budget(10**9, "combinations"))
+        sets = i_sets(pert, i, Budget(10**9, "combinations"))
         if not true_i[i]:
             if sets[0] != frozenset():
                 return False
             continue
         got = frozenset(range(pert.base.num_items)).intersection(
             *(
-                build_f_ij(pert, i, j)[true_separators(pert, true_i, i, j)]
+                f_ij_sets(pert, i, j)[true_separators(pert, true_i, i, j)]
                 for j in range(n)
                 if j != i
             )

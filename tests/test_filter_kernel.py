@@ -2,11 +2,13 @@
 
 `build_f_ij` sorts a pair's common goods and chores by value ratio once and
 reads each separator option's F_ij from prefixes of those orders, keyed by
-the (good, chore) option.  The references below are the earlier
-implementations: a `SeparatorGuess` per option and a `Fraction` ratio scan
-with a `<= bound` filter per option.  The kernel must return the same sets
-in the same option order, so `reconstruct_I` lists the same distinct I_i in
-the same first-seen order, ties between equal ratios included.
+the (good, chore) option, as an item bitmask; the tests read the masks as
+frozensets (`conftest.f_ij_sets`, `conftest.i_sets`).  The references below
+are the earlier implementations: a `SeparatorGuess` per option and a
+`Fraction` ratio scan with a `<= bound` filter per option.  The kernel must
+return the same sets in the same option order, so `reconstruct_I` lists the
+same distinct I_i in the same first-seen order, ties between equal ratios
+included.
 """
 
 import itertools
@@ -19,13 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mannafair.core import Budget, Instance
-from mannafair.fixed_n import build_f_ij, reconstruct_I
 from mannafair.harness import gen_random
 from mannafair.welfare import (
     PerturbedInstance,
     compute_params,
     perturb_nondegenerate,
 )
+
+from conftest import f_ij_sets, i_sets
 
 
 @dataclass(frozen=True)
@@ -116,13 +119,13 @@ def assert_matches_reference(pert):
     n = pert.base.num_agents
     for i, j in itertools.permutations(range(n), 2):
         guesses = ref_pair_guesses(pert, i, j)
-        sets = build_f_ij(pert, i, j)
+        sets = f_ij_sets(pert, i, j)
         assert list(sets) == [(g.goods[i, j], g.chores[i, j]) for g in guesses]
         assert list(sets.values()) == [
             ref_build_f_ij(pert, i, j, g) for g in guesses
         ]
     for i in range(n):
-        got = reconstruct_I(pert, i, Budget(10**9, "combinations"))
+        got = i_sets(pert, i, Budget(10**9, "combinations"))
         assert got == ref_agent_item_sets(pert, i)
 
 
@@ -147,7 +150,7 @@ def test_equal_ratios_fall_on_the_same_side():
         )
     )
     pert = PerturbedInstance(inst, ((F(0),) * 6,) * 2, compute_params(inst))
-    sets = build_f_ij(pert, 0, 1)
+    sets = f_ij_sets(pert, 0, 1)
     assert sets[0, None] == sets[2, None] == frozenset({0, 1, 2})
     assert sets[3, None] == frozenset({0, 1, 2, 3})
     assert sets[None, 4] == sets[None, 5] == frozenset({4, 5})

@@ -13,7 +13,7 @@ from mannafair.core import (
     validate_certificate,
 )
 from mannafair import fixed_n
-from mannafair.fixed_n import build_f_ij, reconstruct_I, search_efr_po
+from mannafair.fixed_n import reconstruct_I, search_efr_po
 from mannafair.oracles import decide_efr_k, is_pareto_optimal_bruteforce
 from mannafair.welfare import (
     WeightVector,
@@ -23,7 +23,7 @@ from mannafair.welfare import (
 )
 from mannafair.harness import gen_random
 
-from conftest import separators_recover
+from conftest import f_ij_sets, i_sets, separators_recover
 
 
 def make_instance(rows):
@@ -36,13 +36,13 @@ class TestBuildFij:
         # common goods, no common chores, and no good-for-0/chore-for-1 items
         inst = make_instance([[-1, -2], [1, 2]])
         pert = perturb_nondegenerate(inst)
-        assert build_f_ij(pert, 0, 1) == {(None, None): frozenset()}
+        assert f_ij_sets(pert, 0, 1) == {(None, None): frozenset()}
 
     def test_q_items_always_included(self):
         # good for agent 0, chore for agent 1
         inst = make_instance([[3, 1], [-2, -5]])
         pert = perturb_nondegenerate(inst)
-        assert build_f_ij(pert, 0, 1) == {(None, None): frozenset({0, 1})}
+        assert f_ij_sets(pert, 0, 1) == {(None, None): frozenset({0, 1})}
 
     def test_max_ratio_good_admits_all_common_goods(self):
         inst = make_instance([[1, 2, 3], [5, 2, 1]])
@@ -51,12 +51,12 @@ class TestBuildFij:
             t: pert.pert_value(1, t) / pert.pert_value(0, t) for t in range(3)
         }
         gmax = max(range(3), key=lambda t: (ratios[t], -t))
-        assert build_f_ij(pert, 0, 1)[gmax, None] == frozenset({0, 1, 2})
+        assert f_ij_sets(pert, 0, 1)[gmax, None] == frozenset({0, 1, 2})
 
     def test_good_filter_matches_direct_ratio_scan(self):
         inst = gen_random(2, 6, 9, F(0), seed=5)  # all goods
         pert = perturb_nondegenerate(inst)
-        sets = build_f_ij(pert, 0, 1)
+        sets = f_ij_sets(pert, 0, 1)
         assert list(sets) == [(g, None) for g in [None, *range(6)]]
         for g in range(6):
             bound = pert.pert_value(1, g) / pert.pert_value(0, g)
@@ -70,7 +70,7 @@ class TestBuildFij:
     def test_chore_filter_matches_direct_ratio_scan(self):
         inst = gen_random(2, 6, 9, F(1), seed=5)  # all chores
         pert = perturb_nondegenerate(inst)
-        sets = build_f_ij(pert, 0, 1)
+        sets = f_ij_sets(pert, 0, 1)
         assert list(sets) == [(None, c) for c in [None, *range(6)]]
         for c in range(6):
             bound = abs(pert.pert_value(0, c)) / abs(pert.pert_value(1, c))
@@ -87,7 +87,7 @@ class TestBuildFij:
         # separate with the other's role
         inst = make_instance([[3, -1], [2, -5]])
         pert = perturb_nondegenerate(inst)
-        sets = build_f_ij(pert, 0, 1)
+        sets = f_ij_sets(pert, 0, 1)
         assert list(sets) == [(None, None), (None, 1), (0, None), (0, 1)]
         assert (1, None) not in sets and (None, 0) not in sets
 
@@ -97,16 +97,16 @@ class TestReconstructI:
         inst = make_instance([[3, -1], [-2, -5]])
         pert = perturb_nondegenerate(inst)
         for i, j in ((0, 1), (1, 0)):
-            options = build_f_ij(pert, i, j).values()
+            options = f_ij_sets(pert, i, j).values()
             expected = list(dict.fromkeys([frozenset(), *options]))
-            got = reconstruct_I(pert, i, Budget(10**9, "combinations"))
+            got = i_sets(pert, i, Budget(10**9, "combinations"))
             assert got == expected
 
     def test_empty_flags_give_empty_sets(self):
         inst = make_instance([[3, 1], [2, 5]])
         pert = perturb_nondegenerate(inst)
         for i in range(2):
-            sets = reconstruct_I(pert, i, Budget(10**9, "combinations"))
+            sets = i_sets(pert, i, Budget(10**9, "combinations"))
             assert sets[0] == frozenset()
             assert len(set(sets)) == len(sets)
 
@@ -233,7 +233,7 @@ class TestSearchEfrPo:
             product = 1
             for j in range(3):
                 if j != i:
-                    product *= len(build_f_ij(pert, i, j))
+                    product *= len(f_ij_sets(pert, i, j))
             spends = []
 
             class Recording(Budget):
@@ -270,7 +270,7 @@ class TestSearchEfrPo:
             product = 1
             for j in range(3):
                 if j != i:
-                    product *= len(build_f_ij(pert, i, j))
+                    product *= len(f_ij_sets(pert, i, j))
             products.append(product)
             counts *= len(reconstruct_I(pert, i, Budget(product, "combinations")))
         # one spend per agent's separator product, one for the whole join,

@@ -20,6 +20,7 @@ from mannafair.fixed_n import search_efr_po
 from mannafair.harness import gen_random
 from mannafair.welfare import solve_leq_system
 
+from conftest import leq_rows
 from test_fixed_n import SWEEP
 
 
@@ -108,9 +109,9 @@ def check_against_reference(constraints, nvars, point):
 def test_every_search_lp_call_matches_fourier_motzkin(n, m, monkeypatch):
     calls = []
 
-    def recording(constraints, nvars):
-        point = solve_leq_system(constraints, nvars)
-        calls.append((constraints, nvars, point))
+    def recording(rows, nvars):
+        point = solve_leq_system(rows, nvars)
+        calls.append(([(row[1:], row[0]) for row in rows], nvars, point))
         return point
 
     monkeypatch.setattr(welfare, "solve_leq_system", recording)
@@ -138,14 +139,16 @@ def systems(entries):
 @given(systems(st.integers(-6, 6)))
 def test_integer_systems_match_fourier_motzkin(system):
     constraints, nvars = system
-    check_against_reference(constraints, nvars, solve_leq_system(constraints, nvars))
+    point = solve_leq_system(leq_rows(constraints), nvars)
+    check_against_reference(constraints, nvars, point)
 
 
 @settings(max_examples=150, deadline=None)
 @given(systems(st.fractions(-6, 6, max_denominator=12)))
 def test_rational_systems_match_fourier_motzkin(system):
     constraints, nvars = system
-    check_against_reference(constraints, nvars, solve_leq_system(constraints, nvars))
+    point = solve_leq_system(leq_rows(constraints), nvars)
+    check_against_reference(constraints, nvars, point)
 
 
 # Chvatal, Linear Programming (1983), chapter 3: maximize c . x subject to
@@ -215,7 +218,7 @@ def test_textbook_cycling_example_terminates(monkeypatch):
         return d
 
     monkeypatch.setattr(welfare, "_pivot", recording)
-    point = solve_leq_system(system, 4)
+    point = solve_leq_system(leq_rows(system), 4)
     check_against_reference(system, 4, point)
     assert point is not None and objectives[-1] == 0
     assert objectives[1:-1] == [objectives[0]] * (len(objectives) - 2)
@@ -223,4 +226,4 @@ def test_textbook_cycling_example_terminates(monkeypatch):
 
 
 def test_negative_bound_on_a_nonnegative_variable_is_infeasible():
-    assert solve_leq_system([([1], -1)], 1) is None
+    assert solve_leq_system(leq_rows([([1], -1)]), 1) is None

@@ -1,0 +1,421 @@
+"""The fixed-n search on integer rows and item bitmasks, against its
+`Fraction` and `frozenset` predecessors.
+
+`build_f_ij` orders a pair's common goods and chores by integer
+cross-products of `PerturbedInstance.scaled` and returns each separator
+option's F_ij as an item bitmask; `reconstruct_I` intersects the masks;
+`fixed_n._join` walks the I_i depth first; `po_certificate_lp` builds its
+rows from the integer rows, and `solve_leq_system` compares ratios by
+cross-multiplying.  The references below are the earlier implementations:
+`Fraction` ratios sorted once and read through `bisect`, the product of
+frozensets, the product join, `Fraction` constraint rows scaled by
+`scale_row`, and a `Fraction`-keyed ratio test.  The kernel must return the
+same sets in the same order, the same LP rows and the same points, ties
+included, so the search's first hit and weights cannot move.
+"""
+
+import itertools
+import math
+import random
+from bisect import bisect_right
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mannafair import fixed_n, welfare
+from mannafair.core import Budget, Instance, scale_row
+from mannafair.fixed_n import _join, build_f_ij, reconstruct_I, search_efr_po
+from mannafair.harness import gen_random
+from mannafair.welfare import (
+    PerturbedInstance,
+    compute_params,
+    perturb_nondegenerate,
+    po_certificate_lp,
+    solve_leq_system,
+)
+
+from conftest import items_of
+from test_perturb_kernel import VALUE, degenerate_instances
+
+# --- references: the earlier implementations ---------------------------------
+
+
+def ref_prefixes(ratio):
+    order = sorted(ratio, key=ratio.__getitem__)
+    ratios = [ratio[t] for t in order]
+    return {
+        t: frozenset(order[: bisect_right(ratios, r)]) for t, r in ratio.items()
+    }
+
+
+def ref_build_f_ij(pert, i, j):
+    vi, vj = pert.pert_values[i], pert.pert_values[j]
+    goods, chores, q = [], [], []
+    for t, (a, b) in enumerate(zip(vi, vj)):
+        if a > 0 and b > 0:
+            goods.append(t)
+        elif a < 0 and b < 0:
+            chores.append(t)
+        elif a > 0 > b:
+            q.append(t)
+    good_sets = ref_prefixes({t: vj[t] / vi[t] for t in goods})
+    chore_sets = ref_prefixes({t: vi[t] / vj[t] for t in chores})
+    base = frozenset(q)
+    return {
+        (g, c): base.union(good_sets.get(g, ()), chore_sets.get(c, ()))
+        for g in [None] + goods
+        for c in [None] + chores
+    }
+
+
+def ref_reconstruct_I(pert, i):
+    per_pair = [
+        ref_build_f_ij(pert, i, j).values()
+        for j in range(pert.base.num_agents)
+        if j != i
+    ]
+    all_items = frozenset(range(pert.base.num_items))
+    seen = dict.fromkeys([frozenset()])
+    for filters in itertools.product(*per_pair):
+        seen.setdefault(all_items.intersection(*filters))
+    return list(seen)
+
+
+def ref_join(per_agent, m):
+    n = len(per_agent)
+    by_realloc = {}
+    all_items = frozenset(range(m))
+    for item_sets in itertools.product(*per_agent):
+        claimed = frozenset().union(*item_sets)
+        if sum(map(len, item_sets)) == len(claimed) and m - len(claimed) < n:
+            by_realloc.setdefault(all_items - claimed, []).append(item_sets)
+    return by_realloc
+
+
+def ref_lp_rows(pert, demand):
+    """The `Fraction` constraint rows, each scaled by `scale_row`."""
+    n, m = pert.base.num_agents, pert.base.num_items
+    eta = pert.params.eta
+    constraints = [([1] * n, 1), ([-1] * n, -1)]
+    for t in range(m):
+        col = [pert.pert_value(a, t) for a in range(n)]
+        for i in demand[t]:
+            for j in range(n):
+                if j != i:
+                    coeffs = [0] * n
+                    coeffs[j], coeffs[i] = col[j], -col[i]
+                    constraints.append((coeffs, eta * (col[i] - col[j])))
+    return [list(scale_row([rhs, *coeffs])[1]) for coeffs, rhs in constraints]
+
+
+TIES = []  # one entry per ratio test that had two rows of least ratio
+
+
+def ref_solve_leq_system(rows, nvars):
+    """The simplex with the `Fraction`-keyed ratio test."""
+    rows = [list(row) + [-1] for row in rows]
+    point = [F(0)] * nvars
+    r = min(range(len(rows)), key=lambda i: rows[i][0], default=None)
+    if r is None or rows[r][0] >= 0:
+        return point
+    cols = list(range(nvars + 1))
+    basis = [nvars + 1 + i for i in range(len(rows))]
+    objective = [0] * (nvars + 1) + [1]
+    d, e = 1, nvars + 1
+    while True:
+        d = welfare._pivot(rows + [objective], r, e, d)
+        basis[r], cols[e - 1] = cols[e - 1], basis[r]
+        if objective[0] == 0:
+            break
+        entering = [j for j in range(1, nvars + 2) if objective[j] < 0]
+        if not entering:
+            return None
+        e = min(entering, key=lambda j: cols[j - 1])
+        ratios = [F(row[0], row[e]) for row in rows if row[e] > 0]
+        if ratios.count(min(ratios)) > 1:
+            TIES.append(1)
+        r = min(
+            (i for i, row in enumerate(rows) if row[e] > 0),
+            key=lambda i: (F(rows[i][0], rows[i][e]), basis[i]),
+        )
+    for var, row in zip(basis, rows):
+        if var < nvars:
+            point[var] = F(row[0], d)
+    return point
+
+
+# --- checks -------------------------------------------------------------------
+
+
+def assert_filters_match(pert, join_limit=20_000):
+    n = pert.base.num_agents
+    for i, j in itertools.permutations(range(n), 2):
+        got, want = build_f_ij(pert, i, j), ref_build_f_ij(pert, i, j)
+        assert list(got) == list(want)
+        assert [items_of(mask) for mask in got.values()] == list(want.values())
+    for i in range(n):
+        product = math.prod(
+            len(build_f_ij(pert, i, j)) for j in range(n) if j != i
+        )
+        if product <= join_limit:
+            got = reconstruct_I(pert, i, Budget(product, "combinations"))
+            assert [items_of(mask) for mask in got] == ref_reconstruct_I(pert, i)
+
+
+def assert_join_matches(per_agent, m):
+    got = _join(per_agent, m)
+    want = ref_join([[items_of(s) for s in sets] for sets in per_agent], m)
+    assert list(got) == list(want)  # the same R keys, first seen in order
+    for rset, tuples in want.items():
+        assert got[rset] == tuples  # the same tuples, in product order
+
+
+def assert_lp_matches(pert, demand):
+    rows = []
+
+    def recording(lp_rows, nvars):
+        rows.append([list(row) for row in lp_rows])
+        return solve_leq_system(lp_rows, nvars)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(welfare, "solve_leq_system", recording)
+        w = po_certificate_lp(pert, demand)
+    (got_rows,) = rows
+    assert got_rows == ref_lp_rows(pert, demand)
+    point = ref_solve_leq_system(got_rows, pert.base.num_agents)
+    assert solve_leq_system(got_rows, pert.base.num_agents) == point
+    assert (w is None) == (point is None)
+    if w is not None:
+        assert list(w.weights) == point
+
+
+def directly_built(rows, eps):
+    inst = Instance(tuple(map(tuple, rows)))
+    scale = math.lcm(*(v.denominator for row in inst.values for v in row))
+    params = compute_params(Instance([[v * scale for v in row] for row in rows]))
+    return PerturbedInstance(inst, eps, params)
+
+
+@st.composite
+def perturbed(draw):
+    """Perturbed instances, n 1-4 and m 0-8, and degenerate ones built
+    directly: zero or arbitrary eps, zeros, rationals, identical rows."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 8 if draw(st.booleans()) else 5))
+    first = [draw(VALUE) for _ in range(m)]
+    if draw(st.booleans()):
+        rows = [first] * n
+    else:
+        rows = [first] + [[draw(VALUE) for _ in range(m)] for _ in range(n - 1)]
+    kind = draw(st.sampled_from(["perturbed", "zero eps", "some eps"]))
+    if kind == "perturbed":
+        return perturb_nondegenerate(Instance(tuple(map(tuple, rows))))
+    small = st.sampled_from([F(0), F(0), F(1, 100), F(1, 7), F(-1, 3)])
+    eps = [
+        [F(0) if kind == "zero eps" else draw(small) for _ in range(m)] for _ in rows
+    ]
+    return directly_built(rows, eps)
+
+
+SWEEP = [
+    (n, m, chore_prob, seed)
+    for n, ms in ((2, range(0, 11)), (3, range(0, 8)), (4, range(1, 5)))
+    for m in ms
+    for chore_prob in (F(0), F(1, 2), F(1))
+    for seed in range(2)
+]
+
+
+@pytest.mark.parametrize("n,m,chore_prob,seed", SWEEP)
+def test_generated_instances_match_references(n, m, chore_prob, seed):
+    pert = perturb_nondegenerate(gen_random(n, m, 9, chore_prob, seed))
+    assert_filters_match(pert)
+    budget = Budget(10**9, "combinations")
+    per_agent = [reconstruct_I(pert, i, budget) for i in range(n)]
+    if math.prod(map(len, per_agent)) <= 200_000:
+        assert_join_matches(per_agent, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed())
+def test_filters_match_on_degenerate_and_perturbed_records(pert):
+    assert_filters_match(pert, join_limit=5_000)
+
+
+def test_equal_ratios_share_one_prefix_mask():
+    # goods 0-2 share vbar_1/vbar_0 = 3 and chores 4-5 share |vbar_0|/|vbar_1|
+    # = 1/18, with row 0 scaled by 6 and row 1 by 1
+    rows = [[F(1, 3), F(2, 3), 1, F(2, 3), F(-1, 6), F(-1, 3)], [1, 2, 3, 3, -3, -6]]
+    pert = directly_built(rows, [[F(0)] * 6] * 2)
+    assert pert.scaled == ((2, 4, 6, 4, -1, -2), (1, 2, 3, 3, -3, -6))
+    masks = build_f_ij(pert, 0, 1)
+    assert masks[0, None] == masks[2, None] == 0b111
+    assert masks[3, None] == 0b1111
+    assert masks[None, 4] == masks[None, 5] == 0b110000
+    assert_filters_match(pert)
+
+
+@st.composite
+def mask_lists(draw):
+    """Per-agent lists of distinct masks, the empty set first, as
+    `reconstruct_I` returns them, with no ratio structure behind them."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 8))
+    sets = st.integers(0, (1 << m) - 1)
+    return [
+        list(dict.fromkeys([0, *draw(st.lists(sets, max_size=6 if n < 4 else 4))]))
+        for _ in range(n)
+    ], m
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask_lists())
+def test_join_matches_product_join(case):
+    assert_join_matches(*case)
+
+
+def test_join_on_a_shape_with_several_r_groups():
+    pert = perturb_nondegenerate(gen_random(3, 6, 9, F(1, 2), 2))
+    per_agent = [reconstruct_I(pert, i, Budget(10**9, "c")) for i in range(3)]
+    groups = _join(per_agent, 6)
+    assert len(groups) > 3 and max(map(len, groups.values())) > 1
+    assert_join_matches(per_agent, 6)
+
+
+def lp_calls_of_search(inst):
+    calls = []
+
+    def recording(pert, demand):
+        calls.append((pert, dict(demand)))
+        return po_certificate_lp(pert, demand)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fixed_n, "po_certificate_lp", recording)
+        search_efr_po(inst)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        gen_random(3, 5, 9, F(1, 2), 1),
+        gen_random(3, 4, 9, F(1), 7),
+        gen_random(4, 4, 9, F(1, 2), 1),
+        Instance([[F(1, 2), F(-2, 3), 5], [2, 1, F(-1, 4)], [1, 1, 1]]),
+        Instance([[1] * 4] * 3),
+    ],
+    ids=["3x5", "3x4-chores", "4x4", "rational", "identical"],
+)
+def test_every_search_lp_call_matches_reference(inst):
+    calls = lp_calls_of_search(inst)
+    assert calls
+    for pert, demand in calls:
+        assert_lp_matches(pert, demand)
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed(), st.data())
+def test_lp_matches_reference_on_random_demand_maps(pert, data):
+    n, m = pert.base.num_agents, pert.base.num_items
+    agents = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+    demand = [tuple(sorted(data.draw(agents))) for _ in range(m)]
+    assert_lp_matches(pert, demand)
+
+
+def random_systems(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        nvars = rng.randint(1, 4)
+        rows = [
+            [rng.randint(-3, 3) for _ in range(nvars + 1)]
+            for _ in range(rng.randint(1, 7))
+        ]
+        yield rows, nvars
+
+
+def pivots_of(solver, rows, nvars):
+    """`solver`'s point and its (row, column) pivots, in order."""
+    pivots = []
+
+    def recording(all_rows, r, e, d):
+        pivots.append((r, e))
+        return pivot(all_rows, r, e, d)
+
+    pivot = welfare._pivot
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(welfare, "_pivot", recording)
+        point = solver(rows, nvars)
+    return point, pivots
+
+
+# ratio ties that the lowest basic variable decides, where the first tied
+# row would lead to another point
+BASIS_DECIDES = [
+    ([[-2, -2, -2, 0, 3], [-3, -1, 1, -1, 3], [-2, 1, 0, 0, -3], [1, -2, 1, -3, 0]], 4),
+]
+
+
+def test_simplex_pivots_match_reference_with_ratio_ties():
+    """Small integer systems tie often in the ratio test; `basis` breaks the
+    tie in both versions, so every pivot and the point are the same."""
+    TIES.clear()
+    for rows, nvars in [*random_systems(1, 600), *BASIS_DECIDES]:
+        got = pivots_of(solve_leq_system, rows, nvars)
+        assert got == pivots_of(ref_solve_leq_system, rows, nvars), rows
+    assert len(TIES) >= 20
+    rows, nvars = BASIS_DECIDES[0]
+    assert solve_leq_system(rows, nvars) == [4, 0, 5, 2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda nvars: st.tuples(
+            st.lists(
+                st.lists(st.integers(-6, 6), min_size=nvars + 1, max_size=nvars + 1),
+                max_size=7,
+            ),
+            st.just(nvars),
+        )
+    )
+)
+def test_simplex_points_match_reference(system):
+    rows, nvars = system
+    assert solve_leq_system(rows, nvars) == ref_solve_leq_system(rows, nvars)
+
+
+# --- the record built from the parts the perturbation holds -----------------
+
+
+def ref_compute_params(inst):
+    n, m = inst.num_agents, inst.num_items
+    spread = max(sum((abs(v) for v in row), F(0)) for row in inst.values)
+    Lambda = spread if spread > 0 else F(1)
+    eta = F(1) / (2 * Lambda * n)
+    return welfare.PerturbParams(F(1), Lambda, F(1), eta, eta / (8 * n * max(m, 1)))
+
+
+def assert_constructions_agree(pert):
+    public = PerturbedInstance(pert.base, pert.eps_matrix, pert.params)
+    assert public == pert and hash(public) == hash(pert)
+    assert repr(public) == repr(pert)
+    assert public.pert_values == pert.pert_values
+    assert public.scaled == pert.scaled
+    assert public._scales == pert._scales
+    assert pert.scaled == tuple(scale_row(row)[1] for row in pert.pert_values)
+    assert pert.params == ref_compute_params(pert.base)
+    for row in (*pert.eps_matrix, *pert.pert_values):
+        assert type(row) is tuple and all(type(v) is F for v in row)
+
+
+@pytest.mark.parametrize("n,m,chore_prob,seed", SWEEP[::3])
+def test_perturbation_record_equals_public_construction(n, m, chore_prob, seed):
+    inst = gen_random(n, m, 9, chore_prob, seed)
+    assert_constructions_agree(perturb_nondegenerate(inst))
+
+
+@settings(max_examples=80, deadline=None)
+@given(degenerate_instances())
+def test_perturbation_record_equals_public_construction_on_degenerate_rows(inst):
+    assert_constructions_agree(perturb_nondegenerate(inst))

@@ -29,6 +29,8 @@ from mannafair.welfare import (
 )
 from mannafair.harness import gen_identical_chores, gen_random
 
+from conftest import leq_rows
+
 
 def make_instance(rows):
     return Instance(tuple(tuple(F(v) for v in row) for row in rows))
@@ -332,18 +334,18 @@ class TestSolveLeqSystem:
             ([F(0), F(-1)], F(0)),
             ([F(1), F(1)], F(3, 2)),
         ]
-        point = solve_leq_system(cons, 2)
+        point = solve_leq_system(leq_rows(cons), 2)
         assert point is not None
         for coeffs, rhs in cons:
             assert sum(c * x for c, x in zip(coeffs, point)) <= rhs
 
     def test_infeasible_system(self):
         cons = [([F(1)], F(0)), ([F(-1)], F(-1))]  # x <= 0 and x >= 1
-        assert solve_leq_system(cons, 1) is None
+        assert solve_leq_system(leq_rows(cons), 1) is None
 
     def test_equality_encoded_as_two_inequalities(self):
         cons = [([F(1)], F(2)), ([F(-1)], F(-2))]  # x = 2
-        point = solve_leq_system(cons, 1)
+        point = solve_leq_system(leq_rows(cons), 1)
         assert point == [F(2)]
 
 

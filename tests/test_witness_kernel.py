@@ -31,9 +31,11 @@ from mannafair.core import (
     Instance,
     profile,
 )
-from mannafair.fixed_n import _demand_options, reconstruct_I, search_efr_po
+from mannafair.fixed_n import search_efr_po
 from mannafair.harness import gen_identical_chores, gen_paired_goods, gen_random
 from mannafair.welfare import perturb_nondegenerate, po_certificate_lp
+
+from conftest import i_sets
 
 WHAT = "fixed-n separator combinations, joined tuples and candidates"
 
@@ -63,7 +65,7 @@ def ref_search_efr_po(inst, limit):
     n, m = inst.num_agents, inst.num_items
     pert = perturb_nondegenerate(inst)
     budget = Budget(limit, WHAT)
-    per_agent = [reconstruct_I(pert, i, budget) for i in range(n)]
+    per_agent = [i_sets(pert, i, budget) for i in range(n)]
     budget.spend(math.prod(map(len, per_agent)))
     by_realloc: Dict[frozenset, list] = {}
     all_items = frozenset(range(m))
@@ -75,7 +77,7 @@ def ref_search_efr_po(inst, limit):
                 for t in items:
                     held[t] = (i,)
             by_realloc.setdefault(all_items - claimed, []).append(held)
-    demand_opts = _demand_options(n)
+    demand_opts = ref_demand_options(n)
     for rset in sorted(by_realloc, key=lambda r: (len(r), sorted(r))):
         realloc = sorted(rset)
         for demand_combo in itertools.product(demand_opts, repeat=len(realloc)):
@@ -94,6 +96,14 @@ def ref_search_efr_po(inst, limit):
                 cert = EfrCertificate(alloc, rset, tuple(witnesses))
                 return (alloc, cert, w), limit - budget.remaining
     raise AssertionError("enumeration exhausted")
+
+
+def ref_demand_options(n):
+    """Agent subsets of size >= 2, by increasing size then lexicographic."""
+    opts = []
+    for size in range(2, n + 1):
+        opts.extend(itertools.combinations(range(n), size))
+    return opts
 
 
 def ref_reserve_witnesses(partial, reserved):
