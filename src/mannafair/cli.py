@@ -224,9 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-candidates",
         type=_budget,
         default=DEFAULT_MAX_CANDIDATES,
-        help="fixed-n search budget; one unit is one separator combination, "
-        "one joined tuple of per-agent item sets or one screened "
-        "(R, demand, tuple) candidate. The perturbation runs before any "
+        help="fixed-n search budget, spent before the work it pays for; one "
+        "unit is one intersection of an item set with a separator filter, "
+        "one set tested at a join node or one screened (R, demand, tuple) "
+        "candidate. The perturbation runs before any "
         "candidate, under the fixed welfare.CYCLE_BUDGET (10^7 agent-item "
         "cycle traversals), which this option does not lower",
     )

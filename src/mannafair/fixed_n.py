@@ -14,14 +14,15 @@ weighted-welfare LP certifies that every placement of R among its
 demanders maximizes eta-shifted welfare under the perturbed values, so the
 base and every witness are Pareto optimal.
 
-The search takes at most `HARD_AGENT_CAP` = 4 agents: each agent's
-separator product grows like m^(2(n-1)), and the join multiplies them.
+The budget is charged for the work about to run: each pair's
+intersections, each join node's scan of its agent's sets and each
+screened candidate.  The search takes at most `HARD_AGENT_CAP` = 4 agents:
+each agent's separator product grows like m^(2(n-1)).
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from functools import cmp_to_key, reduce
 
 from .core import (
@@ -79,24 +80,26 @@ def reconstruct_I(pert: PerturbedInstance, i: int, budget: Budget) -> list[int]:
 
     The empty set (agent i claims nothing) comes first, then each
     intersection of one F_ij per other agent j, in first-seen order over
-    the product of the pairs' option orders, whose size is spent first.
-    Each pair keeps distinct prefixes; a repeated one yields no new set.
+    the product of the pairs' option orders.  Pair by pair, each distinct
+    set so far meets each option of the next pair; those intersections are
+    spent before they are built, and a repeated one yields no new set.
     """
-    n = pert.base.num_agents
-    per_pair = [build_f_ij(pert, i, j).values() for j in range(n) if j != i]
-    budget.spend(math.prod(map(len, per_pair)))
     level = [(1 << pert.base.num_items) - 1]
-    for options in per_pair:
-        level = list(dict.fromkeys([a & f for a in level for f in options]))
+    for j in range(pert.base.num_agents):
+        if j != i:
+            options = build_f_ij(pert, i, j).values()
+            budget.spend(len(level) * len(options))
+            level = list(dict.fromkeys([a & f for a in level for f in options]))
     return list(dict.fromkeys([0, *level]))
 
 
-def _join(per_agent, m: int) -> dict[frozenset, list]:
+def _join(per_agent, m: int, budget: Budget) -> dict[frozenset, list]:
     """The pairwise disjoint tuples of one I_i mask per agent leaving fewer
     than n items uncovered, in `itertools.product` order, as frozensets
     grouped by the uncovered R.  A depth-first walk skips each set meeting
     the claimed items and cuts a node once n or more items lie outside them
-    and `reach` (every set of the agents still to place)."""
+    and `reach` (every set of the agents still to place).  Each node spends
+    one unit per set of its agent before it scans them."""
     n, full = len(per_agent), (1 << m) - 1
     reach = [0] * (n + 1)
     for k in range(n - 1, -1, -1):
@@ -104,6 +107,7 @@ def _join(per_agent, m: int) -> dict[frozenset, list]:
     kept: dict[int, list] = {}
 
     def walk(k, claimed, picked):
+        budget.spend(len(per_agent[k]))
         for s in per_agent[k]:
             c = claimed | s
             if not s & claimed and (full ^ (c | reach[k + 1])).bit_count() < n:
@@ -160,11 +164,11 @@ def search_efr_po(inst: Instance, max_candidates: int = DEFAULT_MAX_CANDIDATES):
     the certificate's base, whose bundles every witness shares except the
     ones its moves touch.  The perturbation scales rational values to
     integers, which preserves EF, EFR and PO.
-    One unit of `max_candidates` is one separator combination (spent per
-    agent before its intersections), one joined I-tuple (spent before the
-    join) or one screened (R, demand, I-tuple) candidate; running out
-    raises BudgetExceededError.  Existence is guaranteed, so exhausting the
-    full candidate space indicates an implementation bug.
+    One unit of `max_candidates` is one set intersection in
+    `reconstruct_I`, one set tested at a join node or one screened
+    (R, demand, I-tuple) candidate, each spent before that work runs;
+    running out raises BudgetExceededError.  Existence is guaranteed, so
+    exhausting the full candidate space indicates an implementation bug.
     """
     n, m = inst.num_agents, inst.num_items
     if n > HARD_AGENT_CAP:
@@ -173,13 +177,12 @@ def search_efr_po(inst: Instance, max_candidates: int = DEFAULT_MAX_CANDIDATES):
             f"(its cost is exponential in n), got {n}"
         )
     pert = perturb_nondegenerate(inst)
-    what = "fixed-n separator combinations, joined tuples and candidates"
+    what = "fixed-n set intersections, join set tests and candidates"
     budget = Budget(max_candidates, what)
     # outcomes depend only on the demand map and R is forced; product
     # order over distinct sets is their first-seen separator-product order
     per_agent = [reconstruct_I(pert, i, budget) for i in range(n)]
-    budget.spend(math.prod(map(len, per_agent)))
-    by_realloc = _join(per_agent, m)
+    by_realloc = _join(per_agent, m, budget)
 
     # demand sets: agent subsets of size >= 2, by size then lexicographic
     sizes = range(2, n + 1)

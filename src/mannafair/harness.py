@@ -383,13 +383,7 @@ def serialize_perturbed(pert: PerturbedInstance) -> str:
             "eps": [
                 [_rational_out(e) for e in row] for row in pert.eps_matrix
             ],
-            "params": {
-                "lambda_lb": _rational_out(p.lambda_lb),
-                "Lambda": _rational_out(p.Lambda),
-                "omega_lb": _rational_out(p.omega_lb),
-                "eta": _rational_out(p.eta),
-                "epsilon": _rational_out(p.epsilon),
-            },
+            "params": {key: _rational_out(getattr(p, key)) for key in p._fields},
         }
     )
 
@@ -401,7 +395,7 @@ def parse_perturbed(text: str) -> PerturbedInstance:
     raw_base = _fields(doc["base"], _INSTANCE_KEYS, "base", "base.")
     base = _instance_in(raw_base, "base.")
     eps = _matrix_in(doc["eps"], base.num_agents, base.num_items, "eps")
-    names = ("lambda_lb", "Lambda", "omega_lb", "eta", "epsilon")
+    names = PerturbParams._fields
     raw = _fields(doc["params"], names, "params", "params.")
     params = PerturbParams(
         **{key: _rational_in(raw[key], f"params.{key}") for key in names}

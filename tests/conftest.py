@@ -1,3 +1,4 @@
+import itertools
 from unittest import mock
 
 import pytest
@@ -22,6 +23,39 @@ def f_ij_sets(pert, i, j):
 def i_sets(pert, i, budget):
     """`reconstruct_I` with each mask read as a frozenset."""
     return [items_of(mask) for mask in reconstruct_I(pert, i, budget)]
+
+
+def intersection_charges(pert, i):
+    """Each pair's charge in `reconstruct_I`, read from `f_ij_sets`: the
+    distinct sets so far times the pair's options."""
+    level, charges = [frozenset(range(pert.base.num_items))], []
+    for j in range(pert.base.num_agents):
+        if j != i:
+            options = list(f_ij_sets(pert, i, j).values())
+            charges.append(len(level) * len(options))
+            level = list(dict.fromkeys(a & f for a in level for f in options))
+    return charges
+
+
+def join_nodes(per_agent, m):
+    """The agent of each node of a depth-first join of item sets, in
+    visiting order.  A node of agent k tries each of its sets; one that
+    misses the claimed items and leaves fewer than n items outside them
+    and every set of the agents after k opens a node of agent k + 1."""
+    n, nodes = len(per_agent), []
+    reach = [
+        frozenset().union(*itertools.chain(*per_agent[k:])) for k in range(n + 1)
+    ]
+
+    def visit(k, claimed):
+        nodes.append(k)
+        for s in per_agent[k]:
+            c = claimed | s
+            if k + 1 < n and not s & claimed and m - len(c | reach[k + 1]) < n:
+                visit(k + 1, c)
+
+    visit(0, frozenset())
+    return nodes
 
 
 def leq_rows(constraints):
@@ -90,9 +124,9 @@ def separators_recover(pert, true_i):
     return True
 
 
-def spend_of(call):
+def spend_of(call, module=oracles):
     """`call(limit)`'s result and the units it spent of the one Budget
-    that it made in `oracles`."""
+    that it made in `module`."""
     made = []
 
     class Recording(Budget):
@@ -100,18 +134,18 @@ def spend_of(call):
             super().__init__(limit, what)
             made.append(self)
 
-    with mock.patch.object(oracles, "Budget", Recording):
+    with mock.patch.object(module, "Budget", Recording):
         result = call(10**12)
     (budget,) = made
     return result, budget.limit - budget.remaining
 
 
-def assert_budget_is_own_spend(call, below):
-    """`call` spends the same on two calls, raises below that spend and not
-    at it; `below(spent)` draws one more budget under a positive spend.
-    Returns the spend."""
-    result, spent = spend_of(call)
-    assert spend_of(call) == (result, spent)
+def assert_budget_is_own_spend(call, below, module=oracles):
+    """`call` spends the same on two calls of the Budget it makes in
+    `module`, raises below that spend and not at it; `below(spent)` draws
+    one more budget under a positive spend.  Returns the spend."""
+    result, spent = spend_of(call, module)
+    assert spend_of(call, module) == (result, spent)
     for limit in {spent - 1, below(spent)} if spent else ():
         with pytest.raises(BudgetExceededError):
             call(limit)

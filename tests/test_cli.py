@@ -445,7 +445,7 @@ class TestExitCodes:
         argv = ["solve", "--algo", "fixed-n", "-i", str(inst_file), "-o", out]
         assert run([*argv, "--max-candidates", "1"]) == 2
         err = capsys.readouterr().err
-        assert "fixed-n separator combinations" in err and "limit of 1" in err
+        assert "fixed-n set intersections" in err and "limit of 1" in err
 
     @pytest.mark.parametrize("budget", ["0", "-1"])
     def test_max_candidates_below_one_is_input_error(

@@ -23,7 +23,55 @@ from mannafair.welfare import (
 )
 from mannafair.harness import gen_random
 
-from conftest import f_ij_sets, i_sets, separators_recover
+from conftest import (
+    f_ij_sets,
+    i_sets,
+    intersection_charges,
+    join_nodes,
+    separators_recover,
+)
+
+
+def recording_budget(events):
+    """A `Budget` class that logs each charge to `events` before it spends."""
+
+    class Recording(Budget):
+        def spend(self, amount=1):
+            events.append(("spend", amount))
+            super().spend(amount)
+
+    return Recording
+
+
+def logged_masks(events, tag, masks):
+    """`masks` as ints that log ("and", tag) to `events` on each `&`."""
+
+    class Mask(int):
+        def __and__(self, other):
+            events.append(("and", tag))
+            return int(self) & other
+
+        __rand__ = __and__
+
+    return [Mask(s) for s in masks]
+
+
+def assert_each_charge_precedes_its_work(run, events):
+    """`run(limit)` logs its charges and work to `events`.  A limit one unit
+    short of each charge raises at that charge with nothing logged after
+    it, and the total passes.  Returns the full log."""
+    events.clear()
+    result = run(10**9)
+    full, spent = list(events), 0
+    for e, (kind, amount) in enumerate(full):
+        if kind == "spend":
+            spent += amount
+            events.clear()
+            with pytest.raises(BudgetExceededError, match=f"limit of {spent - 1}$"):
+                run(spent - 1)
+            assert events == full[: e + 1]
+    assert run(spent) == result
+    return full
 
 
 def make_instance(rows):
@@ -226,61 +274,73 @@ class TestSearchEfrPo:
         with pytest.raises(ValueError, match="at most 4 agents"):
             search_efr_po(inst)
 
-    def test_separator_product_is_spent_before_intersections(self):
-        inst = gen_random(3, 6, 9, F(1, 2), seed=2)
-        pert = perturb_nondegenerate(inst)
+    def test_each_pair_is_charged_before_its_intersections(self, monkeypatch):
+        pert = perturb_nondegenerate(gen_random(3, 6, 9, F(1, 2), seed=2))
+        events = []
+        build = fixed_n.build_f_ij
+
+        def logging_build(pert, i, j):
+            events.append(("filters", j))
+            masks = build(pert, i, j)
+            return dict(zip(masks, logged_masks(events, j, masks.values())))
+
+        monkeypatch.setattr(fixed_n, "build_f_ij", logging_build)
+        budget = recording_budget(events)
         for i in range(3):
-            product = 1
-            for j in range(3):
-                if j != i:
-                    product *= len(f_ij_sets(pert, i, j))
-            spends = []
+            run = lambda limit: reconstruct_I(pert, i, budget(limit, "c"))
+            full = assert_each_charge_precedes_its_work(run, events)
+            # per pair: its filters, one charge of the distinct sets so far
+            # times its options, then exactly that many intersections
+            want = []
+            others = [j for j in range(3) if j != i]
+            for j, charge in zip(others, intersection_charges(pert, i)):
+                want += [("filters", j), ("spend", charge), *[("and", j)] * charge]
+            assert full == want
 
-            class Recording(Budget):
-                def spend(self, amount=1):
-                    spends.append(amount)
-                    super().spend(amount)
-
-            with pytest.raises(BudgetExceededError, match="limit of"):
-                reconstruct_I(pert, i, Recording(product - 1, "combinations"))
-            # one spend of the whole product, and it raised: the loop that
-            # builds the intersections comes after it
-            assert spends == [product]
-            budget = Budget(product, "combinations")
-            sets = reconstruct_I(pert, i, budget)
-            assert budget.remaining == 0
-            assert sets == reconstruct_I(pert, i, Budget(10**9, "combinations"))
-
-    def test_search_spends_separators_then_join_then_candidates(
+    def test_search_charges_each_join_node_before_its_scan_then_candidates(
         self, monkeypatch
     ):
         inst = gen_random(3, 4, 9, F(1, 2), seed=2)  # 9 screened candidates
-        spends = []
+        events = []
+        join, screen = fixed_n._join, fixed_n._efr_witnesses
 
-        class Recording(Budget):
-            def spend(self, amount=1):
-                spends.append(amount)
-                super().spend(amount)
+        def logging_join(per_agent, m, budget):
+            events.append(("join", None))
+            per_agent = [logged_masks(events, k, s) for k, s in enumerate(per_agent)]
+            return join(per_agent, m, budget)
 
-        monkeypatch.setattr(fixed_n, "Budget", Recording)
-        result = search_efr_po(inst)
+        def logging_screen(*args):
+            events.append(("screen", None))
+            return screen(*args)
+
+        monkeypatch.setattr(fixed_n, "Budget", recording_budget(events))
+        monkeypatch.setattr(fixed_n, "_join", logging_join)
+        monkeypatch.setattr(fixed_n, "_efr_witnesses", logging_screen)
+        run = lambda limit: search_efr_po(inst, max_candidates=limit)
+        full = assert_each_charge_precedes_its_work(run, events)
         pert = perturb_nondegenerate(inst)
-        products, counts = [], 1
-        for i in range(3):
-            product = 1
-            for j in range(3):
-                if j != i:
-                    product *= len(f_ij_sets(pert, i, j))
-            products.append(product)
-            counts *= len(reconstruct_I(pert, i, Budget(product, "combinations")))
-        # one spend per agent's separator product, one for the whole join,
-        # then one unit per screened candidate
-        assert spends[:4] == [*products, counts] and set(spends[4:]) == {1}
-        upfront, total = sum(spends[:4]), sum(spends)
-        assert search_efr_po(inst, max_candidates=total) == result
-        for limit in (total - 1, upfront, upfront - 1):
-            with pytest.raises(BudgetExceededError, match=f"limit of {limit}$"):
-                search_efr_po(inst, max_candidates=limit)
+        per_agent = [i_sets(pert, i, Budget(10**9, "c")) for i in range(3)]
+        start, first = full.index(("join", None)), full.index(("screen", None))
+        # each agent's pairs are charged first
+        charges = [c for i in range(3) for c in intersection_charges(pert, i)]
+        assert full[:start] == [("spend", c) for c in charges]
+        # then one charge per node of the depth-first join, each for its
+        # agent's sets and right before the node tests the first of them
+        joined = full[start + 1 : first - 1]
+        nodes = join_nodes(per_agent, 4)
+        at = [e for e, (kind, _) in enumerate(joined) if kind == "spend"]
+        assert [joined[e] for e in at] == [("spend", len(per_agent[k])) for k in nodes]
+        assert [joined[e + 1] for e in at] == [("and", k) for k in nodes]
+        assert len(joined) == len(nodes) + sum(len(per_agent[k]) for k in nodes)
+        # then one unit right before each screened candidate
+        assert full[first - 1 :] == [("spend", 1), ("screen", None)] * 9
+
+    def test_join_is_charged_by_nodes_not_its_product(self):
+        # the product of the per-agent set counts is 231,840 here; the
+        # nodes the join visits cost about 80,000
+        inst = gen_random(3, 12, 9, F(1, 2), 1)
+        expected = search_efr_po(inst, max_candidates=10**9)
+        assert search_efr_po(inst, max_candidates=100_000) == expected
 
     def test_candidate_budget_enforced(self):
         inst = gen_random(2, 6, 9, F(1, 2), seed=3)

@@ -4,14 +4,15 @@
 `build_f_ij` orders a pair's common goods and chores by integer
 cross-products of `PerturbedInstance.scaled` and returns each separator
 option's F_ij as an item bitmask; `reconstruct_I` intersects the masks;
-`fixed_n._join` walks the I_i depth first; `po_certificate_lp` builds its
-rows from the integer rows, and `solve_leq_system` compares ratios by
-cross-multiplying.  The references below are the earlier implementations:
-`Fraction` ratios sorted once and read through `bisect`, the product of
-frozensets, the product join, `Fraction` constraint rows scaled by
-`scale_row`, and a `Fraction`-keyed ratio test.  The kernel must return the
-same sets in the same order, the same LP rows and the same points, ties
-included, so the search's first hit and weights cannot move.
+`fixed_n._join` walks the I_i depth first, both charged for the work they
+do; `po_certificate_lp` builds its rows from the integer rows, and
+`solve_leq_system` compares ratios by cross-multiplying.  The references
+below are the earlier implementations: `Fraction` ratios sorted once and
+read through `bisect`, the product of frozensets, the product join,
+`Fraction` constraint rows scaled by `scale_row`, and a `Fraction`-keyed
+ratio test.  The kernel must return the same sets in the same order, the
+same LP rows and the same points, ties included, so the search's first hit
+and weights cannot move.
 """
 
 import itertools
@@ -25,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mannafair import fixed_n, welfare
-from mannafair.core import Budget, Instance, scale_row
+from mannafair.core import Budget, BudgetExceededError, Instance, scale_row
 from mannafair.fixed_n import _join, build_f_ij, reconstruct_I, search_efr_po
 from mannafair.harness import gen_random
 from mannafair.welfare import (
@@ -36,7 +37,7 @@ from mannafair.welfare import (
     solve_leq_system,
 )
 
-from conftest import items_of
+from conftest import intersection_charges, items_of, join_nodes
 from test_perturb_kernel import VALUE, degenerate_instances
 
 # --- references: the earlier implementations ---------------------------------
@@ -160,13 +161,23 @@ def assert_filters_match(pert, join_limit=20_000):
             len(build_f_ij(pert, i, j)) for j in range(n) if j != i
         )
         if product <= join_limit:
-            got = reconstruct_I(pert, i, Budget(product, "combinations"))
+            budget = Budget(sum(intersection_charges(pert, i)), "intersections")
+            got = reconstruct_I(pert, i, budget)
+            assert budget.remaining == 0
             assert [items_of(mask) for mask in got] == ref_reconstruct_I(pert, i)
 
 
 def assert_join_matches(per_agent, m):
-    got = _join(per_agent, m)
-    want = ref_join([[items_of(s) for s in sets] for sets in per_agent], m)
+    """The product join's groups, charged one unit per set at each node of
+    an independent depth-first join, and refused one unit short."""
+    sets = [[items_of(s) for s in masks] for masks in per_agent]
+    charge = sum(len(sets[k]) for k in join_nodes(sets, m))
+    with pytest.raises(BudgetExceededError):
+        _join(per_agent, m, Budget(charge - 1, "join set tests"))
+    budget = Budget(charge, "join set tests")
+    got = _join(per_agent, m, budget)
+    assert budget.remaining == 0
+    want = ref_join(sets, m)
     assert list(got) == list(want)  # the same R keys, first seen in order
     for rset, tuples in want.items():
         assert got[rset] == tuples  # the same tuples, in product order
@@ -278,7 +289,7 @@ def test_join_matches_product_join(case):
 def test_join_on_a_shape_with_several_r_groups():
     pert = perturb_nondegenerate(gen_random(3, 6, 9, F(1, 2), 2))
     per_agent = [reconstruct_I(pert, i, Budget(10**9, "c")) for i in range(3)]
-    groups = _join(per_agent, 6)
+    groups = _join(per_agent, 6, Budget(10**9, "c"))
     assert len(groups) > 3 and max(map(len, groups.values())) > 1
     assert_join_matches(per_agent, 6)
 

@@ -7,13 +7,12 @@ below are the earlier implementations: the fixed-n search built a fresh
 allocation and a full n x n profile for every placement of every item, and
 the picking witnesses were spliced from the partial bundles.  The kernel must
 agree with them on the allocation, certificate and weights, and on the
-budget units spent, so `BudgetExceededError` fires at the same limits with
-the same message.  A witness also shares every bundle its moves leave
-untouched with the base.
+budget units spent, the join's counted by an independent depth-first walk,
+so `BudgetExceededError` fires at the same limits with the same message.  A
+witness also shares every bundle its moves leave untouched with the base.
 """
 
 import itertools
-import math
 from fractions import Fraction as F
 from typing import Dict, List, Optional
 
@@ -21,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mannafair import algorithms
+from mannafair import algorithms, fixed_n
 from mannafair.cli import solve_instance
 from mannafair.core import (
     Allocation,
@@ -35,9 +34,9 @@ from mannafair.fixed_n import search_efr_po
 from mannafair.harness import gen_identical_chores, gen_paired_goods, gen_random
 from mannafair.welfare import perturb_nondegenerate, po_certificate_lp
 
-from conftest import i_sets
+from conftest import assert_budget_is_own_spend, i_sets, join_nodes
 
-WHAT = "fixed-n separator combinations, joined tuples and candidates"
+WHAT = "fixed-n set intersections, join set tests and candidates"
 
 
 def ref_placement(n, owners):
@@ -66,7 +65,7 @@ def ref_search_efr_po(inst, limit):
     pert = perturb_nondegenerate(inst)
     budget = Budget(limit, WHAT)
     per_agent = [i_sets(pert, i, budget) for i in range(n)]
-    budget.spend(math.prod(map(len, per_agent)))
+    budget.spend(sum(len(per_agent[k]) for k in join_nodes(per_agent, m)))
     by_realloc: Dict[frozenset, list] = {}
     all_items = frozenset(range(m))
     for item_sets in itertools.product(*per_agent):
@@ -134,21 +133,21 @@ def fixed_n_moves(cert):
 
 
 def assert_search_matches(inst, below):
-    """Same result as the reference, and the same spend and budget message.
-
-    The reference spends `spent` units in all, so below that it raises the
-    message of a `Budget` named `WHAT`; the kernel must raise it too.
-    """
-    expected, spent = ref_search_efr_po(inst, 10**7)
-    got = search_efr_po(inst, max_candidates=spent)
+    """Same result as the reference, and the reference's spend: the search
+    raises at one unit less, with the message of a `Budget` named `WHAT`,
+    and passes at that spend."""
+    expected, ref_spent = ref_search_efr_po(inst, 10**9)
+    search = lambda limit: search_efr_po(inst, max_candidates=limit)
+    spent = assert_budget_is_own_spend(search, below, fixed_n)
+    assert spent == ref_spent
+    with pytest.raises(BudgetExceededError) as exc:
+        search(spent - 1)
+    assert str(exc.value) == f"{WHAT} exceed the limit of {spent - 1}"
+    got = search(spent)
     assert got == expected
     alloc, cert, _ = got
     assert cert.base is alloc
     assert_shares_untouched(cert, fixed_n_moves(cert))
-    for limit in {spent - 1, below(spent)}:
-        with pytest.raises(BudgetExceededError) as exc:
-            search_efr_po(inst, max_candidates=limit)
-        assert str(exc.value) == f"{WHAT} exceed the limit of {limit}"
 
 
 VALUE = st.one_of(
