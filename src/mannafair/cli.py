@@ -185,7 +185,12 @@ def _cmd_perturb(args) -> int:
 
 
 def _budget(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}"
+        ) from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -250,7 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_BUDGET,
         help="search budget; one unit is one candidate set R or one node "
         "of the chore placement search, which runs once per distinct "
-        "(chore costs, gaps) pair",
+        "(chore costs, gaps) pair. A set that only swaps twin items of a "
+        "set already scanned is skipped and costs nothing: items every "
+        "agent values alike, held by one agent, or each alone by agents "
+        "whose rows scale to the same integers",
     )
     decide.set_defaults(func=_cmd_decide_efr)
 

@@ -24,6 +24,16 @@ chore costs and gaps.  The placement search `_place` answers each distinct
 key once per call and keeps its positions, and the first R that every
 agent passes turns them into witnesses: a witness is any envy-free
 reassignment of R, so the search that gave the verdict also gives it.
+
+The scan skips sets that relabel twin items.  Two items are twins when
+their scaled columns are equal and they share a holder, or each is its
+holder's only item and the two holders' scaled rows are equal.  Swapping
+twins (and, in the second case, their holders) maps the instance and the
+allocation to themselves, so every agent passes R exactly when every agent
+passes the swapped set.  `_candidate_sets` yields only the sets that hold
+the lowest-indexed items of each twin class; such a set comes first in its
+class of relabelings, so the first R accepted, its witnesses and the
+verdict are those of the scan over every set.
 """
 
 from __future__ import annotations
@@ -146,6 +156,58 @@ def _moves(row, agent, realloc, loads, own, picks):
     return moves
 
 
+def _twin_prev(rows, bundles, owner):
+    """`prev[t]`, the highest item below t that is t's twin, or -1.
+
+    Twins share a scaled column and either a holder, or, each being its
+    holder's only item, the holder's scaled row.
+    """
+    last = {}
+    prev = []
+    for t, col in enumerate(zip(*rows)):
+        j = owner[t]
+        # a lone item is keyed by its holder's row, others by the holder
+        key = (col, rows[j]) if len(bundles[j]) == 1 else (col, j)
+        prev.append(last.get(key, -1))
+        last[key] = t
+    return prev
+
+
+def _candidate_sets(m, size, prev):
+    """The sets of `size` items of range(m) that hold, of each twin class,
+    its lowest items, as sorted tuples in lexicographic order.
+
+    An item t is taken only while `prev[t]`, its next lower twin, is held.
+    With no twins that is every set, and `itertools.combinations` itself.
+    """
+    if max(prev, default=-1) < 0:
+        return itertools.combinations(range(m), size)
+
+    def walk():
+        held = [False] * m + [True]  # held[-1]: no lower twin to wait for
+        stack = []
+        t = 0
+        while True:
+            if len(stack) == size:
+                yield tuple(stack)
+            else:
+                last = m - size + len(stack)  # the highest item this slot takes
+                while t <= last and not held[prev[t]]:
+                    t += 1
+                if t <= last:
+                    stack.append(t)
+                    held[t] = True
+                    t += 1
+                    continue
+            if not stack:
+                return
+            t = stack.pop()
+            held[t] = False
+            t += 1
+
+    return walk()
+
+
 def decide_efr_k(
     inst: Instance,
     alloc: Allocation,
@@ -157,27 +219,33 @@ def decide_efr_k(
     Scans candidate reallocation sets R by increasing size, then
     lexicographically; the first R for which every agent admits an
     envy-free witness (reassigning items of R only) is returned inside the
-    decision's certificate.  `_passes` finds each agent's placement for
-    each R, and only the accepted R's placements become witnesses, through
-    `_moves`.
+    decision's certificate.  A set that relabels twin items of a set
+    already scanned is skipped (`_candidate_sets`): it passes exactly when
+    that set does.  `_passes` finds each agent's placement for each R, and
+    only the accepted R's placements become witnesses, through `_moves`.
 
-    `budget` counts one unit per R scanned and one per `_place` node, which
-    runs only on a (costs, gaps) key not seen before in the call.  The R
-    unit keeps the scan bounded when every check is a repeated key.
+    `budget` counts one unit per R scanned, twin relabelings not scanned,
+    and one per `_place` node, which runs only on a (costs, gaps) key not
+    seen before in the call.  The R unit keeps the scan bounded when every
+    check is a repeated key.
     """
     validate_allocation(inst, alloc)
     if k < 0 or k > inst.num_items:
         raise ValueError(f"k={k} outside [0, m={inst.num_items}]")
-    tracker = Budget(budget, "EFR-k witness-search R sets and DFS nodes")
-    n = inst.num_agents
-    owner = [0] * inst.num_items
+    tracker = Budget(
+        budget,
+        "EFR-k witness-search R sets (twin relabelings skipped) and DFS nodes",
+    )
+    n, m = inst.num_agents, inst.num_items
+    owner = [0] * m
     for j, bundle in enumerate(alloc.bundles):
         for t in bundle:
             owner[t] = j
     rows, prof = inst.scaled, profile(inst, alloc)
+    prev = _twin_prev(rows, alloc.bundles, owner)
     memo = {}
     for size in range(k + 1):
-        for realloc in itertools.combinations(range(inst.num_items), size):
+        for realloc in _candidate_sets(m, size, prev):
             tracker.spend()
             placed = []
             for i in range(n):

@@ -494,6 +494,29 @@ class TestExitCodes:
         assert run([*argv, "--budget", "-1"]) == 3
         assert "--budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, option",
+        [
+            (["decide-efr", "--k", "1"], "--budget"),
+            (["check-po"], "--budget"),
+            (["solve", "--algo", "fixed-n"], "--max-candidates"),
+        ],
+    )
+    def test_non_integer_budget_names_the_option_not_the_parser(
+        self, tmp_path, capsys, inst_file, command, option
+    ):
+        alloc = tmp_path / "alloc.json"
+        run(["solve", "--algo", "ef1", "-i", str(inst_file), "-o", str(alloc)])
+        capsys.readouterr()
+        if command[0] == "solve":
+            files = ["-o", str(tmp_path / "out.json")]
+        else:
+            files = ["--alloc", str(alloc)]
+        assert run([*command, "-i", str(inst_file), *files, option, "1e3"]) == 3
+        err = capsys.readouterr().err
+        assert f"argument {option}: must be a positive integer, got '1e3'" in err
+        assert "_budget" not in err
+
     def test_zero_denominator_value_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(

@@ -11,12 +11,16 @@ check it:
 - `two_pass_decide_efr_k` is the kernel the one pass replaced: a verdict
   pass that could put a chore on a closed gap, then a witness pass that
   searched again on the accepted R, over every other bundle;
-- `brute_covers` tries every placement of the chores on the gaps.
+- `brute_covers` tries every placement of the chores on the gaps;
+- `full_scan_decide_efr_k` is the one pass over every set R, twin
+  relabelings included, which the scan over `_candidate_sets` replaced.
 
 The kernel must agree with them on verdicts and reallocation sets, its
 witnesses must be valid, and it must never spend more than the two-pass
-kernel.  Its budget is its own: it raises `BudgetExceededError` below its
-own spend and not at it, and it spends the same on every call.
+kernel or the full scan; on inputs with twin items its decision must equal
+the full scan's, witnesses included.  Its budget is its own: it raises
+`BudgetExceededError` below its own spend and not at it, and it spends the
+same on every call.
 """
 
 import itertools
@@ -42,9 +46,11 @@ from mannafair.core import (
 from mannafair.harness import gen_partition_reduction
 from mannafair.oracles import (
     EfrDecision,
+    _candidate_sets,
     _moves,
     _passes,
     _place,
+    _twin_prev,
     decide_efr_k,
     min_efr_k,
     solve_partition,
@@ -229,6 +235,43 @@ def two_pass_decide_efr_k(inst, alloc, k):
     return EfrDecision(False, None), budget.limit - budget.remaining
 
 
+# --- the full scan that the twin-class scan replaced --------------------------
+
+
+def holders(alloc, m):
+    owner = [0] * m
+    for j, bundle in enumerate(alloc.bundles):
+        for t in bundle:
+            owner[t] = j
+    return owner
+
+
+def full_scan_decide_efr_k(inst, alloc, k):
+    """The decision over every set R by `itertools.combinations`, and the
+    units it spends."""
+    budget = Budget(10**12, "nodes")
+    owner = holders(alloc, inst.num_items)
+    rows, prof = inst.scaled, profile(inst, alloc)
+    memo = {}
+    for size in range(k + 1):
+        for realloc in itertools.combinations(range(inst.num_items), size):
+            budget.spend()
+            placed = []
+            for i in range(inst.num_agents):
+                found = _passes(rows[i], prof[i], owner, i, realloc, memo, budget)
+                if found is None:
+                    break
+                placed.append(found)
+            else:
+                witnesses = tuple(
+                    alloc.reassign(_moves(rows[i], i, realloc, *found))
+                    for i, found in enumerate(placed)
+                )
+                cert = EfrCertificate(alloc, frozenset(realloc), witnesses)
+                return EfrDecision(True, cert), budget.limit - budget.remaining
+    return EfrDecision(False, None), budget.limit - budget.remaining
+
+
 def same_decision(got, expected):
     """Same verdict and, when true, the same R; `got`'s witnesses valid."""
     assert got.verdict == expected.verdict
@@ -328,6 +371,106 @@ def test_spend_never_exceeds_the_two_pass_kernel(case):
         assert spent <= two_pass_spent
 
 
+# --- twin items ---------------------------------------------------------------
+
+
+@st.composite
+def twin_cases(draw):
+    """An instance, an allocation and k in which items 0 and 1 are twins,
+    or, for "near miss", look like twins but are not.
+
+    - "bundle": items 0 and 1 have equal columns and one holder;
+    - "alone": agents 0 and 1 have equal rows and hold items 0 and 1 alone,
+      whose columns are equal;
+    - "proportional": the same with agent 1's row agent 0's over 2 or 3,
+      so the two rows are unequal fractions with equal scaled rows;
+    - "near miss": "alone", but agent 1 also holds item 2.
+
+    The other items repeat a few drawn columns, so more twins turn up.
+    """
+    kind = draw(st.sampled_from(["bundle", "alone", "proportional", "near miss"]))
+    n = draw(st.integers(1 if kind == "bundle" else 2, 5))
+    low_m = 3 if kind == "near miss" else 2
+    # two agents holding items 0 and 1 alone leave no holder for the others
+    m = draw(st.integers(low_m, 8 if n > 2 or kind == "bundle" else low_m))
+    value = st.sampled_from([F(0), F(1), F(-1), F(2), F(-2), F(-3)])
+    column = st.lists(value, min_size=n, max_size=n)
+    pool = draw(st.lists(column, min_size=1, max_size=3))
+    cols = [pool[0], pool[0]] + [draw(st.sampled_from(pool)) for _ in range(2, m)]
+    if kind != "bundle":  # agents 0 and 1 value every item alike
+        cols = [[c[0], c[0], *c[2:]] for c in cols]
+    rows = [[cols[t][i] for t in range(m)] for i in range(n)]
+    if kind == "proportional":
+        # agent 0's row is of integers, one of them 1 or -1, so it is its
+        # own scaled row and that of its row over d, agent 1's row
+        rows[0][0] = rows[0][1] = draw(st.sampled_from([F(1), F(-1)]))
+        d = draw(st.sampled_from([2, 3]))
+        rows[1] = [v / d for v in rows[0]]
+    owner = [draw(st.integers(0, n - 1)) for _ in range(m)]
+    if kind == "bundle":
+        owner[1] = owner[0]
+    else:
+        owner[:2] = [0, 1]
+        for t in range(2, m):
+            near_miss = kind == "near miss" and t == 2
+            owner[t] = 1 if near_miss else draw(st.integers(2, n - 1))
+    bundles = tuple(
+        frozenset(t for t in range(m) if owner[t] == i) for i in range(n)
+    )
+    inst = Instance(tuple(map(tuple, rows)))
+    return kind, inst, Allocation(bundles), draw(st.integers(0, m))
+
+
+@settings(max_examples=600, deadline=None)
+@given(twin_cases())
+def test_twin_scan_matches_the_full_scan(case):
+    """Skipping twin relabelings keeps the verdict, R and witnesses of the
+    scan over every set, and never spends more."""
+    kind, inst, alloc, k = case
+    m = inst.num_items
+    prev = _twin_prev(inst.scaled, alloc.bundles, holders(alloc, m))
+    assert (prev[1] == 0) is (kind != "near miss")
+    if kind == "proportional":
+        assert inst.values[0] != inst.values[1]
+        assert inst.scaled[0] == inst.scaled[1]
+    got, spent = spend_of(lambda limit: decide_efr_k(inst, alloc, k, budget=limit))
+    expected, full_spent = full_scan_decide_efr_k(inst, alloc, k)
+    assert got == expected
+    assert spent <= full_spent
+    same_decision(got, run_reference(inst, alloc, k))
+    assert_witnesses_hold(inst, alloc, got)
+
+
+def prefix_per_class(realloc, prev):
+    """Whether `realloc` holds each item's next lower twin with the item."""
+    return all(prev[t] < 0 or prev[t] in realloc for t in realloc)
+
+
+def twin_classes(m):
+    """Every partition of range(m) into twin classes, as `prev` lists."""
+    if not m:
+        yield []
+        return
+    for prev in twin_classes(m - 1):
+        # item m - 1 starts a class or follows the last item of one
+        yield [*prev, -1]
+        yield from ([*prev, t] for t in range(m - 1) if t not in prev)
+
+
+@pytest.mark.parametrize("m", range(9))
+def test_candidate_sets_are_the_prefix_sets_in_order(m):
+    for prev in twin_classes(m):
+        for size in range(m + 2):
+            expected = [
+                realloc
+                for realloc in itertools.combinations(range(m), size)
+                if prefix_per_class(realloc, prev)
+            ]
+            assert list(_candidate_sets(m, size, prev)) == expected
+    # with no twins the scan is itertools.combinations itself
+    assert isinstance(_candidate_sets(m, 2, [-1] * m), itertools.combinations)
+
+
 # three agents, twelve chores of cost 1, and R = {1, 8, 9}: agent 0 holds R
 # and four more chores, agents 1 and 2 hold three and two
 TIES_INST = Instance(((F(-1),) * 12,) * 3)
@@ -395,6 +538,29 @@ def test_partition_reductions_match_reference(values):
         lambda s: s // 2,
     )
     assert spent <= two_pass_spent
+    full, full_spent = full_scan_decide_efr_k(inst, alloc, k)
+    assert full == got
+    assert spent <= full_spent
+
+
+# (units, units of the full scan) of the benchmark's decide ops and the one it
+# leaves out.  In a reduction of k integers the k + 1 chores of cost T are
+# twins, each alone with one of k + 1 agents of equal rows, and so are the
+# first bundle's chores of equal cost
+PARTITION_SPENDS = {
+    "2,2,2,2,2,16": (167, 4_215),
+    "1,1,1,1,10": (112, 1_101),
+    "9,7,5,3,1,2,4,6,8,10,1": (321, 2_149),
+    "2,2,2,2,2,2,16": (235, 16_556),
+}
+
+
+@pytest.mark.parametrize("values", PARTITION_SPENDS)
+def test_partition_reduction_spends(values):
+    inst, alloc, k = gen_partition_reduction(list(map(int, values.split(","))))
+    spent = spend_of(lambda limit: decide_efr_k(inst, alloc, k, budget=limit))[1]
+    full_spent = full_scan_decide_efr_k(inst, alloc, k)[1]
+    assert (spent, full_spent) == PARTITION_SPENDS[values]
 
 
 # --- the covering question, as the verdict pass asks it ------------------------

@@ -113,6 +113,10 @@ class TestMinEfrK:
             spend_of(lambda b: decide_efr_k(CHORES4, CHORES4_ALLOC, k, b))[1]
             for k in range(4)
         ]
+        # the three chores are twins, each alone with one of three agents
+        # of equal rows, so one R of each size is scanned and no placement
+        # search runs: the full scan spent 1, 4, 7 and 8
+        assert spends == [1, 2, 3, 4]
         decision = decide_efr_k(CHORES4, CHORES4_ALLOC, 3)
         assert min_efr_k(CHORES4, CHORES4_ALLOC, budget=spends[3]) == (
             3, decision.certificate
