@@ -114,8 +114,11 @@ def solve_instance(
 
         try:
             _, cert, _ = fixed_n.search_efr_po(inst, max_candidates=max_candidates)
-        except ValueError as exc:  # its one input check is the agent cap
-            raise ValueError(f"agents: {exc}") from None
+        except ValueError as exc:
+            if inst.num_agents > fixed_n.HARD_AGENT_CAP:  # its one input check
+                raise ValueError(f"agents: {exc}") from None
+            # any other ValueError is a fault of the search, not of the input
+            raise RuntimeError(f"fixed-n search: ValueError: {exc}") from exc
         return cert
     from . import algorithms
 

@@ -9,10 +9,12 @@ reallocation set R of items they leave uncovered.
 A candidate is one joined tuple plus demand sets over R: agent i alone
 demands each item of I_i, and a set D(t) of at least two agents each item t
 of R.  By R (by size, then lexicographic), demand sets and tuple, each
-candidate is screened for envy-free witnesses (`_efr_witnesses`), then the
-weighted-welfare LP certifies that every placement of R among its
-demanders maximizes eta-shifted welfare under the perturbed values, so the
-base and every witness are Pareto optimal.
+candidate is screened: every agent needs an owner vector of R (one
+demander per item) under which it is envy-free, read off the I-tuple's
+profile (`_efr_witnesses`).  Then the weighted-welfare LP certifies that
+every owner vector maximizes eta-shifted welfare under the perturbed
+values, so the base (each item on its first demander) and the witnesses,
+built for the accepted candidate alone, are Pareto optimal.
 
 The budget is charged for the work about to run: each pair's
 intersections, each join node's scan of its agent's sets and each
@@ -123,37 +125,23 @@ def _join(per_agent, m: int, budget: Budget) -> dict[frozenset, list]:
     return {sets[r]: [tuple(map(sets.get, t)) for t in ts] for r, ts in kept.items()}
 
 
-def _efr_witnesses(inst, item_sets, realloc, demand_combo):
-    """The base of a candidate and a per-agent envy-free witness.
-
-    The base gives agent i its I_i and each item of R (`realloc`) its first
-    demander in `demand_combo`; its profile is taken once.  Placements of R
-    among its demanders follow in product order, the base first: agent i's
-    row is the base row with only the moved items re-summed, and its
-    witness is the base with the moves of its first envy-free placement.
-    Returns (base, witnesses), or None when some agent has no envy-free
-    placement.  Envy-freeness is evaluated under the original values.
-    """
-    bundles = list(item_sets)
-    for t, d in zip(realloc, demand_combo):
-        bundles[d[0]] = bundles[d[0]] | {t}
-    base = Allocation(tuple(bundles))
-    prof, rows = profile(inst, base), inst.scaled
-    found: list[list | None] = [None] * len(rows)  # each agent's moves
+def _efr_witnesses(rows, prof, realloc, demand_combo):
+    """Each agent's first envy-free owner vector of R, or None if some
+    agent has none.  A vector gives each item of R (`realloc`) one of its
+    demanders in `demand_combo`, in product order.  `prof` profiles the
+    I-tuple alone; agent i's row under a vector is its row there plus each
+    item of R added to that item's owner, under the original values."""
+    found: list[tuple | None] = [None] * len(rows)
     for owners in itertools.product(*demand_combo):
-        moves = [
-            (t, d[0], a) for t, d, a in zip(realloc, demand_combo, owners) if a != d[0]
-        ]
         for i, row in enumerate(rows):
             if found[i] is None:
                 vals = list(prof[i])
-                for t, src, dst in moves:
-                    vals[src] -= row[t]
-                    vals[dst] += row[t]
+                for t, a in zip(realloc, owners):
+                    vals[a] += row[t]
                 if vals[i] >= max(vals):
-                    found[i] = moves
+                    found[i] = owners
         if None not in found:
-            return base, [base.reassign({t: a for t, _, a in mv}) for mv in found]
+            return found
     return None
 
 
@@ -161,9 +149,10 @@ def search_efr_po(inst: Instance, max_candidates: int = DEFAULT_MAX_CANDIDATES):
     """Find an EFR-(n-1) and Pareto-optimal allocation by enumeration.
 
     Returns (allocation, certificate, weight_vector); the allocation is
-    the certificate's base, whose bundles every witness shares except the
-    ones its moves touch.  The perturbation scales rational values to
-    integers, which preserves EF, EFR and PO.
+    the base.  Each I-tuple is profiled once, at its first screen.  A
+    witness moves the items of R whose owner differs off the base, sharing
+    every other bundle with it.  The perturbation scales rational values
+    to integers, which preserves EF, EFR and PO.
     One unit of `max_candidates` is one set intersection in
     `reconstruct_I`, one set tested at a join node or one screened
     (R, demand, I-tuple) candidate, each spent before that work runs;
@@ -188,11 +177,13 @@ def search_efr_po(inst: Instance, max_candidates: int = DEFAULT_MAX_CANDIDATES):
     sizes = range(2, n + 1)
     demand_opts = [c for k in sizes for c in itertools.combinations(range(n), k)]
     for rset in sorted(by_realloc, key=lambda r: (len(r), sorted(r))):
-        realloc = sorted(rset)
+        realloc, tuples = sorted(rset), by_realloc[rset]
+        profs = [None] * len(tuples)  # each I-tuple's profile, R unassigned
         for demand_combo in itertools.product(demand_opts, repeat=len(realloc)):
-            for item_sets in by_realloc[rset]:
+            for k, item_sets in enumerate(tuples):
                 budget.spend()
-                found = _efr_witnesses(inst, item_sets, realloc, demand_combo)
+                prof = profs[k] = profs[k] or profile(inst, Allocation(item_sets))
+                found = _efr_witnesses(inst.scaled, prof, realloc, demand_combo)
                 if found is None:
                     continue
                 demand = {t: (i,) for i, items in enumerate(item_sets) for t in items}
@@ -200,7 +191,14 @@ def search_efr_po(inst: Instance, max_candidates: int = DEFAULT_MAX_CANDIDATES):
                 w = po_certificate_lp(pert, demand)
                 if w is None:
                     continue
-                base, witnesses = found
+                bundles, firsts = list(item_sets), [d[0] for d in demand_combo]
+                for t, f in zip(realloc, firsts):
+                    bundles[f] = bundles[f] | {t}
+                base = Allocation(tuple(bundles))
+                witnesses = []
+                for v in found:  # the items of R that v takes off their first demander
+                    moved = {t: a for t, a, f in zip(realloc, v, firsts) if a != f}
+                    witnesses.append(base.reassign(moved))
                 return base, EfrCertificate(base, rset, tuple(witnesses)), w
     raise AssertionError(
         "enumeration exhausted without a solution; existence is guaranteed"

@@ -180,16 +180,19 @@ def _unit_cycle(rows, top, a, num, den, free, items) -> bool:
 def check_nondegenerate(values) -> bool:
     """Decide the two non-degeneracy conditions by exhaustive enumeration.
 
-    ``values`` is an n x m matrix of rationals.  Condition (i): no zero
-    entry.  Condition (ii): every simple cycle of the complete agent-item
-    bipartite graph has alternating value-ratio product != 1.  Cycles are
-    walked from their lowest agent, once the zero test has passed and the
-    cycle count fits `CYCLE_BUDGET`.
+    ``values`` is an n x m matrix of rationals; a ragged one raises
+    ValueError.  Condition (i): no zero entry.  Condition (ii): every
+    simple cycle of the complete agent-item bipartite graph has
+    alternating value-ratio product != 1.  Cycles are walked from their
+    lowest agent, once the zero test has passed and the cycle count fits
+    `CYCLE_BUDGET`.
     """
     vals = rational_rows(values)
+    n, m = len(vals), len(vals[0]) if vals else 0
+    if any(len(row) != m for row in vals):
+        raise ValueError("valuation matrix is ragged")
     if any(v == 0 for row in vals for v in row):
         return False
-    n, m = len(vals), len(vals[0]) if vals else 0
     _spend_cycles(n, m)
     rows = [scale_row(row)[1] for row in vals]
     for first, top in enumerate(rows):

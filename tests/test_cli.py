@@ -482,6 +482,24 @@ class TestExitCodes:
         )
         assert not out.exists()
 
+    def test_fixed_n_internal_value_error_is_internal_error(
+        self, tmp_path, capsys, monkeypatch, inst_file
+    ):
+        from mannafair import fixed_n
+
+        def broken(pert, demand):
+            raise ValueError("demand map must cover every item")
+
+        monkeypatch.setattr(fixed_n, "po_certificate_lp", broken)
+        out = tmp_path / "out.json"
+        argv = ["solve", "--algo", "fixed-n", "-i", str(inst_file), "-o", str(out)]
+        assert run(argv) == 4
+        assert capsys.readouterr().err == (
+            "internal error: RuntimeError: fixed-n search: ValueError: "
+            "demand map must cover every item\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["check-po", "decide-efr"])
     def test_budget_below_one_is_input_error(
         self, tmp_path, capsys, inst_file, command

@@ -93,6 +93,11 @@ class TestCheckNondegenerate:
     def test_generic_values_pass(self):
         assert check_nondegenerate([[F(1), F(2)], [F(3), F(5)]])
 
+    @pytest.mark.parametrize("values", [[[1, 2], [3]], [[1], [2, 3]], [[0, 1], [2]]])
+    def test_ragged_matrix_is_value_error(self, values):
+        with pytest.raises(ValueError, match="^valuation matrix is ragged$"):
+            check_nondegenerate(values)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_perturbed_instances_pass(self, seed):
         inst = gen_random(3, 5, 9, F(1, 2), seed=seed)

@@ -1,7 +1,8 @@
 """Witnesses built as moves on the base, against their predecessors.
 
-`fixed_n._efr_witnesses` builds a candidate's base once, profiles it once
-and re-sums only the moved items of R per placement; the picking
+`fixed_n._efr_witnesses` scans owner vectors of R over the profile of the
+I-tuple alone, taken once per tuple, and the search builds the base and
+moves R's items on it only for the accepted candidate; the picking
 certificates move the reserve R with `Allocation.reassign`.  The references
 below are the earlier implementations: the fixed-n search built a fresh
 allocation and a full n x n profile for every placement of every item, and
