@@ -235,9 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="fixed-n search budget, spent before the work it pays for; one "
         "unit is one intersection of an item set with a separator filter, "
         "one set tested at a join node or one screened (R, demand, tuple) "
-        "candidate. The perturbation runs before any "
-        "candidate, under the fixed welfare.CYCLE_BUDGET (10^7 agent-item "
-        "cycle traversals), which this option does not lower",
+        "candidate. The perturbation that runs first walks no cycle and "
+        "needs no budget",
     )
     solve.add_argument("-i", "--input", required=True)
     solve.add_argument("-o", "--output", required=True)

@@ -9,30 +9,33 @@ certified by an exact linear program: a weight vector under which each
 item's demanders tie and beat every other agent makes every placement
 among the demanders Pareto optimal, the weighted-welfare (fPO)
 certificate of Barman, Krishnamurthy and Vaish (EC 2018).  The LP has
-one variable per agent; its rows are built from the perturbed instance's
-per-agent integer rows and decided by an exact simplex with fraction-free
-pivots, with no `Fraction` until the returned point.
+one variable per agent; its rows are built from the numerators and
+denominators of the perturbed values and decided by an exact simplex with
+fraction-free pivots, with no `Fraction` until the returned point.
 
-Cycles are walked depth-first over integer rows: each row is scaled by
-the LCM of its denominators (every agent of a cycle heads one numerator
-and one denominator edge, so the ratio product is unchanged), a path
-carries its running numerator and denominator, and a closing edge is one
-comparison of two integer products.  Cycles sharing a prefix share its
-multiplications, and no `Fraction` is built per step.
+The perturbation is non-degenerate by construction, in the spirit of
+simulation of simplicity (Edelsbrunner and Muecke, ACM TOG 1990): entry
+(i, t) takes eps = |v| / Q, or 1 / Q where v = 0, for its own prime Q
+above M / epsilon, M the largest max(|v|, 1).  In any cycle the largest
+prime divides one denominator and no other factor of the ratio product,
+whose Q-adic valuation is then +-1, so the product is not one.  Each
+prime is proven by a Proth certificate (`_proth_primes`); nothing is
+walked.
 
-The perturbation first screens each entry's forbidden values by their
-residues mod the prime `_P` = 2^61 - 1 (residue fingerprints, after Karp
-and Rabin, 1987): a path carries one residue, extended and closed by one
-modular product each.  Equal values have equal residues, so distinct
-residues prove the values distinct and their count exact, and a grid
-point whose residue misses them is allowed.  An entry the screen cannot
-settle runs the exact walk, so the result never depends on `_P`.
+`check_nondegenerate`, the independent check, walks the cycles
+depth-first over integer rows: each row is scaled by the LCM of its
+denominators (every agent of a cycle heads one numerator and one
+denominator edge, so the ratio product is unchanged), a path carries its
+running numerator and denominator, and a closing edge is one comparison of
+two integer products.  Cycles sharing a prefix share its multiplications,
+and no `Fraction` is built per step.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from itertools import islice
+from math import comb, factorial, gcd, lcm, prod
 
 from .core import (
     Allocation,
@@ -44,7 +47,18 @@ from .core import (
 )
 
 CYCLE_BUDGET = 10**7
-_P = 2**61 - 1  # a Mersenne prime; the perturbation screens by residues mod _P
+_SIEVE = prod(range(3, 128, 2))  # a multiple of every odd prime below 128
+# (a, mask): bit r of mask is set when r is a quadratic non-residue mod a
+_PROTH_BASES = (
+    (3, 0b100),
+    (5, 0b1100),
+    (7, 0b1101000),
+    (11, 0b10111000100),
+    (13, 0b100111100100),
+    (17, 0b101110011101000),
+    (19, 0b1001111010100001100),
+    (23, 0b11110101100110010100000),
+)
 
 
 class PerturbParams(FrozenRecord):
@@ -97,9 +111,9 @@ class WeightVector(FrozenRecord):
 class PerturbedInstance(FrozenRecord):
     """An instance plus its perturbation matrix and parameters.
 
-    The perturbed values `_pert`, their integer rows `scaled` (as
-    `Instance.scaled`) and those rows' LCMs `_scales` are derived, so they
-    stay out of `==`, `hash` and `repr`.
+    The perturbed values `_pert` and their integer rows `scaled` (as
+    `Instance.scaled`) are derived, so they stay out of `==`, `hash` and
+    `repr`.
     """
 
     # eps_matrix: tuple[tuple[Fraction, ...], ...]
@@ -115,11 +129,11 @@ class PerturbedInstance(FrozenRecord):
             tuple(v - e for v, e in zip(vals, row))
             for vals, row in zip(base.values, eps)
         )
-        self._fill(base, eps, params, pert, *zip(*map(scale_row, pert)))
+        self._fill(base, eps, params, pert, tuple(scale_row(r)[1] for r in pert))
 
     def _fill(self, *parts):
-        """Set the fields, `_pert`, `_scales` and `scaled`, with no check."""
-        vars(self).update(zip((*self._fields, "_pert", "_scales", "scaled"), parts))
+        """Set the fields, `_pert` and `scaled`, with no check."""
+        vars(self).update(zip((*self._fields, "_pert", "scaled"), parts))
 
     @property
     def pert_values(self) -> tuple:
@@ -206,121 +220,31 @@ def check_nondegenerate(values) -> bool:
     return True
 
 
-def _forbid(walk, a, num, den, free, items) -> None:
-    """Add the eps values that the cycles extending this path rule out.
+def _proth_primes(lo: int):
+    """Certified primes above `lo`, in increasing order, without end: the
+    primes among N = k * 2^j + 1 (k odd, k < 2^j), j from ceil(b / 2) for b
+    the bit length of lo, so that 4^j > lo.
 
-    The path runs from (agent, item) through set rows to agent `a`, with
-    ratio product num/den; it closes on a set item of `agent`, one before
-    `item`, and may still visit the agents in `free`.
+    By Proth's theorem (1878) such an N is prime when a^((N-1)/2) = -1
+    (mod N) for some a; that congruence, checked exactly, is each prime's
+    certificate.  A candidate with an odd factor below 128 (one `gcd` with
+    `_SIEVE`) is skipped.  Otherwise one base is tried: the first a of
+    `_PROTH_BASES` with N mod a a non-residue mod a.  As N = 1 (mod 4) once
+    lo >= 4 (then j >= 2), quadratic reciprocity makes a a non-residue mod
+    N too, so if N is prime the congruence holds; if it fails N is
+    composite.  A candidate with no such a (about 1 prime in 256) is
+    skipped, never accepted.
     """
-    rows, top, item, vs_num, v_den, vs_den, forbidden = walk
-    for i, p in enumerate(rows[a] if free else rows[a][:item]):
-        if items >> i & 1 or not p:  # a zero denominator solves nothing
-            continue
-        d = den * p
-        if i < item:  # x = num * top[i] / (d * scale); eps = v - x
-            e_num, e_den = vs_num * d - num * top[i] * v_den, vs_den * d
-            if e_den < 0:
-                e_num, e_den = -e_num, -e_den
-            g = gcd(e_num, e_den)
-            forbidden.add((e_num // g, e_den // g))
-        for b in range(len(rows) if free else 0):
-            if free >> b & 1:
-                _forbid(walk, b, num * rows[b][i], d, free ^ 1 << b, items | 1 << i)
-
-
-def _forbidden_eps(inst, rows, pert_row, agent, item):
-    """Perturbation values for (agent, item) ruled out by already-set cycles.
-
-    Entries are set in row-major order, so a closable cycle through the
-    edge (agent, item) runs through rows before `agent` and returns on an
-    item before `item`.  `rows` holds those earlier perturbed rows, each
-    scaled to integers by `scale_row`; `pert_row` is agent's perturbed row,
-    set before `item`.  Each cycle solves the product-one equation for the
-    unknown perturbed value; values are (numerator, denominator) pairs in
-    lowest terms.
-    """
-    v = inst.values[agent][item]
-    forbidden = {(v.numerator, v.denominator)}  # eps = v would zero the entry
-    if agent and item:
-        scale, top = scale_row(pert_row[:item])
-        v_num, v_den = v.numerator, v.denominator
-        walk = (rows, top, item, v_num * scale, v_den, v_den * scale, forbidden)
-        for b in range(agent):
-            _forbid(walk, b, rows[b][item], 1, (1 << agent) - 1 ^ 1 << b, 1 << item)
-    return forbidden
-
-
-def _residue(num: int, den: int):
-    """num/den mod `_P`, or None when `_P` divides den."""
-    den %= _P
-    return num * pow(den, -1, _P) % _P if den else None
-
-
-def _inverses(xs) -> list:
-    """The inverses mod `_P` of nonzero residues, with one `pow` (Montgomery's
-    batch inversion)."""
-    prefix = [1]
-    for x in xs:
-        prefix.append(prefix[-1] * x % _P)
-    inv = pow(prefix[-1], -1, _P)
-    out = [0] * len(xs)
-    for j in range(len(xs) - 1, -1, -1):
-        out[j] = inv * prefix[j] % _P
-        inv = inv * xs[j] % _P
-    return out
-
-
-def _forbid_residues(step, close, a, r, free, items, lo, xs) -> None:
-    """Append to `xs` the residues of the values that cycles extending this
-    path solve for, as `_forbid` walks them.
-
-    The path has residue r at agent `a`.  `items` lists its unused items,
-    the `lo` items before the entry's item first; it closes on one of
-    those and may still visit the `free` agents through any unused item.
-    The leaves, paths with no free agent left, are one list comprehension
-    per parent.
-    """
-    row = close[a]
-    xs += [r * row[i] % _P for i in items[:lo]]
-    for b in free:
-        st = step[a][b]
-        rest = [c for c in free if c != b]
-        if rest:
-            for j, i in enumerate(items):
-                rest_items = items[:j] + items[j + 1 :]
-                _forbid_residues(
-                    step, close, b, r * st[i] % _P, rest, rest_items, lo - (j < lo), xs
-                )
-            continue
-        row = close[b]
-        cs = [row[i] for i in items[:lo]]
-        leaves = [s * c % _P for s in [r * st[i] % _P for i in items] for c in cs]
-        del leaves[: lo * lo : lo + 1]  # b cannot close on the item it was reached by
-        xs += leaves
-
-
-def _residue_screen(res, step, close, agent, item, v, eps_r):
-    """(grid size, residue of v - epsilon / grid) when residues settle the
-    entry (agent, item) at its first grid point, else None.
-
-    `xs` holds the residue of every value x the entry must avoid: 0, and
-    each closing's solution (eps = v - x is then forbidden).  Pairwise
-    distinct residues make the values distinct, so the grid counts them
-    exactly, and a grid point whose residue misses them all is allowed.
-    """
-    xs = [0]
-    if agent and item:
-        items = [i for i in range(len(res[0])) if i != item]
-        for b in range(agent):
-            free = [a for a in range(agent) if a != b]
-            _forbid_residues(step, close, b, res[b][item], free, items, item, xs)
-    grid = len(xs) + 2
-    x = _residue(v * grid - eps_r, grid)
-    seen = set(xs)
-    if x is not None and len(seen) == len(xs) and x not in seen:
-        return grid, x
-    return None
+    j = (lo.bit_length() + 1) // 2
+    while True:  # N for odd k from the least with N > lo, while k < 2^j
+        for n in range(((lo - 1 >> j) + 1 | 1) << j | 1, 1 << 2 * j, 2 << j):
+            if gcd(n, _SIEVE) == 1:
+                for a, nonresidues in _PROTH_BASES:
+                    if nonresidues >> n % a & 1:
+                        if pow(a, n >> 1, n) == n - 1:
+                            yield n
+                        break
+        lo, j = max(lo, (1 << 2 * j) - 1), j + 1  # k reached 2^j
 
 
 def perturb_nondegenerate(inst: Instance) -> PerturbedInstance:
@@ -328,67 +252,37 @@ def perturb_nondegenerate(inst: Instance) -> PerturbedInstance:
 
     Rational values are first scaled to integers by the LCM of all their
     denominators, which preserves EF, EFR and PO; the result's base is that
-    scaled instance.  Entries are set in row-major order; each
-    already-closable cycle forbids one rational value, and the perturbation
-    is picked from a uniform grid in (0, epsilon) with more points than
-    forbidden values.  The cycle budget of `check_nondegenerate` applies,
-    and `search_efr_po` inherits it (at n = 3 it is reached at m = 172).
-    Each entry is screened by residues first (`_residue_screen`); one the
-    screen does not settle runs the exact `_forbidden_eps` and grid loop,
-    and once a residue is undefined or zero every later entry does.
+    scaled instance.  With M = max(|v|, 1) over its values, the n * m
+    entries take, in row-major order, the increasing primes Q > M /
+    epsilon of `_proth_primes`, and eps = |v| / Q, or 1 / Q where v = 0.
+    Every eps lies in (0, epsilon), and the perturbed value is v (Q - 1) /
+    Q for v > 0, v (Q + 1) / Q for v < 0 and -1 / Q for v = 0, in lowest
+    terms since |v| < Q: no entry is zero.  In a cycle, the largest prime Q
+    divides the denominator of its own entry and no other factor of the
+    ratio product: not |v| < Q, not Q' +- 1 < Q for a smaller (odd) prime
+    Q', not Q +- 1.  So the product has Q-adic valuation +-1 and is never
+    1.  Nothing is walked and no budget applies; row i's LCM is the product
+    of its primes.
     """
     n, m = inst.num_agents, inst.num_items
-    _spend_cycles(n, m)
     scale = lcm(*(v.denominator for row in inst.values for v in row))
     if scale > 1:
         inst = Instance(tuple(tuple(v * scale for v in row) for row in inst.values))
     params = compute_params(inst)
     epsilon = params.epsilon
-    eps_r = _residue(epsilon.numerator, epsilon.denominator)
-    eps_rows, pert_rows, scaled = [], [], []  # the finished rows, `scale_row` pairs
-    res, inv = [], []  # their residues and the residues' inverses
-    step = [[None] * n for _ in range(n)]  # step[a][b][t] = r(pert_b[t] / pert_a[t])
-    for i in range(n):
-        eps, pert, cur = [None] * m, [None] * m, []
-        close = [[] for _ in range(i)]  # close[a][t] = r(pert_i[t] / pert_a[t])
-        for t in range(m):
-            v = inst.values[i][t]
-            hit = eps_r and _residue_screen(res, step, close, i, t, v.numerator, eps_r)
-            if hit:
-                grid, x = hit
-                chosen = epsilon / grid
-            else:
-                rows = [row for _, row in scaled]
-                forbidden = _forbidden_eps(inst, rows, pert, i, t)
-                grid = len(forbidden) + 2
-                for k in range(1, grid):  # grid - 1 points, so one is admissible
-                    chosen = epsilon * k / grid
-                    if (chosen.numerator, chosen.denominator) not in forbidden:
-                        break
-                del forbidden  # else it lives on while the next entry's set grows
-            eps[t] = chosen
-            pert[t] = v - chosen
-            if eps_r:
-                if not hit:
-                    x = _residue(pert[t].numerator, pert[t].denominator)
-                if not x:  # no inverse: the exact walk from here on
-                    eps_r = None
-                    continue
-                cur.append(x)
-                for a in range(i):
-                    close[a].append(inv[a][t] * x % _P)
-        eps_rows.append(tuple(eps))
-        pert_rows.append(tuple(pert))
-        scaled.append(scale_row(pert))
-        if eps_r:
-            cur_inv = _inverses(cur)
-            for a in range(i):
-                step[a][i] = [p * q % _P for p, q in zip(inv[a], cur)]
-                step[i][a] = [p * q % _P for p, q in zip(cur_inv, res[a])]
-            res.append(cur)
-            inv.append(cur_inv)
+    top = max((abs(v) for row in inst.scaled for v in row), default=1) or 1
+    primes = _proth_primes(top * epsilon.denominator // epsilon.numerator)
+    eps_rows, pert_rows, scaled = [], [], []
+    for row in inst.scaled:
+        qs = list(islice(primes, m))
+        es = [abs(v) or 1 for v in row]  # eps numerators
+        nums = [v * q - e for v, q, e in zip(row, qs, es)]  # (v - eps) * Q
+        s = prod(qs)
+        eps_rows.append(tuple(map(Fraction, es, qs)))
+        pert_rows.append(tuple(map(Fraction, nums, qs)))
+        scaled.append(tuple(x * (s // q) for x, q in zip(nums, qs)))
     out = object.__new__(PerturbedInstance)  # every part is checked and built
-    out._fill(inst, tuple(eps_rows), params, tuple(pert_rows), *zip(*scaled))
+    out._fill(inst, tuple(eps_rows), params, tuple(pert_rows), tuple(scaled))
     return out
 
 
@@ -523,29 +417,29 @@ def po_certificate_lp(pert: PerturbedInstance, demand) -> WeightVector | None:
     exactly; two demanders of one item get both rows, so they tie.  A
     feasible w makes every placement of the items among their demanders
     maximize eta-shifted weighted welfare under the perturbed values, hence
-    Pareto optimal under the original values.  With vbar_a(t) =
-    `scaled[a][t]` / s_a, a row times M = den(eta) s_i s_j is integral;
-    divided by the gcd of M and its entries, it is the row times the LCM of
-    its denominators.
+    Pareto optimal under the original values.  With vbar_a(t) = p_a / q_a
+    in lowest terms, a row times M = den(eta) q_i q_j is integral; divided
+    by the gcd of M and its entries, it is the row times the LCM of its
+    denominators.
     """
     n, m = pert.base.num_agents, pert.base.num_items
     if len(demand) != m:
         raise ValueError("demand map must cover every item")
     en, ed = pert.params.eta.numerator, pert.params.eta.denominator
-    values, scales = pert.scaled, pert._scales
     rows = [[1] * (n + 1), [-1] * (n + 1)]
-    for t in range(m):
+    for t, col in enumerate(zip(*pert.pert_values)):
         if not demand[t] or not set(demand[t]) <= set(range(n)):
             raise ValueError(f"item {t} needs demanders among the agents")
+        pq = [(v.numerator, v.denominator) for v in col]
         for i in demand[t]:
-            vi, si = values[i][t], scales[i]
-            for j in range(n):
+            pi, qi = pq[i]
+            for j, (pj, qj) in enumerate(pq):
                 if j != i:
                     # (w_j+eta) vbar_j(t) <= (w_i+eta) vbar_i(t), times M
-                    a, b = values[j][t] * si, vi * scales[j]
+                    a, b = pj * qi, pi * qj
                     row = [0] * (n + 1)
                     row[0], row[1 + j], row[1 + i] = en * (b - a), ed * a, -ed * b
-                    g = gcd(ed * si * scales[j], *row)
+                    g = gcd(ed * qi * qj, *row)
                     rows.append([x // g for x in row])
     point = solve_leq_system(rows, n)
     return None if point is None else WeightVector(tuple(point))

@@ -222,20 +222,22 @@ class TestSearchEfrPo:
     # the join must keep its first hit.  Rows (3, 2, 1, 0), (3, 3, 1, 3)
     # and (3, 5, 1, 9) are the first hits once the LP also makes each
     # item's demanders beat the other agents (the earlier rows gave an R
-    # item a single demander under their own weights)
+    # item a single demander under their own weights).  Rows (3, 3, 1, 3)
+    # and (2, 5, 0, 3) are the first hits under the closed-form (prime)
+    # perturbation, which moved them; each hit is also checked below
     FIRST_HITS = [
         ((3, 2, F(1), 0), {0, 1}, [{1}, {0}, set()]),
         ((3, 2, F(1), 1), {0, 1}, [{0, 1}, set(), set()]),
         ((3, 2, F(1), 2), {0, 1}, [{0, 1}, set(), set()]),
         ((3, 2, F(1), 3), {0, 1}, [{0, 1}, set(), set()]),
-        ((3, 3, F(1), 3), {0, 1}, [{0}, {1, 2}, set()]),
+        ((3, 3, F(1), 3), {0, 1}, [{0, 2}, {1}, set()]),
         ((3, 3, F(1, 2), 2), {2}, [{2}, set(), {0, 1}]),
         ((3, 3, F(1, 2), 11), {1}, [{0, 2}, {1}, set()]),
         ((2, 2, F(1, 2), 3), {1}, [{1}, {0}]),
         ((2, 3, F(1), 4), {2}, [{2}, {0, 1}]),
         ((2, 4, F(0), 6), {3}, [{1, 3}, {0, 2}]),
         ((2, 4, F(1), 10), {1}, [{0, 1, 2}, {3}]),
-        ((2, 5, F(0), 3), {4}, [{0, 3, 4}, {1, 2}]),
+        ((2, 5, F(0), 3), set(), [{3, 4}, {0, 1, 2}]),
         ((2, 6, F(0), 9), {5}, [{0, 3, 5}, {1, 2, 4}]),
         ((3, 5, F(1), 9), {1}, [{1, 2, 4}, {3}, {0}]),
         ((3, 5, F(0), 4), set(), [{2}, {0}, {1, 3, 4}]),
@@ -249,9 +251,14 @@ class TestSearchEfrPo:
     @pytest.mark.parametrize("spec,realloc,bundles", FIRST_HITS)
     def test_first_hit_follows_enumeration_order(self, spec, realloc, bundles):
         n, m, chore_prob, seed = spec
-        alloc, cert, _ = search_efr_po(gen_random(n, m, 9, chore_prob, seed))
+        inst = gen_random(n, m, 9, chore_prob, seed)
+        alloc, cert, _ = search_efr_po(inst)
         assert cert.realloc_set == realloc
         assert alloc.bundles == tuple(frozenset(b) for b in bundles)
+        assert validate_certificate(inst, cert) and len(realloc) <= n - 1
+        assert all(
+            is_pareto_optimal_bruteforce(inst, a) for a in (alloc, *cert.witnesses)
+        )
 
     def test_rational_values_match_integer_scaled_copy(self):
         base = gen_random(3, 5, 9, F(1, 2), seed=4)
@@ -300,7 +307,7 @@ class TestSearchEfrPo:
     def test_search_charges_each_join_node_before_its_scan_then_candidates(
         self, monkeypatch
     ):
-        inst = gen_random(3, 4, 9, F(1, 2), seed=2)  # 9 screened candidates
+        inst = gen_random(3, 4, 9, F(1, 2), seed=2)  # 8 screened candidates
         events = []
         join, screen = fixed_n._join, fixed_n._efr_witnesses
 
@@ -333,7 +340,7 @@ class TestSearchEfrPo:
         assert [joined[e + 1] for e in at] == [("and", k) for k in nodes]
         assert len(joined) == len(nodes) + sum(len(per_agent[k]) for k in nodes)
         # then one unit right before each screened candidate
-        assert full[first - 1 :] == [("spend", 1), ("screen", None)] * 9
+        assert full[first - 1 :] == [("spend", 1), ("screen", None)] * 8
 
     def test_join_is_charged_by_nodes_not_its_product(self):
         # the product of the per-agent set counts is 231,840 here; the

@@ -413,7 +413,6 @@ def assert_constructions_agree(pert):
     assert repr(public) == repr(pert)
     assert public.pert_values == pert.pert_values
     assert public.scaled == pert.scaled
-    assert public._scales == pert._scales
     assert pert.scaled == tuple(scale_row(row)[1] for row in pert.pert_values)
     assert pert.params == ref_compute_params(pert.base)
     for row in (*pert.eps_matrix, *pert.pert_values):

@@ -1,36 +1,34 @@
-"""The integer cycle walk in `welfare` against its `Fraction` predecessor.
+"""The closed-form perturbation in `welfare` and the cycle check.
 
-`check_nondegenerate`, `_forbidden_eps` and `perturb_nondegenerate` walk
-agent-item cycles over integer rows.  The references below are the earlier
-implementations, which enumerate item and agent permutations and multiply
-`Fraction` ratios edge by edge; the walk must agree with them on every
-matrix, including zeros, negatives, mixed denominators and planted
-product-one cycles of length 2 and 3.
-
-`perturb_nondegenerate` screens forbidden values by residues mod
-`welfare._P` before it runs the exact walk.  A small modulus forced in its
-place makes the screen fall back on most entries, and the eps matrix must
-stay the reference's either way.
+`perturb_nondegenerate` gives entry (i, t) its own prime Q above M /
+epsilon, M the largest max(|v|, 1), and eps = |v| / Q (1 / Q where v = 0),
+and walks no cycle.  Its output must pass both the integer cycle walk of
+`check_nondegenerate` and the `Fraction` reference below, which enumerates
+item and agent permutations and multiplies ratios edge by edge; every eps
+must lie in (0, epsilon), and the primes must be distinct, above the bound
+and prime by trial division.  `check_nondegenerate` must agree with the
+reference on every matrix, including zeros, negatives, mixed denominators
+and planted product-one cycles of length 2 and 3.
 """
 
 import hashlib
 import itertools
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mannafair import welfare
 from mannafair.cli import main
-from mannafair.core import BudgetExceededError, Instance, as_rational, scale_row
-from mannafair.harness import gen_random, serialize_instance, serialize_perturbed
-from mannafair.welfare import (
-    _forbidden_eps,
-    check_nondegenerate,
-    compute_params,
-    perturb_nondegenerate,
+from mannafair.core import BudgetExceededError, Instance, as_rational
+from mannafair.harness import (
+    gen_random,
+    parse_perturbed,
+    serialize_instance,
+    serialize_perturbed,
 )
+from mannafair.welfare import check_nondegenerate, perturb_nondegenerate
 
 
 def ref_check_nondegenerate(values):
@@ -55,69 +53,6 @@ def ref_check_nondegenerate(values):
                             return False
     return True
 
-
-def ref_forbidden_eps(inst, pert, agent, item, is_set):
-    n, m = inst.num_agents, inst.num_items
-    forbidden = {inst.values[agent][item]}
-    other_agents = list(range(agent))
-    other_items = [b for b in range(m) if b != item]
-    for k in range(2, min(n, m) + 1):
-        if len(other_agents) < k - 1 or len(other_items) < k - 1:
-            continue
-        for aperm in itertools.permutations(other_agents, k - 1):
-            aseq = (agent,) + aperm
-            for iperm in itertools.permutations(other_items, k - 1):
-                iseq = (item,) + iperm
-                ok = True
-                for idx in range(k):
-                    nxt = aseq[(idx + 1) % k]
-                    if (aseq[idx], iseq[idx]) != (agent, item) and not is_set(
-                        aseq[idx], iseq[idx]
-                    ):
-                        ok = False
-                        break
-                    if not is_set(nxt, iseq[idx]) and (nxt, iseq[idx]) != (agent, item):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                rest = F(1)
-                degenerate = False
-                for idx in range(1, k):
-                    nxt = aseq[(idx + 1) % k]
-                    num = pert[nxt][iseq[idx]]
-                    den = pert[aseq[idx]][iseq[idx]]
-                    if den == 0:
-                        degenerate = True
-                        break
-                    rest *= F(num) / den
-                if degenerate:
-                    continue
-                solved = pert[aseq[1]][iseq[0]] * rest
-                forbidden.add(inst.values[agent][item] - solved)
-    return forbidden
-
-
-def ref_perturb_eps(inst):
-    params = compute_params(inst)
-    n, m = inst.num_agents, inst.num_items
-    eps_matrix = [[None] * m for _ in range(n)]
-    pert = [[None] * m for _ in range(n)]
-
-    def is_set(a, b):
-        return eps_matrix[a][b] is not None
-
-    for i in range(n):
-        for t in range(m):
-            forbidden = ref_forbidden_eps(inst, pert, i, t, is_set)
-            grid_size = len(forbidden) + 1
-            for k in range(1, grid_size + 1):
-                candidate = params.epsilon * k / (grid_size + 1)
-                if candidate not in forbidden:
-                    break
-            eps_matrix[i][t] = candidate
-            pert[i][t] = inst.values[i][t] - candidate
-    return tuple(tuple(row) for row in eps_matrix)
 
 
 VALUE = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 7]))
@@ -167,52 +102,104 @@ def test_check_zero_entry_wins_over_budget():
         check_nondegenerate(rows)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_forbidden_eps_agrees_with_reference(data):
-    """Arbitrary set entries, zeros included, at any row-major position."""
-    rows = data.draw(matrices().filter(lambda r: r[0]))
-    n, m = len(rows), len(rows[0])
-    inst = Instance(tuple(tuple(data.draw(VALUE) for _ in range(m)) for _ in range(n)))
-    agent, item = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, m - 1))
-
-    def is_set(a, b):
-        return a < agent or (a == agent and b < item)
-
-    pert = [
-        [v if is_set(a, b) else None for b, v in enumerate(row)]
-        for a, row in enumerate(rows)
-    ]
-    scaled = [scale_row(row)[1] for row in pert[:agent]]
-    got = _forbidden_eps(inst, scaled, pert[agent], agent, item)
-    for p, q in got:
-        assert q > 0 and F(p, q).numerator == p
-    expected = ref_forbidden_eps(inst, pert, agent, item, is_set)
-    assert {F(p, q) for p, q in got} == expected
+def is_prime(q):
+    """Trial division."""
+    return q > 1 and all(q % d for d in range(2, int(q**0.5) + 1))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_perturbation_matches_reference(data):
-    n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 5))
-    value = st.integers(-4, 4)
-    rows = [[F(data.draw(value)) for _ in range(m)] for _ in range(n)]
-    inst = Instance(tuple(map(tuple, rows)))
+BASES = (3, 5, 7, 11, 13, 17, 19, 23)
+
+
+def ref_primes(lo, count):
+    """The first `count` numbers N = k * 2^j + 1 (k odd, k < 2^j) above
+    max(lo, 127) with a^((N-1)/2) = -1 (mod N) for some a in BASES: j from
+    ceil(b / 2) for b the bit length of lo, each N above every candidate of
+    a smaller j."""
+    out, floor, j = [], lo, (lo.bit_length() + 1) // 2
+    while len(out) < count:
+        for k in range(1, 1 << j, 2):
+            n = k * 2**j + 1
+            if n > max(floor, 127) and any(pow(a, n // 2, n) == n - 1 for a in BASES):
+                out.append(n)
+                if len(out) == count:
+                    return out
+        floor, j = max(floor, (2**j - 1) * 2**j + 1), j + 1
+    return out
+
+
+def ref_perturbation(inst):
+    """(base, eps matrix) of the closed form, in `Fraction` arithmetic."""
+    scale = lcm(*(v.denominator for row in inst.values for v in row))
+    base = Instance(tuple(tuple(v * scale for v in row) for row in inst.values))
+    n, m = base.num_agents, base.num_items
+    lam = max([sum(map(abs, row)) for row in base.values] + [1])
+    epsilon = F(1, 2 * lam * n) / (8 * n * max(m, 1))
+    top = max([abs(v) for row in base.values for v in row] + [1])
+    lo = top / epsilon
+    qs = iter(ref_primes(int(lo), n * m))
+    eps = tuple(tuple(F(abs(v) or 1, next(qs)) for v in row) for row in base.values)
+    return base, eps
+
+
+@st.composite
+def degenerate_instances(draw):
+    """Zeros, rationals, and identical, proportional or all-chore rows."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(0, 6))
+    first = [draw(VALUE) for _ in range(m)]
+    shape = draw(st.sampled_from(["any", "identical", "proportional", "chores"]))
+    if shape == "any":
+        rows = [first] + [[draw(VALUE) for _ in range(m)] for _ in range(n - 1)]
+    elif shape == "identical":
+        rows = [first] * n
+    elif shape == "proportional":
+        rows = [[v * draw(VALUE.filter(bool)) for v in first] for _ in range(n)]
+    else:
+        rows = [[-abs(draw(VALUE.filter(bool))) for _ in range(m)] for _ in range(n)]
+    return Instance(tuple(map(tuple, rows)))
+
+
+def assert_closed_form(pert):
+    """eps in (0, epsilon), no zero entry, and distinct primes in row-major
+    increasing order above max(|v|, 1) / epsilon."""
+    epsilon, base = pert.params.epsilon, pert.base
+    eps = [e for row in pert.eps_matrix for e in row]
+    assert all(0 < e < epsilon for e in eps)
+    assert all(v for row in pert.pert_values for v in row)
+    bound = max([abs(v) for row in base.values for v in row] + [1])
+    qs = [e.denominator for e in eps]  # |v| / Q is in lowest terms: |v| < Q
+    assert qs == sorted(set(qs))
+    assert all(q > bound / epsilon for q in qs)
+    for v, e in zip((v for row in base.values for v in row), eps):
+        assert e == F(abs(v) or 1, e.denominator)
+
+
+@settings(max_examples=100, deadline=None)
+@given(degenerate_instances())
+def test_perturbation_is_nondegenerate(inst):
     pert = perturb_nondegenerate(inst)
-    assert pert.eps_matrix == ref_perturb_eps(inst)
     assert check_nondegenerate(pert.pert_values)
+    assert ref_check_nondegenerate(pert.pert_values)
+    assert_closed_form(pert)
+    assert all(is_prime(e.denominator) for row in pert.eps_matrix for e in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(degenerate_instances())
+def test_perturbation_matches_reference(inst):
+    pert = perturb_nondegenerate(inst)
+    assert (pert.base, pert.eps_matrix) == ref_perturbation(inst)
 
 
 # SHA-256 of serialize_perturbed(perturb_nondegenerate(gen_random(n, m, 9,
-# 1/2, seed=1))), recorded from the Fraction implementation; (5, 7) and
-# (6, 5) from the exact integer walk, before the residue screen
+# 1/2, seed=1))), recorded from the closed form with Proth primes, which
+# replaced the cycle walk and its residue screen
 PINNED = {
-    (4, 8): "2cf88a4e464c8eed0a374e723b16a8b92b448bcd1965d3636bda0ba0af1f0328",
-    (5, 6): "27abfb63a0bb5e7c5810501ef6ab97ffe402ce47ab23cdc12f7b56335724cac8",
-    (3, 8): "ee284bc6cc55685df864020bbfd7cc8fb35aa5b3066b24e29d744e1001e63ad0",
-    (2, 12): "38a2e60de426fb1434fbbefc2c1fc7f7f7db2bb3767750be19807987ad0e270a",
-    (5, 7): "44ab400c82177577039b69330f8287677d8991761485210780decd9452dd89c6",
-    (6, 5): "bcf18a76ab5c9c8a8914e7eb90e78beb92cc2fe327eb2cc312d2c24be182effa",
+    (4, 8): "e4fa8e4012a7ed39a6f79be5bc75eb6b269cd8b13f8ea9cb2167f1e0718cec81",
+    (5, 6): "49b32e2b8b64f4728f4f8db664d5ce2935dac9897254b5ece3e37370d96e3d61",
+    (3, 8): "54d764c32c02c0d489f4993758e9b7eae8106ee9b2548c2dc02751c339219801",
+    (2, 12): "a0b92e251a6b5652fdd0f1b8363ea9945f703d35737968450220178eac281b09",
+    (5, 7): "8ee00a3228f726259c1efad1344e5e0fd976a5c18ef69096b0ba565ee707fe15",
+    (6, 5): "84ca83832e412baf2cc17c482d66dc4f89a80c8e555eb0d7d93dd1f090f3a70a",
 }
 
 
@@ -223,83 +210,33 @@ def test_pinned_perturbations(shape):
     assert digest == PINNED[shape]
 
 
-@st.composite
-def degenerate_instances(draw):
-    """Zeros, rationals, and identical or proportional rows."""
-    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 5))
-    first = [draw(VALUE) for _ in range(m)]
-    shape = draw(st.sampled_from(["any", "identical", "proportional"]))
-    if shape == "any":
-        rows = [first] + [[draw(VALUE) for _ in range(m)] for _ in range(n - 1)]
-    elif shape == "identical":
-        rows = [first] * n
-    else:
-        rows = [[v * draw(VALUE.filter(bool)) for v in first] for _ in range(n)]
-    return Instance(tuple(map(tuple, rows)))
+EIGHT = gen_random(8, 8, 9, F(1, 2), seed=1)
 
 
-@pytest.mark.parametrize("prime", [2, 3, 101])
-@settings(max_examples=40, deadline=None)
-@given(inst=degenerate_instances())
-def test_fallback_matches_reference_at_small_primes(prime, inst):
-    """A small modulus makes residues collide, vanish or lose their inverse,
-    so entries take the exact fallback; the eps matrix must not change."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(welfare, "_P", prime)
-        pert = perturb_nondegenerate(inst)
-    assert pert.eps_matrix == ref_perturb_eps(pert.base)
-
-
-@pytest.mark.parametrize("shape", sorted(PINNED))
-def test_residue_screen_decides_pinned_shapes(shape, monkeypatch):
-    """At the real modulus no entry of these shapes needs the exact walk."""
-
-    def exact_walk(*args):
-        raise AssertionError("the residue screen fell back")
-
-    monkeypatch.setattr(welfare, "_forbidden_eps", exact_walk)
-    pert = perturb_nondegenerate(gen_random(*shape, 9, F(1, 2), seed=1))
-    digest = hashlib.sha256(serialize_perturbed(pert).encode()).hexdigest()
-    assert digest == PINNED[shape]
-
-
-def test_residue_of_unreduced_fraction_and_undefined_residue():
-    p = welfare._P
-    assert welfare._residue(2 * 7, 4 * 7) == welfare._residue(1, 2)
-    assert welfare._residue(1, 2) * 2 % p == 1
-    assert welfare._residue(-3, 5) == (p - welfare._residue(3, 5)) % p
-    assert welfare._residue(p, 3) == 0
-    assert welfare._residue(3, p) is None
-    assert welfare._residue(p, 2 * p) is None  # 1/2, but unreduced by p
-
-
-def test_screen_refuses_repeated_residues_and_a_forbidden_grid_point():
-    """Entry (1, 2) after one finished row: its two 2-cycles solve for
-    res[0][2] * close[0][j], j = 0, 1, so xs = [0, 7 * c0, 7 * c1]."""
-    res, step = [[1, 1, 7, 1]], [[None]]
-    screen = welfare._residue_screen
-    assert screen(res, step, [[5, 6]], 1, 2, 36, 10) == (5, 34)  # 36 - 10 / 5
-    assert screen(res, step, [[5, 5]], 1, 2, 36, 10) is None  # 35 twice
-    # v - eps / grid = 36 - 5 / 5 = 35 = 7 * 5 is a closing's value
-    assert screen(res, step, [[5, 6]], 1, 2, 36, 5) is None
-
-
-def test_batch_inverses():
-    xs = [1, 2, 3, welfare._P - 1, 2**60 + 12345]
-    assert [x * y % welfare._P for x, y in zip(xs, welfare._inverses(xs))] == [1] * 5
-    assert welfare._inverses([]) == []
-
-
-def test_perturb_budget_raises_before_work():
-    # 8 x 8 has 5.1e8 cycle traversals, above CYCLE_BUDGET
+def test_perturbation_has_no_cycle_budget():
+    # 8 x 8 has 5.1e8 cycle traversals, above CYCLE_BUDGET, which bounds
+    # the check but not the perturbation
+    pert = perturb_nondegenerate(EIGHT)
+    assert_closed_form(pert)
     with pytest.raises(BudgetExceededError):
-        perturb_nondegenerate(gen_random(8, 8, 9, F(1, 2), seed=1))
+        check_nondegenerate(pert.pert_values)
 
 
-def test_cli_perturb_over_budget_exits_two(tmp_path, capsys):
+def test_cli_perturb_without_cycle_budget(tmp_path):
     inst = tmp_path / "inst.json"
-    inst.write_text(serialize_instance(gen_random(8, 8, 9, F(1, 2), seed=1)))
+    inst.write_text(serialize_instance(EIGHT))
     out = tmp_path / "pert.json"
-    assert main(["perturb", "-i", str(inst), "-o", str(out)]) == 2
+    assert main(["perturb", "-i", str(inst), "-o", str(out)]) == 0
+    pert = parse_perturbed(out.read_text())
+    assert pert == perturb_nondegenerate(EIGHT)
+    assert_closed_form(pert)
+
+
+def test_cli_fixed_n_budget_binds_after_the_perturbation(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text(serialize_instance(gen_random(3, 60, 9, F(1, 2), seed=1)))
+    out = tmp_path / "cert.json"
+    argv = ["solve", "--algo", "fixed-n", "--max-candidates", "1"]
+    assert main([*argv, "-i", str(inst), "-o", str(out)]) == 2
     assert "budget exceeded" in capsys.readouterr().err
     assert not out.exists()

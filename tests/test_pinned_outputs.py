@@ -9,10 +9,12 @@ picks.  Values in {1, 2} (or {-2, -1}) make most picks ties, so
 the rows pin the lowest-index tie-breaking of every picker as well as the
 picks themselves.
 
-The fixed-n digests were recorded from the search that built a full
-allocation and profile for every placement, before its witnesses became
-moves on the base.  They pin the serialized certificate and the weights, so
-the first hit, every witness and the LP vertex stay byte-identical.
+The fixed-n digests were recorded from the search under the closed-form
+perturbation, where each entry's eps comes from its own prime.  They pin
+the serialized certificate and the weights, so the first hit, every
+witness and the LP vertex stay byte-identical, and each pinned output is
+checked as well: a valid certificate with |R| <= n - 1 whose base and
+witnesses are Pareto optimal by brute force.
 """
 
 import hashlib
@@ -21,13 +23,14 @@ from fractions import Fraction as F
 import pytest
 
 from mannafair import algorithms, fixed_n
-from mannafair.core import Allocation, Instance
+from mannafair.core import Allocation, Instance, validate_certificate
 from mannafair.harness import (
     gen_identical_chores,
     gen_paired_goods,
     gen_random,
     serialize_certificate,
 )
+from mannafair.oracles import is_pareto_optimal_bruteforce
 
 # name -> (n, m, chore_prob, seed) for gen_random with value_range 2
 RANDOM = {
@@ -241,43 +244,43 @@ FIXED_N = {
 # weights, joined by spaces; the comments give |R|
 FIXED_N_PINNED = {
     'goods-2x5': (  # |R| = 1
-        'a936925b50887479ddc592c51d366874d26e5c645a6b786c98331f09a334014f'
+        'cd4eab9f1f03eebd11e3ba80c2a3646c1c8d7b395191729d352b043de8542031'
     ),
     'mixed-2x5': (  # |R| = 0
-        '24101272a3851852db6c61f0edb8076511ed1a579a5ea64aa5e5b7e815e42865'
+        '57e922a3ea782c9cf081434af166e239d0592df076ff608ad6b5c023cd5fca22'
     ),
-    'chores-2x5': (  # |R| = 1
-        'f040c0444df3485a1ed8ae7f61a50ff6587f75eb4d3781bb2bb81a7847f41184'
+    'chores-2x5': (  # |R| = 0
+        'f9502d9c8a25a15032b70bbcb7808740b6193ef30c6eed945f6dbe6b607d6124'
     ),
     'goods-3x5': (  # |R| = 1
-        '36cd637481554c31ee8d7004252e8d3d552c9991bae4dc3a6bc0ff627ae1cd68'
+        'e0096a3ce3865502b76e9760a95342dcd6cc147f796919d1f012f4a901379c8a'
     ),
     'mixed-3x5': (  # |R| = 0
-        'af179d60cc0efec009b6d6726b95e62861cbec32841b7ad44fee916557004bae'
+        'f0d0ee8960c845498b1d4d58a5fa69bd6ca4d1919e098ac7da049e3f6c6931ff'
     ),
     'chores-3x5': (  # |R| = 1
-        '00f05ab753d22d12d7236b72034ccefdb89f1caf7dfddd0c2f2c90c880cf77d2'
+        'bf7e17964054ad262e25cf7efc94bfa47a7acc2f24179bf5b1302faca305a1c2'
     ),
     'goods-3x6': (  # |R| = 1
-        'bc22e67673fb692a6f13bd02afd0dfd1e1e1cc261842b77d04c81e24b7ca8fec'
+        'b369b3c53badbbfc3446eb3a5aef7b5c788a3c088b336546fe0ff12af22c2cb8'
     ),
     'goods-4x4': (  # |R| = 2
-        'edb5dc12c53037c87398be9082743c7232e1b3dae7b0ae11cc966bb564296d20'
+        'a7aab48ee742e4c2646d59753079f107eb3cd69e551b88dec1d860be949b5cb7'
     ),
-    'goods-4x5': (  # |R| = 2
-        'ede62ee41ac6e4ba99847b674233fdd2a8abf3b12e386b98b16018dfa0329256'
+    'goods-4x5': (  # |R| = 1
+        '299bcdd5af61f8d828624ba1765ade22f8d5f6ce9fb317868bae6f8273e3efbc'
     ),
     'mixed-4x4': (  # |R| = 1
-        'f17053b33f102939a6693a5f9de398bb4325aded0e6a8af771c0e3a012c41be3'
+        '017025cb97d667e216c91d465c7efc1b86ec430cff5d569fb590e6d075cc0758'
     ),
     'chores-4x5': (  # |R| = 1
-        '9628825ff3fc84dae84dfc6c71e612d83c756f3fdf1093506ce145cb3243d75f'
+        'c354c76a34c03ec1833aaaf64143d4ab9802ac9cb7f271463d2445797a299511'
     ),
     'rational-3x5': (  # |R| = 0
-        '542da1ac55ad6ace12bfdabd0278e5ccc20dd5d346f3ba3ad278958b6faf1c36'
+        'b7ec650440a03fd8fc6517e6f190dfa23b10c78116e29017b787f0bd654035a1'
     ),
     'identical-chores-4': (  # |R| = 3
-        'be7d94d8ddfc9f3c33207b48334bd1d4cb321aa064f32538a2e76880e79cc0b5'
+        'a303979aaf626a34506783a677f9a1c888668c24696ce40f8642a488d5f987fd'
     ),
 }
 
@@ -293,7 +296,12 @@ def build_fixed_n(name):
 
 @pytest.mark.parametrize("name", sorted(FIXED_N_PINNED))
 def test_fixed_n_outputs_are_pinned(name):
-    alloc, cert, w = fixed_n.search_efr_po(build_fixed_n(name))
+    inst = build_fixed_n(name)
+    alloc, cert, w = fixed_n.search_efr_po(inst)
     assert cert.base == alloc
     text = serialize_certificate(cert) + " ".join(map(str, w.weights))
     assert hashlib.sha256(text.encode()).hexdigest() == FIXED_N_PINNED[name]
+    assert validate_certificate(inst, cert)
+    assert len(cert.realloc_set) <= inst.num_agents - 1
+    for placed in (alloc, *cert.witnesses):
+        assert is_pareto_optimal_bruteforce(inst, placed)
