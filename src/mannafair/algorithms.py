@@ -170,8 +170,7 @@ def efr_n_minus_1(inst: Instance) -> EfrCertificate:
     drr, orders = _double_round_robin(inst)
     base, vals = _trade_cycles(inst, drr)
     sink = next(i for i, row in enumerate(vals) if row[i] >= max(row))
-    realloc = set()
-    witnesses: list[Allocation] = []
+    moves = {}  # agent -> (its item t_i, where its witness puts t_i)
     for i in range(n):
         bundle, row = base.bundles[i], inst.scaled[i]
         options = (
@@ -180,14 +179,16 @@ def efr_n_minus_1(inst: Instance) -> EfrCertificate:
         options = [t for t in options if t is not None]
         if i == sink or not options:
             # i is envy-free, or holds only goods and owns all its goods
-            witnesses.append(base)
             continue
         # the larger in absolute value, the lower index on a tie
         chosen = max(options, key=lambda t: (abs(row[t]), -t))
-        realloc.add(chosen)
-        target = sink if row[chosen] < 0 else i  # a chore goes to the sink
-        witnesses.append(base.reassign({chosen: target}))
-    return EfrCertificate(base, frozenset(realloc), tuple(witnesses))
+        moves[i] = chosen, sink if row[chosen] < 0 else i  # a chore goes to the sink
+    realloc = sorted({t for t, _ in moves.values()})  # agents may share a good
+    home = [base.holder(t) for t in realloc]
+    owners = [home] * n
+    for i, (t, target) in moves.items():
+        owners[i] = [target if u == t else h for u, h in zip(realloc, home)]
+    return EfrCertificate(base, realloc, owners)
 
 
 class PickingState(FrozenRecord):
@@ -272,9 +273,8 @@ def run_picking_rounds(inst: Instance):
 def reserve_certificate(base: Allocation, reserved) -> EfrCertificate:
     """Picking certificate on `base`: the witness for agent i moves all of
     the reserve R to i."""
-    n = base.num_agents
-    witnesses = tuple(base.reassign(dict.fromkeys(reserved, i)) for i in range(n))
-    return EfrCertificate(base, reserved, witnesses)
+    owners = [(i,) * len(reserved) for i in range(base.num_agents)]
+    return EfrCertificate(base, reserved, owners)
 
 
 def conflict_aware_picking(inst: Instance) -> EfrCertificate:

@@ -9,9 +9,8 @@ predicates read `profile`, the n x n matrix of scaled v_i(A_j).
 Every bundle sum goes through one kernel, `_getters`: one
 `operator.itemgetter` per bundle, built once per call and applied to each
 agent's row, so v_i(A_j) is `sum(getter_j(row_i))` and the per-item loop
-runs in C.  `profile`, `is_envy_free_for`, `is_ef1` and the witness
-re-sums of `validate_certificate` all read it; nothing is kept between
-calls.
+runs in C.  `profile`, `is_envy_free_for`, `is_ef1` and `validate_certificate`
+(each witness an owner vector of R) read it; nothing is kept between calls.
 
 Every matrix or vector of values enters through one intake kernel,
 `rational_rows`, which converts each entry exactly once: `Instance`,
@@ -33,7 +32,7 @@ from bisect import insort
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import attrgetter, itemgetter
+from operator import attrgetter, index, itemgetter
 
 Rational = Fraction
 
@@ -57,7 +56,7 @@ DEFAULT_MAX_CANDIDATES = 10**7
 
 
 class IncompleteCertificateError(ValueError):
-    """A certificate is missing the witness allocation for some agent."""
+    """A certificate does not have one owner vector per agent."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -242,12 +241,14 @@ class Allocation(FrozenRecord):
     def reassign(self, moves: dict[int, int]) -> "Allocation":
         """Return a copy with each item in `moves` handed to the given agent.
 
-        Only the bundles a move touches are rebuilt; the copy shares every
-        other bundle object with `self`.
+        Only the bundles a move touches are rebuilt (a move to the item's
+        holder touches none); the copy shares every other bundle with `self`.
         """
         new = list(self.bundles)
         for item, agent in moves.items():
             source = self.holder(item)
+            if source == agent:
+                continue
             for j in (source, agent):
                 if new[j] is self.bundles[j]:
                     new[j] = set(new[j])
@@ -309,17 +310,45 @@ class EnvyGraph(FrozenRecord):
 class EfrCertificate(FrozenRecord):
     """Witness data showing an allocation is EFR-|realloc_set|.
 
-    For every agent i, ``witnesses[i]`` must agree with ``base`` outside
-    ``realloc_set`` and be envy-free for i.
+    ``owners[i][k]`` holds the k-th item of ``sorted(realloc_set)`` in agent
+    i's witness, the base elsewhere; None marks no reassignment of R.
     """
 
-    # witnesses: tuple[Allocation, ...], indexed by agent
-    _fields = ("base", "realloc_set", "witnesses")
+    # owners: tuple[tuple[int, ...] | None, ...], indexed by agent
+    _fields = ("base", "realloc_set", "owners")
 
-    def __init__(self, base: Allocation, realloc_set, witnesses):
+    def __init__(self, base: Allocation, realloc_set, owners):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "realloc_set", frozenset(realloc_set))
-        object.__setattr__(self, "witnesses", tuple(witnesses))
+        owners = (v if v is None else tuple(map(index, v)) for v in owners)
+        object.__setattr__(self, "owners", tuple(owners))
+
+    @classmethod
+    def of_witnesses(cls, base: Allocation, realloc_set, allocations):
+        """The certificate of witness allocations, each read as its owner
+        vector, or None if it moves an item outside R or is no n-partition."""
+        realloc = frozenset(realloc_set)
+
+        def owners(w):
+            if w.num_agents != base.num_agents or any(
+                b is not c and not b ^ c <= realloc
+                for b, c in zip(base.bundles, w.bundles)
+            ):
+                return None
+            held = [(t, j) for j, c in enumerate(w.bundles) for t in c & realloc]
+            holder = dict(held)  # smaller than `held` if an item is held twice
+            if len(holder) == len(held) == len(realloc):
+                return tuple(map(holder.get, sorted(realloc)))
+
+        return cls(base, realloc, map(owners, allocations))
+
+    @cached_property
+    def witnesses(self) -> tuple:  # the witness allocations, built on first use
+        items = sorted(self.realloc_set)
+        return tuple(
+            None if v is None else self.base.reassign(dict(zip(items, v)))
+            for v in self.owners
+        )
 
 
 def validate_allocation(inst: Instance, alloc: Allocation) -> None:
@@ -426,44 +455,28 @@ def validate_certificate(inst: Instance, cert: EfrCertificate) -> bool:
     """Check both certificate invariants.
 
     True implies ``cert.base`` is EFR-|cert.realloc_set|.  Raises
-    IncompleteCertificateError when a witness is missing.
-
-    The base is validated and profiled once; each witness is checked as a
-    delta of it.  Only the bundles that differ from the base's (tested by
-    identity first) must hold exactly the items of the base's matching
-    bundles, each item once, moving only items of R; agent i's row is the
-    base row with those bundles summed again.
+    IncompleteCertificateError unless there is one owner vector per agent,
+    and ValueError for an item of R outside range(m).  Agent i's row is its
+    base row with each item of R moved to its owner in vector i.
     """
     validate_allocation(inst, cert.base)
-    n = inst.num_agents
-    if len(cert.witnesses) != n:
+    n, m = inst.num_agents, inst.num_items
+    if len(cert.owners) != n:
         raise IncompleteCertificateError(
-            f"certificate has {len(cert.witnesses)} witnesses for {n} agents"
+            f"certificate has {len(cert.owners)} witnesses for {n} agents"
         )
-    base, realloc = cert.base.bundles, cert.realloc_set
+    items = sorted(cert.realloc_set)
+    for t in (t for t in items if not 0 <= t < m):  # the first out of range
+        raise ValueError(f"realloc_set item index {t} out of range")
+    home = [cert.base.holder(t) for t in items]
     prof = profile(inst, cert.base)
-    for i, witness in enumerate(cert.witnesses):
-        if witness.num_agents != n:
-            return False
-        changed = [
-            j for j, (b, w) in enumerate(zip(base, witness.bundles))
-            if b is not w and b != w
-        ]
-        old = [base[j] for j in changed]
-        new = [witness.bundles[j] for j in changed]
-        held = frozenset().union(*old)
-        # an n-partition iff the changed bundles hold the items of the
-        # base's once each; it agrees with the base outside R iff every
-        # changed bundle differs only in R
-        if (
-            frozenset().union(*new) != held
-            or sum(map(len, new)) != len(held)  # an item held twice
-            or not all(b ^ w <= realloc for b, w in zip(old, new))
-        ):
+    for i, v in enumerate(cert.owners):
+        if v is None or len(v) != len(items) or not all(0 <= a < n for a in v):
             return False
         row, vals = inst.scaled[i], list(prof[i])
-        for j, get in zip(changed, _getters(new)):
-            vals[j] = sum(get(row))
+        for t, h, a in zip(items, home, v):
+            vals[h] -= row[t]
+            vals[a] += row[t]
         if vals[i] < max(vals):
             return False
     return True

@@ -13,8 +13,8 @@ candidate is screened: every agent needs an owner vector of R (one
 demander per item) under which it is envy-free, read off the I-tuple's
 profile (`_efr_witnesses`).  Then the weighted-welfare LP certifies that
 every owner vector maximizes eta-shifted welfare under the perturbed
-values, so the base (each item on its first demander) and the witnesses,
-built for the accepted candidate alone, are Pareto optimal.
+values, so the base (each item on its first demander, built for the
+accepted candidate alone) and the witnesses are Pareto optimal.
 
 The budget is charged for the work about to run: each pair's
 intersections, each join node's scan of its agent's sets and each
@@ -149,10 +149,9 @@ def search_efr_po(inst: Instance, max_candidates: int = DEFAULT_MAX_CANDIDATES):
     """Find an EFR-(n-1) and Pareto-optimal allocation by enumeration.
 
     Returns (allocation, certificate, weight_vector); the allocation is
-    the base.  Each I-tuple is profiled once, at its first screen.  A
-    witness moves the items of R whose owner differs off the base, sharing
-    every other bundle with it.  The perturbation scales rational values
-    to integers, which preserves EF, EFR and PO.
+    the base.  Each I-tuple is profiled once, at its first screen; its
+    witnesses are the screen's owner vectors of R.  The perturbation scales
+    rational values to integers, which preserves EF, EFR and PO.
     One unit of `max_candidates` is one set intersection in
     `reconstruct_I`, one set tested at a join node or one screened
     (R, demand, I-tuple) candidate, each spent before that work runs;
@@ -191,15 +190,11 @@ def search_efr_po(inst: Instance, max_candidates: int = DEFAULT_MAX_CANDIDATES):
                 w = po_certificate_lp(pert, demand)
                 if w is None:
                     continue
-                bundles, firsts = list(item_sets), [d[0] for d in demand_combo]
-                for t, f in zip(realloc, firsts):
-                    bundles[f] = bundles[f] | {t}
+                bundles = list(item_sets)
+                for t, d in zip(realloc, demand_combo):
+                    bundles[d[0]] = bundles[d[0]] | {t}
                 base = Allocation(tuple(bundles))
-                witnesses = []
-                for v in found:  # the items of R that v takes off their first demander
-                    moved = {t: a for t, a, f in zip(realloc, v, firsts) if a != f}
-                    witnesses.append(base.reassign(moved))
-                return base, EfrCertificate(base, rset, tuple(witnesses)), w
+                return base, EfrCertificate(base, rset, found), w
     raise AssertionError(
         "enumeration exhausted without a solution; existence is guaranteed"
     )

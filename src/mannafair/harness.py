@@ -5,7 +5,9 @@ and diff-friendly, in the layout of `json.dumps(indent=2)`.  Values are
 written as integers or "p/q" strings and read from integers or integer,
 "p/q" or decimal strings; agent and item indices are 1-based on disk and
 0-based in memory.  An error message echoes at most a short, truncated
-form of the offending value.
+form of the offending value.  Certificates are format 2, each witness the
+agent ids holding R's items in item order; format 1, which lists witness
+allocations, is still read.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .core import (
     short_repr,
 )
 
-FORMAT_VERSION = 1
+FORMAT_VERSION, CERTIFICATE_VERSION = 1, 2  # certificates read formats 1 and 2
 
 
 class ParseError(ValueError):
@@ -128,13 +130,10 @@ def _dump(obj) -> str:
     """The text of `json.dumps(obj, indent=2)` plus a newline.
 
     `indent` makes `json.dumps` run its pure-Python encoder.  This writer
-    renders a list of plain ints with one join, once per list object and
-    depth, so a bundle list shared by a certificate's base and witnesses
-    is rendered twice at most.  Scalars and dict keys go through
-    `json.dumps`; a key that is not a string is refused.
+    renders a list of plain ints with one join.  Scalars and dict keys go
+    through `json.dumps`; a key that is not a string is refused.
     """
     out = []
-    memo = {}  # (id of a list of ints, depth) -> its text
 
     def write(value, depth):
         if not value or not isinstance(value, (list, tuple, dict)):
@@ -149,14 +148,10 @@ def _dump(obj) -> str:
                 if not isinstance(key, str):
                     raise TypeError(f"keys must be str, not {type(key).__name__}")
                 entries.append((f"{json.dumps(key)}: ", item))
+        elif {*map(type, value)} == {int}:
+            out.append(f"[{inner}" + ("," + inner).join(map(str, value)) + f"{outer}]")
+            return
         else:
-            text = memo.get((id(value), depth))
-            if text is None and {*map(type, value)} == {int}:
-                body = ("," + inner).join(map(str, value))
-                text = memo[id(value), depth] = f"[{inner}{body}{outer}]"
-            if text is not None:
-                out.append(text)
-                return
             brackets = "[]"
             entries = [("", item) for item in value]
         sep = brackets[0] + inner
@@ -187,24 +182,24 @@ def serialize_instance(inst: Instance, metadata: dict | None = None) -> str:
     return _dump(_instance_out(inst, metadata))
 
 
-def _fields(doc, keys: tuple[str, ...], where: str, prefix: str = "") -> dict:
+def _fields(doc, keys, where, prefix="", versions=(FORMAT_VERSION,)) -> dict:
     """`doc` itself, once it is a JSON object holding every key in `keys`
-    and stating no format_version other than `FORMAT_VERSION`."""
+    and stating no format_version outside `versions` (absent means 1)."""
     if not isinstance(doc, dict):
         raise ParseError(f"{where}: expected a JSON object")
     for key in keys:
         if key not in doc:
             raise ParseError(f"missing field {prefix + key!r}")
     version = doc.get("format_version", FORMAT_VERSION)
-    if type(version) is not int or version != FORMAT_VERSION:
+    if type(version) is not int or version not in versions:
         raise ParseError(
             f"{prefix}format_version: unsupported version {short_repr(version)}"
         )
     return doc
 
 
-def _load(text: str, keys: tuple[str, ...]) -> dict:
-    """Decode a JSON object with `keys`; a stated format_version must match."""
+def _load(text: str, keys: tuple[str, ...], versions=(FORMAT_VERSION,)) -> dict:
+    """Decode a JSON object with `keys`; a stated format_version in `versions`."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -213,7 +208,7 @@ def _load(text: str, keys: tuple[str, ...]) -> dict:
         raise ParseError("top level: arrays or objects nested too deeply") from None
     except ValueError as exc:  # an integer over the int-to-str digit limit
         raise ParseError(f"top level: {exc}") from None
-    return _fields(doc, keys, "top level")
+    return _fields(doc, keys, "top level", "", versions)
 
 
 _INSTANCE_KEYS = ("format_version", "agents", "items", "values")
@@ -254,18 +249,8 @@ def _matrix_in(raw, n: int, m: int, where: str) -> tuple:
     raise AssertionError("rational_rows rejected an entry that as_rational reads")
 
 
-def _ids_out(items: frozenset, lists: dict) -> list:
-    """The sorted 1-based ids of `items`; `lists` maps each set already
-    written to its list, so equal sets share one list, which `_dump`
-    joins once per depth."""
-    ids = lists.get(items)
-    if ids is None:
-        ids = lists[items] = sorted(t + 1 for t in items)
-    return ids
-
-
-def _bundles_out(alloc: Allocation, lists: dict) -> list:
-    return [_ids_out(b, lists) for b in alloc.bundles]
+def _ids_out(items: frozenset) -> list:
+    return sorted(t + 1 for t in items)
 
 
 _INT = frozenset({int})
@@ -326,9 +311,8 @@ def _partition_in(alloc: Allocation, m: int, where: str) -> Allocation:
 
 
 def serialize_allocation(alloc: Allocation) -> str:
-    return _dump(
-        {"format_version": FORMAT_VERSION, "bundles": _bundles_out(alloc, {})}
-    )
+    bundles = list(map(_ids_out, alloc.bundles))
+    return _dump({"format_version": FORMAT_VERSION, "bundles": bundles})
 
 
 def parse_allocation(text: str, inst: Instance) -> Allocation:
@@ -338,40 +322,51 @@ def parse_allocation(text: str, inst: Instance) -> Allocation:
 
 
 def serialize_certificate(cert: EfrCertificate) -> str:
-    """A witness differs from the base only on the realloc set, so the
-    certificate's n(n+1) bundles hold few distinct sets; each is sorted
-    once."""
-    lists = {}
     return _dump(
         {
-            "format_version": FORMAT_VERSION,
-            "base": _bundles_out(cert.base, lists),
-            "realloc_set": _ids_out(cert.realloc_set, lists),
-            "witnesses": [_bundles_out(w, lists) for w in cert.witnesses],
+            "format_version": CERTIFICATE_VERSION,
+            "base": list(map(_ids_out, cert.base.bundles)),
+            "realloc_set": _ids_out(cert.realloc_set),
+            "witness_owners": [[a + 1 for a in v] for v in cert.owners],
         }
     )
 
 
+def _owners_in(raw, n: int, size: int) -> list:
+    """The 0-based owner vectors of n lists of `size` agent ids in 1..n."""
+    if not isinstance(raw, list) or len(raw) != n:
+        raise ParseError(f"witness_owners: expected {n} owner vectors, one per agent")
+    for i, v in enumerate(raw):
+        at = f"witness_owners[{i}]: "
+        if not isinstance(v, list) or len(v) != size:
+            raise ParseError(f"{at}expected {size} agent ids, one per realloc_set item")
+        for a in v:
+            if type(a) is not int or not 1 <= a <= n:
+                raise ParseError(f"{at}agent id {short_repr(a)} not in 1..{n}")
+    return [[a - 1 for a in v] for v in raw]
+
+
 def parse_certificate(text: str, inst: Instance) -> EfrCertificate:
-    doc = _load(text, ("base", "realloc_set", "witnesses"))
-    sets = {}  # each distinct bundle is checked and built once
-    base = _bundles_in(doc["base"], inst, "base", sets)
-    _partition_in(base, inst.num_items, "base")
-    realloc = _items_in(
-        doc["realloc_set"], inst.num_items, "realloc_set", sets
-    )
-    if not isinstance(doc["witnesses"], list):
+    """A format-2 certificate, or a format-1 one, whose n witness
+    allocations `EfrCertificate.of_witnesses` reads as owner vectors."""
+    doc = _load(text, ("base", "realloc_set"), (1, CERTIFICATE_VERSION))
+    version = doc.get("format_version", 1)
+    key = "witnesses" if version == 1 else "witness_owners"
+    _fields(doc, (key,), "top level", "", (version,))
+    n, m, sets = inst.num_agents, inst.num_items, {}  # each distinct bundle built once
+    base = _partition_in(_bundles_in(doc["base"], inst, "base", sets), m, "base")
+    realloc = _items_in(doc["realloc_set"], m, "realloc_set", sets)
+    if key == "witness_owners":
+        return EfrCertificate(base, realloc, _owners_in(doc[key], n, len(realloc)))
+    if not isinstance(doc[key], list):
         raise ParseError("witnesses: expected a list of allocations")
-    witnesses = tuple(
-        _bundles_in(w, inst, f"witnesses[{i}]", sets)
-        for i, w in enumerate(doc["witnesses"])
-    )
+    witnesses = [
+        _bundles_in(w, inst, f"witnesses[{i}]", sets) for i, w in enumerate(doc[key])
+    ]
     # counted after the entries, so an error inside one is reported first
-    if len(witnesses) != inst.num_agents:
-        raise ParseError(
-            f"witnesses: expected {inst.num_agents} allocations, one per agent"
-        )
-    return EfrCertificate(base, realloc, witnesses)
+    if len(witnesses) != n:
+        raise ParseError(f"witnesses: expected {n} allocations, one per agent")
+    return EfrCertificate.of_witnesses(base, realloc, witnesses)
 
 
 def serialize_perturbed(pert: PerturbedInstance) -> str:

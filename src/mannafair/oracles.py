@@ -137,7 +137,7 @@ def _passes(row, prof_row, owner, agent, realloc, memo, budget):
 
 
 def _moves(row, agent, realloc, loads, own, picks):
-    """The {item: agent} moves of `agent`'s placement of `realloc`.
+    """The owner vector of `agent`'s placement of `realloc`, in its order.
 
     Goods go to the agent.  Chores, costliest first and the lower item
     first among equal costs, take the positions `picks` among the bundles
@@ -153,7 +153,7 @@ def _moves(row, agent, realloc, loads, own, picks):
     chores = sorted((t for t in realloc if row[t] < 0), key=lambda t: (row[t], t))
     moves = {t: agent for t in realloc if row[t] >= 0}
     moves.update((t, targets[p]) for t, p in zip(chores, picks or itertools.repeat(0)))
-    return moves
+    return tuple(map(moves.get, realloc))
 
 
 def _twin_prev(rows, bundles, owner):
@@ -254,12 +254,8 @@ def decide_efr_k(
                     break
                 placed.append(found)
             else:
-                witnesses = tuple(
-                    alloc.reassign(_moves(rows[i], i, realloc, *found))
-                    for i, found in enumerate(placed)
-                )
-                cert = EfrCertificate(alloc, frozenset(realloc), witnesses)
-                return EfrDecision(True, cert)
+                owners = [_moves(rows[i], i, realloc, *p) for i, p in enumerate(placed)]
+                return EfrDecision(True, EfrCertificate(alloc, realloc, owners))
     return EfrDecision(False, None)
 
 

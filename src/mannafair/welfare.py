@@ -34,6 +34,7 @@ and no `Fraction` is built per step.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from math import comb, factorial, gcd, lcm, prod
 
@@ -112,8 +113,8 @@ class PerturbedInstance(FrozenRecord):
     """An instance plus its perturbation matrix and parameters.
 
     The perturbed values `_pert` and their integer rows `scaled` (as
-    `Instance.scaled`) are derived, so they stay out of `==`, `hash` and
-    `repr`.
+    `Instance.scaled`, built on first use) are derived, so they stay out of
+    `==`, `hash` and `repr`.
     """
 
     # eps_matrix: tuple[tuple[Fraction, ...], ...]
@@ -129,11 +130,13 @@ class PerturbedInstance(FrozenRecord):
             tuple(v - e for v, e in zip(vals, row))
             for vals, row in zip(base.values, eps)
         )
-        self._fill(base, eps, params, pert, tuple(scale_row(r)[1] for r in pert))
+        self._fill(base, eps, params, pert)
 
     def _fill(self, *parts):
-        """Set the fields, `_pert` and `scaled`, with no check."""
-        vars(self).update(zip((*self._fields, "_pert", "scaled"), parts))
+        """Set the fields and `_pert`, with no check."""
+        vars(self).update(zip((*self._fields, "_pert"), parts))
+
+    scaled = cached_property(lambda self: tuple(scale_row(r)[1] for r in self._pert))
 
     @property
     def pert_values(self) -> tuple:
@@ -261,8 +264,8 @@ def perturb_nondegenerate(inst: Instance) -> PerturbedInstance:
     divides the denominator of its own entry and no other factor of the
     ratio product: not |v| < Q, not Q' +- 1 < Q for a smaller (odd) prime
     Q', not Q +- 1.  So the product has Q-adic valuation +-1 and is never
-    1.  Nothing is walked and no budget applies; row i's LCM is the product
-    of its primes.
+    1.  Nothing is walked and no budget applies.  The integer rows
+    `scaled` are built on first use, by the fixed-n search alone.
     """
     n, m = inst.num_agents, inst.num_items
     scale = lcm(*(v.denominator for row in inst.values for v in row))
@@ -272,17 +275,15 @@ def perturb_nondegenerate(inst: Instance) -> PerturbedInstance:
     epsilon = params.epsilon
     top = max((abs(v) for row in inst.scaled for v in row), default=1) or 1
     primes = _proth_primes(top * epsilon.denominator // epsilon.numerator)
-    eps_rows, pert_rows, scaled = [], [], []
+    eps_rows, pert_rows = [], []
     for row in inst.scaled:
         qs = list(islice(primes, m))
         es = [abs(v) or 1 for v in row]  # eps numerators
         nums = [v * q - e for v, q, e in zip(row, qs, es)]  # (v - eps) * Q
-        s = prod(qs)
         eps_rows.append(tuple(map(Fraction, es, qs)))
         pert_rows.append(tuple(map(Fraction, nums, qs)))
-        scaled.append(tuple(x * (s // q) for x, q in zip(nums, qs)))
     out = object.__new__(PerturbedInstance)  # every part is checked and built
-    out._fill(inst, tuple(eps_rows), params, tuple(pert_rows), tuple(scaled))
+    out._fill(inst, tuple(eps_rows), params, tuple(pert_rows))
     return out
 
 

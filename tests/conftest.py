@@ -1,4 +1,5 @@
 import itertools
+import json
 from unittest import mock
 
 import pytest
@@ -56,6 +57,21 @@ def join_nodes(per_agent, m):
 
     visit(0, frozenset())
     return nodes
+
+
+def format1_text(cert):
+    """`cert` in certificate format 1, which lists every witness allocation
+    in full, rendered as `json.dumps(indent=2)` plus a newline: the bytes
+    that `serialize_certificate` wrote before format 2."""
+    ids = lambda items: sorted(t + 1 for t in items)
+    bundles = lambda alloc: [ids(b) for b in alloc.bundles]
+    doc = {
+        "format_version": 1,
+        "base": bundles(cert.base),
+        "realloc_set": ids(cert.realloc_set),
+        "witnesses": [bundles(w) for w in cert.witnesses],
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def leq_rows(constraints):

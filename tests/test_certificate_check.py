@@ -1,8 +1,14 @@
-"""`validate_certificate` checks each witness as a delta of the base.
+"""`validate_certificate` checks each witness as an owner vector of R.
 
-The full check it replaced, one `validate_allocation` and one envy row per
-witness, is kept here as the reference; on valid and corrupted
-certificates both must give the same verdict or raise the same exception.
+Agent i's row is its base row with each item of R moved to its owner in
+agent i's vector.  The full check it replaced, one `validate_allocation`
+and one envy row per witness allocation, is kept here as the reference.
+Both must give the same verdict or raise the same exception:
+
+- on format-1 certificates, whose witness allocations (valid or corrupted)
+  `EfrCertificate.of_witnesses` reads as owner vectors, and
+- on owner-vector certificates with corrupted vectors, whose shape is
+  checked first and whose materialized `witnesses` the reference reads.
 """
 
 from fractions import Fraction as F
@@ -24,36 +30,69 @@ from mannafair.core import (
 from mannafair.harness import gen_random, parse_certificate, serialize_certificate
 from mannafair.oracles import min_efr_k
 
+from conftest import format1_text
 
-def reference_validate_certificate(inst, cert):
-    """Validate every witness as a full allocation."""
-    validate_allocation(inst, cert.base)
-    n = inst.num_agents
-    if len(cert.witnesses) != n:
+
+def check_shape(inst, base, realloc, witnesses):
+    """Raise unless `base` is an n-partition, there are n witnesses and R
+    holds items of range(m)."""
+    validate_allocation(inst, base)
+    n, m = inst.num_agents, inst.num_items
+    if len(witnesses) != n:
         raise IncompleteCertificateError(
-            f"certificate has {len(cert.witnesses)} witnesses for {n} agents"
+            f"certificate has {len(witnesses)} witnesses for {n} agents"
         )
-    for i, witness in enumerate(cert.witnesses):
+    for t in sorted(realloc):
+        if not 0 <= t < m:
+            raise ValueError(f"realloc_set item index {t} out of range")
+
+
+def reference_validate_certificate(inst, base, realloc, witnesses):
+    """Validate every witness as a full allocation."""
+    check_shape(inst, base, realloc, witnesses)
+    for i, witness in enumerate(witnesses):
         try:
             envy_free = is_envy_free_for(inst, witness, i)
         except ValueError:  # not an n-partition
             return False
-        moved = (b ^ w for b, w in zip(cert.base.bundles, witness.bundles))
-        if not envy_free or not all(d <= cert.realloc_set for d in moved):
+        moved = (b ^ w for b, w in zip(base.bundles, witness.bundles))
+        if not envy_free or not all(d <= realloc for d in moved):
             return False
     return True
 
 
-def outcome(check, inst, cert):
+def reference_validate_owners(inst, cert):
+    """The vectors' shape, then the full check on the witnesses they give."""
+    check_shape(inst, cert.base, cert.realloc_set, cert.owners)
+    n, size = inst.num_agents, len(cert.realloc_set)
+    for v in cert.owners:
+        if v is None or len(v) != size or not all(0 <= a < n for a in v):
+            return False
+    return reference_validate_certificate(
+        inst, cert.base, cert.realloc_set, cert.witnesses
+    )
+
+
+def outcome(check, *args):
     try:
-        return "verdict", check(inst, cert)
+        return "verdict", check(*args)
     except (ValueError, IncompleteCertificateError) as exc:
         return type(exc), str(exc)
 
 
-def same_outcome(inst, cert):
+def same_outcome(inst, base, realloc, witnesses):
+    """The verdict on the format-1 witnesses, read as owner vectors."""
+    cert = EfrCertificate.of_witnesses(base, realloc, witnesses)
     ours = outcome(validate_certificate, inst, cert)
-    assert ours == outcome(reference_validate_certificate, inst, cert)
+    assert ours == outcome(
+        reference_validate_certificate, inst, base, frozenset(realloc), witnesses
+    )
+    return ours
+
+
+def same_owner_outcome(inst, cert):
+    ours = outcome(validate_certificate, inst, cert)
+    assert ours == outcome(reference_validate_owners, inst, cert)
     return ours
 
 
@@ -69,9 +108,8 @@ def edit_bundles(alloc, edit):
 
 
 @st.composite
-def certificates(draw):
-    """A valid certificate (least-k, from the EFR-k oracle) with up to three
-    corruptions of its witnesses, its R or its witness count."""
+def least_k_certificates(draw):
+    """An instance and a valid least-k certificate from the EFR-k oracle."""
     n, m = draw(st.integers(2, 3)), draw(st.integers(0, 5))
     values = draw(
         st.lists(
@@ -85,7 +123,23 @@ def certificates(draw):
     base = Allocation(
         tuple(frozenset(t for t in range(m) if owners[t] == i) for i in range(n))
     )
-    _, cert = min_efr_k(inst, base)
+    return inst, min_efr_k(inst, base)[1]
+
+
+def r_edit(draw, kind, realloc, m):
+    """R gains or loses an item, maybe out of range, or takes every item."""
+    if kind == "r-all":
+        return realloc | set(range(m))
+    t = draw(st.integers(-1, m + 1))  # out of range at both ends
+    return realloc | {t} if kind == "r-add" else realloc - {t}
+
+
+@st.composite
+def certificates(draw):
+    """A format-1 certificate, (inst, base, R, witness allocations), with up
+    to three corruptions of its witnesses, its R or its witness count."""
+    inst, cert = draw(least_k_certificates())
+    n, m, base = inst.num_agents, inst.num_items, cert.base
     witnesses, realloc = list(cert.witnesses), set(cert.realloc_set)
     item = st.integers(-1, m + 1)  # out of range at both ends
     for _ in range(draw(st.integers(0, 3))):
@@ -102,11 +156,8 @@ def certificates(draw):
             else:
                 witnesses.append(base)
             continue
-        if kind == "r-all":
-            realloc |= set(range(m))
-            continue
-        if kind.startswith("r-"):  # R gains or loses an item, maybe out of range
-            (realloc.add if kind == "r-add" else realloc.discard)(draw(item))
+        if kind.startswith("r-"):
+            realloc = r_edit(draw, kind, realloc, m)
             continue
         if i >= len(witnesses) or not witnesses[i].bundles:
             continue
@@ -134,7 +185,43 @@ def certificates(draw):
             bundles = w.bundles[:-1] if draw(st.booleans()) else w.bundles + (frozenset(),)
             w = Allocation(bundles)
         witnesses[i] = w
-    return inst, EfrCertificate(base, frozenset(realloc), tuple(witnesses))
+    return inst, base, frozenset(realloc), tuple(witnesses)
+
+
+@st.composite
+def owner_certificates(draw):
+    """A least-k certificate with up to three corruptions of its owner
+    vectors, its R or its vector count."""
+    inst, cert = draw(least_k_certificates())
+    n, m = inst.num_agents, inst.num_items
+    owners, realloc = [list(v) for v in cert.owners], set(cert.realloc_set)
+    agent = st.integers(-1, n)  # out of range at both ends
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(
+            st.sampled_from(
+                ["count", "none", "agent", "short", "long", "r-add", "r-drop",
+                 "r-all"]
+            )
+        )
+        i = draw(st.integers(0, n - 1))
+        if kind == "count":  # a missing or an extra vector
+            if draw(st.booleans()) and owners:
+                owners.pop(draw(st.integers(0, len(owners) - 1)))
+            else:
+                owners.append(owners[0] if owners else [])
+        elif kind.startswith("r-"):
+            realloc = r_edit(draw, kind, realloc, m)
+        elif i >= len(owners) or owners[i] is None:
+            continue
+        elif kind == "none":
+            owners[i] = None
+        elif kind == "agent" and owners[i]:
+            owners[i][draw(st.integers(0, len(owners[i]) - 1))] = draw(agent)
+        elif kind == "short":
+            owners[i] = owners[i][:-1]
+        elif kind == "long":
+            owners[i] = owners[i] + [draw(agent)]
+    return inst, EfrCertificate(cert.base, realloc, owners)
 
 
 @st.composite
@@ -149,7 +236,7 @@ def bad_bases(draw):
             Allocation((frozenset({0, 1, 2}),)),
         ])
     )
-    return inst, EfrCertificate(base, frozenset(), (base,) * draw(st.integers(0, 3)))
+    return inst, base, frozenset(), (base,) * draw(st.integers(0, 3))
 
 
 class TestMatchesTheFullCheck:
@@ -158,6 +245,18 @@ class TestMatchesTheFullCheck:
     def test_same_verdict_or_same_exception(self, case):
         same_outcome(*case)
 
+    @settings(max_examples=400, deadline=None)
+    @given(owner_certificates())
+    def test_owner_vectors_same_verdict_or_same_exception(self, case):
+        same_owner_outcome(*case)
+
+    @settings(max_examples=50, deadline=None)
+    @given(bad_bases())
+    def test_owner_vectors_on_a_bad_base_raise_alike(self, case):
+        inst, base, realloc, witnesses = case
+        cert = EfrCertificate(base, realloc, [()] * len(witnesses))
+        assert same_owner_outcome(inst, cert)[0] is ValueError
+
     @pytest.mark.parametrize(
         "solve, chore_prob", [(efr_n_minus_1, F(1, 2)), (conflict_aware_picking, F(0))]
     )
@@ -165,16 +264,21 @@ class TestMatchesTheFullCheck:
         inst = gen_random(8, 60, 9, chore_prob, seed=5)
         cert = solve(inst)
         back = parse_certificate(serialize_certificate(cert), inst)
-        for c in (cert, back, EfrCertificate(cert.base, cert.realloc_set,
-                                             tuple(map(copy_of, cert.witnesses)))):
-            assert same_outcome(inst, c) == ("verdict", True)
+        old = parse_certificate(format1_text(cert), inst)
+        assert back == old == cert
+        for c in (cert, back, old):
+            assert same_owner_outcome(inst, c) == ("verdict", True)
+        copies = tuple(map(copy_of, cert.witnesses))
+        assert same_outcome(inst, cert.base, cert.realloc_set, copies) == (
+            "verdict", True
+        )
 
     def test_each_listed_corruption_is_rejected_by_both(self):
         inst = Instance(((-1, -1, -1),) * 4)
         base = Allocation((frozenset({0}), frozenset({1}), frozenset({2}), frozenset()))
         good = tuple(base.reassign({i: 3}) for i in range(3)) + (base,)
         r = frozenset({0, 1, 2})
-        assert same_outcome(inst, EfrCertificate(base, r, good)) == ("verdict", True)
+        assert same_outcome(inst, base, r, good) == ("verdict", True)
         two = Allocation((frozenset(), frozenset({1}), frozenset({2}), frozenset({0, 1})))
         # bundle 0 alone changes: item 0 is held by none, item 1 twice
         swap = Allocation((frozenset({1}), frozenset({1}), frozenset({2}), frozenset()))
@@ -186,14 +290,49 @@ class TestMatchesTheFullCheck:
             (far,) + good[1:],  # item 7 out of range
         ]
         for witnesses in cases:
-            assert same_outcome(inst, EfrCertificate(base, r, witnesses)) == (
-                "verdict", False
-            )
-        # a move outside R, and an R holding an out-of-range item
-        assert same_outcome(inst, EfrCertificate(base, {0, 1}, good)) == ("verdict", False)
-        assert same_outcome(inst, EfrCertificate(base, r | {9}, good)) == ("verdict", True)
+            assert same_outcome(inst, base, r, witnesses) == ("verdict", False)
+        # a move outside R
+        assert same_outcome(inst, base, {0, 1}, good) == ("verdict", False)
         with pytest.raises(IncompleteCertificateError):
-            validate_certificate(inst, EfrCertificate(base, r, good[:3]))
+            validate_certificate(inst, EfrCertificate.of_witnesses(base, r, good[:3]))
+
+
+class TestOwnerVectorShapes:
+    INST = Instance(((-1, -1, -1),) * 4)
+    BASE = Allocation((frozenset({0}), frozenset({1}), frozenset({2}), frozenset()))
+    R = frozenset({0, 1, 2})
+    GOOD = ((3, 1, 2), (0, 3, 2), (0, 1, 3), (0, 1, 2))
+
+    def check(self, realloc, owners):
+        return validate_certificate(self.INST, EfrCertificate(self.BASE, realloc, owners))
+
+    def test_the_good_vectors_are_the_good_witnesses(self):
+        cert = EfrCertificate(self.BASE, self.R, self.GOOD)
+        assert self.check(self.R, self.GOOD)
+        assert cert.witnesses == tuple(
+            self.BASE.reassign({i: 3}) for i in range(3)
+        ) + (self.BASE,)
+
+    @pytest.mark.parametrize(
+        "vector",
+        [None, (3, 1), (3, 1, 2, 0), (4, 1, 2), (-1, 1, 2)],
+        ids=["none", "short", "long", "agent-n", "agent-negative"],
+    )
+    def test_a_bad_vector_is_rejected(self, vector):
+        assert not self.check(self.R, (vector,) + self.GOOD[1:])
+
+    @pytest.mark.parametrize("count", [0, 3, 5])
+    def test_a_vector_count_other_than_n_raises(self, count):
+        with pytest.raises(IncompleteCertificateError, match=f"has {count} witnesses"):
+            self.check(self.R, (self.GOOD * 2)[:count])
+
+    @pytest.mark.parametrize("t", [9, -1])
+    def test_an_item_of_r_out_of_range_raises(self, t):
+        # this case read True when witnesses were allocations: an R item
+        # that no witness moves was never looked at
+        owners = [v + (3,) if t > 0 else (3,) + v for v in self.GOOD]
+        with pytest.raises(ValueError, match=f"realloc_set item index {t} out of range"):
+            self.check(self.R | {t}, owners)
 
 
 def test_reassign_rebuilds_only_the_bundles_it_touches():

@@ -3,10 +3,12 @@
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from mannafair import cli, welfare
+from mannafair.algorithms import efr_n_minus_1
 from mannafair.cli import main
 from mannafair.harness import (
     gen_random,
@@ -17,9 +19,28 @@ from mannafair.harness import (
     serialize_instance,
 )
 
+from conftest import format1_text
+
+DATA = Path(__file__).parent / "data"
+
 
 def run(argv):
     return main(argv)
+
+
+def format1_doc(inst_path):
+    """The EFR-(n-1) certificate of the instance file, as a format-1 JSON
+    document that lists every witness allocation."""
+    inst = parse_instance(inst_path.read_text())
+    return json.loads(format1_text(efr_n_minus_1(inst)))
+
+
+def solved_doc(inst_path, cert_path):
+    """`solve --algo efr` run on the instance file, its certificate read
+    back as a (format-2) JSON document."""
+    argv = ["solve", "--algo", "efr", "-i", str(inst_path), "-o", str(cert_path)]
+    assert run(argv) == 0
+    return json.loads(cert_path.read_text())
 
 
 @pytest.fixture
@@ -235,9 +256,7 @@ class TestSolveAndVerify:
         assert not cert.exists()
 
     def test_invalid_certificate_exits_one(self, tmp_path, inst_file):
-        cert = tmp_path / "cert.json"
-        run(["solve", "--algo", "efr", "-i", str(inst_file), "-o", str(cert)])
-        doc = json.loads(cert.read_text())
+        doc = format1_doc(inst_file)
         doc["realloc_set"] = []
         if doc["witnesses"][0] == doc["base"]:
             # make at least one witness differ from the base
@@ -248,6 +267,38 @@ class TestSolveAndVerify:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         assert run(["verify", "--cert", str(bad), "-i", str(inst_file)]) == 1
+
+    def test_invalid_format_2_certificate_exits_one(self, tmp_path, inst_file):
+        cert = tmp_path / "cert.json"
+        doc = solved_doc(inst_file, cert)
+        assert doc["format_version"] == 2 and doc["realloc_set"]
+        # the base's holders of R in every vector: no witness moves an item,
+        # and this base is not envy-free
+        home = [
+            next(j for j, b in enumerate(doc["base"], 1) if t in b)
+            for t in doc["realloc_set"]
+        ]
+        for edit in (
+            lambda doc: doc.update(witness_owners=[home] * 3),
+            lambda doc: doc.update(realloc_set=[], witness_owners=[[]] * 3),
+        ):
+            edit(doc)
+            cert.write_text(json.dumps(doc))
+            assert run(["verify", "--cert", str(cert), "-i", str(inst_file)]) == 1
+
+    def test_a_format_1_file_of_an_earlier_release_still_verifies(
+        self, tmp_path, capsys
+    ):
+        inst, cert = DATA / "mixed-4x9.json", DATA / "mixed-4x9-cert-v1.json"
+        doc = json.loads(cert.read_text())
+        assert doc["format_version"] == 1 and doc["realloc_set"]
+        assert run(["verify", "-i", str(inst), "--cert", str(cert)]) == 0
+        assert capsys.readouterr().out == "valid\n"
+        doc["realloc_set"] = []
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["verify", "-i", str(inst), "--cert", str(bad)]) == 1
+        assert capsys.readouterr().out == "invalid\n"
 
     def test_fixed_n_solver(self, tmp_path):
         inst = tmp_path / "two.json"
@@ -281,10 +332,10 @@ class TestSolveAndVerify:
             run(["solve", "--algo", "fixed-n", "-i", str(inst), "-o", str(cert)])
             == 0
         )
-        doc = json.loads(cert.read_text())
-        for bundles in (doc["base"], *doc["witnesses"]):
+        parsed = parse_certificate(cert.read_text(), parse_instance(inst.read_text()))
+        for placed in (parsed.base, *parsed.witnesses):
             alloc = tmp_path / "alloc.json"
-            alloc.write_text(json.dumps({"format_version": 1, "bundles": bundles}))
+            alloc.write_text(serialize_allocation(placed))
             capsys.readouterr()
             assert run(["check-po", "-i", str(inst), "--alloc", str(alloc)]) == 0
             assert capsys.readouterr().out == "pareto-optimal\n"
@@ -611,14 +662,12 @@ class TestExitCodes:
         inst, cert = tmp_path / "inst.json", tmp_path / "cert.json"
         assert run(["gen", "--family", "random", "--n", "3", "--m", "4",
                     "--seed", "1", "-o", str(inst)]) == 0
-        assert run(["solve", "--algo", "efr", "-i", str(inst),
-                    "-o", str(cert)]) == 0
-        doc = json.loads(cert.read_text())
-        doc["base"] = base
-        cert.write_text(json.dumps(doc))
-        capsys.readouterr()
-        assert run(["verify", "--cert", str(cert), "-i", str(inst)]) == 3
-        assert capsys.readouterr().err == f"input error: base: {message}\n"
+        for doc in (format1_doc(inst), solved_doc(inst, cert)):
+            doc["base"] = base
+            cert.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert run(["verify", "--cert", str(cert), "-i", str(inst)]) == 3
+            assert capsys.readouterr().err == f"input error: base: {message}\n"
 
     @pytest.mark.parametrize(
         "field, edit",
@@ -634,15 +683,61 @@ class TestExitCodes:
         inst, cert = tmp_path / "inst.json", tmp_path / "cert.json"
         assert run(["gen", "--family", "random", "--n", "3", "--m", "4",
                     "--seed", "1", "-o", str(inst)]) == 0
-        assert run(["solve", "--algo", "efr", "-i", str(inst),
-                    "-o", str(cert)]) == 0
-        doc = json.loads(cert.read_text())
+        doc = format1_doc(inst)
         edit(doc)
         cert.write_text(json.dumps(doc))
         capsys.readouterr()
         assert run(["verify", "--cert", str(cert), "-i", str(inst)]) == 3
         err = capsys.readouterr().err
         assert err == f"input error: {field}: item id 9 out of range 1..4\n"
+
+    @pytest.mark.parametrize(
+        "field, edit, message",
+        [
+            ("base[1]", lambda doc: doc["base"][1].append(9),
+             "item id 9 out of range 1..4"),
+            ("realloc_set", lambda doc: doc["realloc_set"].append(9),
+             "item id 9 out of range 1..4"),
+            ("witness_owners[2]", lambda doc: doc["witness_owners"][2].__setitem__(0, 4),
+             "agent id 4 not in 1..3"),
+            ("witness_owners[0]", lambda doc: doc["witness_owners"][0].__setitem__(1, 0),
+             "agent id 0 not in 1..3"),
+            ("witness_owners[1]", lambda doc: doc["witness_owners"][1].__setitem__(0, True),
+             "agent id True not in 1..3"),
+            ("witness_owners[1]", lambda doc: doc["witness_owners"][1].__setitem__(0, 1.0),
+             "agent id 1.0 not in 1..3"),
+            ("witness_owners[1]", lambda doc: doc["witness_owners"][1].append(1),
+             "expected 2 agent ids, one per realloc_set item"),
+            ("witness_owners[0]", lambda doc: doc["witness_owners"][0].pop(),
+             "expected 2 agent ids, one per realloc_set item"),
+            ("witness_owners[2]", lambda doc: doc["witness_owners"].__setitem__(2, 3),
+             "expected 2 agent ids, one per realloc_set item"),
+            ("witness_owners", lambda doc: doc.update(witness_owners={}),
+             "expected 3 owner vectors, one per agent"),
+            ("witness_owners", lambda doc: doc["witness_owners"].pop(),
+             "expected 3 owner vectors, one per agent"),
+            ("witness_owners", lambda doc: doc["witness_owners"].append([1, 2]),
+             "expected 3 owner vectors, one per agent"),
+            ("witness_owners", lambda doc: doc.update(witness_owners=[]),
+             "expected 3 owner vectors, one per agent"),
+            ("'witness_owners'", lambda doc: doc.pop("witness_owners"),
+             None),
+        ],
+    )
+    def test_bad_format_2_certificate_is_input_error_naming_the_field(
+        self, tmp_path, capsys, field, edit, message
+    ):
+        inst, cert = tmp_path / "inst.json", tmp_path / "cert.json"
+        assert run(["gen", "--family", "random", "--n", "3", "--m", "4",
+                    "--seed", "1", "-o", str(inst)]) == 0
+        doc = solved_doc(inst, cert)
+        assert len(doc["realloc_set"]) == 2
+        edit(doc)
+        cert.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["verify", "--cert", str(cert), "-i", str(inst)]) == 3
+        want = f"missing field {field}" if message is None else f"{field}: {message}"
+        assert capsys.readouterr().err == f"input error: {want}\n"
 
     @pytest.mark.parametrize("keep", [0, 2, 4])
     def test_witness_count_other_than_n_is_input_error(
@@ -651,9 +746,7 @@ class TestExitCodes:
         inst, cert = tmp_path / "inst.json", tmp_path / "cert.json"
         assert run(["gen", "--family", "random", "--n", "3", "--m", "4",
                     "--seed", "1", "-o", str(inst)]) == 0
-        assert run(["solve", "--algo", "efr", "-i", str(inst),
-                    "-o", str(cert)]) == 0
-        doc = json.loads(cert.read_text())
+        doc = format1_doc(inst)
         doc["witnesses"] = (doc["witnesses"] * 2)[:keep]
         cert.write_text(json.dumps(doc))
         capsys.readouterr()
@@ -661,6 +754,35 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "input error: witnesses: expected 3 allocations, one per agent\n"
         )
+
+    @pytest.mark.parametrize("version", [0, 3, "2", None])
+    def test_unknown_certificate_format_version_is_input_error(
+        self, tmp_path, capsys, version
+    ):
+        inst, cert = tmp_path / "inst.json", tmp_path / "cert.json"
+        assert run(["gen", "--family", "random", "--n", "3", "--m", "4",
+                    "--seed", "1", "-o", str(inst)]) == 0
+        doc = solved_doc(inst, cert)
+        doc["format_version"] = version
+        cert.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["verify", "--cert", str(cert), "-i", str(inst)]) == 3
+        assert capsys.readouterr().err == (
+            f"input error: format_version: unsupported version {version!r}\n"
+        )
+
+    def test_format_1_certificate_of_format_2_fields_is_input_error(
+        self, tmp_path, capsys
+    ):
+        inst, cert = tmp_path / "inst.json", tmp_path / "cert.json"
+        assert run(["gen", "--family", "random", "--n", "3", "--m", "4",
+                    "--seed", "1", "-o", str(inst)]) == 0
+        doc = solved_doc(inst, cert)
+        doc["format_version"] = 1
+        cert.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["verify", "--cert", str(cert), "-i", str(inst)]) == 3
+        assert capsys.readouterr().err == "input error: missing field 'witnesses'\n"
 
     def test_bool_bundle_item_is_input_error(self, tmp_path, inst_file):
         alloc = tmp_path / "alloc.json"
@@ -701,6 +823,19 @@ class TestExitCodes:
         out = str(tmp_path / "out.json")
         assert run(["solve", "--algo", "efr", "-i", str(bad), "-o", out]) == 3
 
+    def test_format_2_instance_is_input_error(self, tmp_path, capsys, inst_file):
+        # format 2 is a certificate format; instance files stay at 1
+        doc = json.loads(inst_file.read_text())
+        doc["format_version"] = 2
+        bad = tmp_path / "v2.json"
+        bad.write_text(json.dumps(doc))
+        out = str(tmp_path / "out.json")
+        capsys.readouterr()
+        assert run(["solve", "--algo", "efr", "-i", str(bad), "-o", out]) == 3
+        assert capsys.readouterr().err == (
+            "input error: format_version: unsupported version 2\n"
+        )
+
     # a command per file reader: (its argv, the flag of the file under test,
     # that file's JSON with %s for one value)
     READERS = {
@@ -718,6 +853,11 @@ class TestExitCodes:
         "certificate": (
             ["verify", "-i", "inst.json"], "--cert",
             '{"base": [%s], "realloc_set": [], "witnesses": []}',
+        ),
+        "certificate-2": (
+            ["verify", "-i", "inst.json"], "--cert",
+            '{"format_version": 2, "base": [%s], "realloc_set": [],'
+            ' "witness_owners": []}',
         ),
     }
     # the int-to-str digit limit, 0 where this Python has none
@@ -787,8 +927,15 @@ class TestExitCodes:
                 ' "witnesses": [[[1, 2, 3, 4, 5], [%%s], []]]}' % BASE,
                 "witnesses[0][1]",
             ),
+            (
+                ["verify", "-i", "inst.json"], "--cert",
+                '{"format_version": 2, "base": %s, "realloc_set": [1],'
+                ' "witness_owners": [[%%s], [1], [1]]}' % BASE,
+                "witness_owners[0]",
+            ),
         ],
-        ids=["value", "format-version", "bundle", "realloc-item", "witness-item"],
+        ids=["value", "format-version", "bundle", "realloc-item", "witness-item",
+             "owner-id"],
     )
     def test_echoed_value_is_cut_short(
         self, tmp_path, capsys, monkeypatch, inst_file, argv, flag, text,

@@ -250,7 +250,7 @@ class TestValidateCertificate:
     def test_trivial_certificate(self):
         inst = make_instance([[5, 0], [0, 5]])
         base = Allocation((frozenset({0}), frozenset({1})))
-        cert = EfrCertificate(base, frozenset(), (base, base))
+        cert = EfrCertificate(base, frozenset(), ((), ()))
         assert validate_certificate(inst, cert)
 
     def test_chores_certificate_with_all_items_reallocated(self):
@@ -258,7 +258,10 @@ class TestValidateCertificate:
         witnesses = tuple(
             CHORES4_ALLOC.reassign({i: 3}) for i in range(3)
         ) + (CHORES4_ALLOC,)
-        cert = EfrCertificate(CHORES4_ALLOC, frozenset({0, 1, 2}), witnesses)
+        cert = EfrCertificate.of_witnesses(
+            CHORES4_ALLOC, frozenset({0, 1, 2}), witnesses
+        )
+        assert cert.owners == ((3, 1, 2), (0, 3, 2), (0, 1, 3), (0, 1, 2))
         assert validate_certificate(CHORES4, cert)
         assert len(cert.realloc_set) == 3
 
@@ -266,11 +269,12 @@ class TestValidateCertificate:
         witnesses = tuple(
             CHORES4_ALLOC.reassign({i: 3}) for i in range(3)
         ) + (CHORES4_ALLOC,)
-        cert = EfrCertificate(CHORES4_ALLOC, frozenset({0, 1}), witnesses)
+        cert = EfrCertificate.of_witnesses(CHORES4_ALLOC, frozenset({0, 1}), witnesses)
+        assert cert.owners[2] is None
         assert not validate_certificate(CHORES4, cert)
 
     def test_missing_witness_raises(self):
-        cert = EfrCertificate(CHORES4_ALLOC, frozenset(), (CHORES4_ALLOC,))
+        cert = EfrCertificate(CHORES4_ALLOC, frozenset(), ((),))
         with pytest.raises(IncompleteCertificateError):
             validate_certificate(CHORES4, cert)
 
@@ -278,7 +282,10 @@ class TestValidateCertificate:
         witnesses = tuple(
             CHORES4_ALLOC.reassign({i: 3}) for i in range(3)
         ) + (CHORES4_ALLOC,)
-        cert = EfrCertificate(CHORES4_ALLOC, frozenset({0, 1, 2}), witnesses)
+        cert = EfrCertificate.of_witnesses(
+            CHORES4_ALLOC, frozenset({0, 1, 2}), witnesses
+        )
         assert validate_certificate(CHORES4, cert)
+        assert cert.witnesses == witnesses
         for i in range(4):
             assert is_envy_free_for(CHORES4, cert.witnesses[i], i)

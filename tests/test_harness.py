@@ -25,6 +25,8 @@ from mannafair.harness import (
     serialize_perturbed,
 )
 
+from conftest import format1_text
+
 
 def all_allocations(n, m):
     for assignment in itertools.product(range(n), repeat=m):
@@ -213,6 +215,13 @@ class TestAllocationAndCertificateFormat:
         _, cert = min_efr_k(inst, alloc)
         text = serialize_certificate(cert)
         assert parse_certificate(text, inst) == cert
+        assert parse_certificate(format1_text(cert), inst) == cert
+        assert json.loads(text) == {
+            "format_version": 2,
+            "base": [[1], [2], []],
+            "realloc_set": [1, 2],
+            "witness_owners": [[2, 2], [1, 1], [1, 1]],
+        }
 
     def test_item_ids_are_one_based_on_disk(self):
         alloc = Allocation((frozenset({0}), frozenset({1})))
@@ -258,6 +267,18 @@ class TestStrictParsing:
             with pytest.raises(ParseError, match="realloc_set"):
                 parse_certificate(doc % bad, inst)
         assert parse_certificate(doc % "1", inst).realloc_set == {0}
+
+    def test_format_2_realloc_set_entries_are_item_ids(self):
+        inst = gen_identical_chores(2)
+        doc = (
+            '{"format_version": 2, "base": [[1], []], "realloc_set": [%s],'
+            ' "witness_owners": [[2], [2]]}'
+        )
+        for bad in ('"x"', "true", "0", "2"):
+            with pytest.raises(ParseError, match="realloc_set"):
+                parse_certificate(doc % bad, inst)
+        cert = parse_certificate(doc % "1", inst)
+        assert cert.realloc_set == {0} and cert.owners == ((1,), (1,))
 
     def test_bool_item_id_rejected(self):
         inst = gen_identical_chores(2)
@@ -313,6 +334,13 @@ class TestStrictParsing:
             parse_allocation(
                 '{"format_version": 99, "bundles": [[1], []]}', inst
             )
+        for version in (0, 3, 99, "2", True):
+            cert = (
+                '{"format_version": %s, "base": [[1], []], "realloc_set": [],'
+                ' "witness_owners": [[], []]}' % json.dumps(version)
+            )
+            with pytest.raises(ParseError, match="format_version"):
+                parse_certificate(cert, inst)
 
     @pytest.mark.parametrize(
         "edit, field",

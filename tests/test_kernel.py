@@ -76,14 +76,15 @@ def ref_ef1(inst, alloc):
     return True
 
 
-def ref_validate_certificate(inst, cert):
+def ref_validate_certificate(inst, base, realloc, witnesses):
+    """The certificate of witness allocations `witnesses` on `base`."""
     m = inst.num_items
-    for i, w in enumerate(cert.witnesses):
+    for i, w in enumerate(witnesses):
         items = [t for b in w.bundles for t in b]
         if len(w.bundles) != inst.num_agents or sorted(items) != list(range(m)):
             return False
-        for t in set(range(m)) - cert.realloc_set:
-            if cert.base.holder(t) != w.holder(t):
+        for t in set(range(m)) - realloc:
+            if base.holder(t) != w.holder(t):
                 return False
         if not ref_envy_free_for(inst, w, i):
             return False
@@ -121,15 +122,23 @@ def test_validate_certificate_matches_the_fraction_reference(case, data):
     n, m = inst.num_agents, inst.num_items
     cert = efr_n_minus_1(inst)
     assert validate_certificate(inst, cert)
-    assert ref_validate_certificate(inst, cert)
-    # a drawn certificate over the drawn allocation: the verdicts must agree
+    assert ref_validate_certificate(inst, cert.base, cert.realloc_set, cert.witnesses)
+    # a drawn certificate over the drawn allocation: the verdicts must agree,
+    # with drawn witness allocations and with drawn owner vectors of R
     realloc = frozenset(t for t in range(m) if data.draw(st.booleans()))
     witnesses = tuple(
         allocation([data.draw(st.integers(0, n - 1)) for _ in range(m)], n)
         for _ in range(n)
     )
-    drawn = EfrCertificate(alloc, realloc, witnesses)
-    assert validate_certificate(inst, drawn) == ref_validate_certificate(inst, drawn)
+    drawn = EfrCertificate.of_witnesses(alloc, realloc, witnesses)
+    assert validate_certificate(inst, drawn) == ref_validate_certificate(
+        inst, alloc, realloc, witnesses
+    )
+    owners = [[data.draw(st.integers(0, n - 1)) for _ in realloc] for _ in range(n)]
+    drawn = EfrCertificate(alloc, realloc, owners)
+    assert validate_certificate(inst, drawn) == ref_validate_certificate(
+        inst, alloc, realloc, drawn.witnesses
+    )
     # moving an item outside R in one witness must be rejected
     outside = sorted(set(range(m)) - cert.realloc_set)
     if n >= 2 and outside:
@@ -137,9 +146,7 @@ def test_validate_certificate_matches_the_fraction_reference(case, data):
         k = data.draw(st.integers(0, n - 1))
         w = cert.witnesses[k]
         moved = w.reassign({t: (w.holder(t) + 1) % n})
-        bad = EfrCertificate(
-            cert.base, cert.realloc_set,
-            cert.witnesses[:k] + (moved,) + cert.witnesses[k + 1 :],
-        )
+        ws = cert.witnesses[:k] + (moved,) + cert.witnesses[k + 1 :]
+        bad = EfrCertificate.of_witnesses(cert.base, cert.realloc_set, ws)
         assert not validate_certificate(inst, bad)
-        assert not ref_validate_certificate(inst, bad)
+        assert not ref_validate_certificate(inst, cert.base, cert.realloc_set, ws)

@@ -3,7 +3,7 @@
 `decide_efr_k` scans the candidate sets R with `_passes`, which asks the
 placement search `_place` once per distinct (chore costs, positive gaps)
 key whether the chores can close every gap, and keeps its positions; the
-accepted R's positions become witnesses through `_moves`.  Three references
+accepted R's positions become owner vectors through `_moves`.  Three references
 check it:
 
 - `ref_find_witness` and `ref_decide_efr_k` re-sum every bundle and search
@@ -117,7 +117,7 @@ def ref_decide_efr_k(inst, alloc, k, budget):
                     break
                 witnesses.append(alloc.reassign(moves))
             else:
-                cert = EfrCertificate(alloc, rset, tuple(witnesses))
+                cert = EfrCertificate.of_witnesses(alloc, rset, witnesses)
                 return EfrDecision(True, cert)
     return EfrDecision(False, None)
 
@@ -230,7 +230,7 @@ def two_pass_decide_efr_k(inst, alloc, k):
                     for i in range(n)
                 ]
                 witnesses = tuple(map(alloc.reassign, moves))
-                cert = EfrCertificate(alloc, rset, witnesses)
+                cert = EfrCertificate.of_witnesses(alloc, rset, witnesses)
                 return EfrDecision(True, cert), budget.limit - budget.remaining
     return EfrDecision(False, None), budget.limit - budget.remaining
 
@@ -263,11 +263,8 @@ def full_scan_decide_efr_k(inst, alloc, k):
                     break
                 placed.append(found)
             else:
-                witnesses = tuple(
-                    alloc.reassign(_moves(rows[i], i, realloc, *found))
-                    for i, found in enumerate(placed)
-                )
-                cert = EfrCertificate(alloc, frozenset(realloc), witnesses)
+                owners = [_moves(rows[i], i, realloc, *p) for i, p in enumerate(placed)]
+                cert = EfrCertificate(alloc, realloc, owners)
                 return EfrDecision(True, cert), budget.limit - budget.remaining
     return EfrDecision(False, None), budget.limit - budget.remaining
 
@@ -494,7 +491,8 @@ def test_equal_chores_go_lower_item_first_to_the_largest_gap():
             Budget(10**6, "nodes"),
         )
         assert found == ([-4, -3, -2], -4, [0, 0, 1])
-        assert _moves(row, 0, realloc, *found) == {1: 2, 8: 2, 9: 1}
+        owners = _moves(row, 0, realloc, *found)
+        assert dict(zip(realloc, owners)) == {1: 2, 8: 2, 9: 1}
 
 
 def test_without_an_open_gap_chores_go_to_the_lowest_other_agent():
@@ -507,9 +505,9 @@ def test_without_an_open_gap_chores_go_to_the_lowest_other_agent():
         Budget(10**6, "nodes"),
     )
     assert found == ([-7, -3, -1], -1, ())
-    assert _moves(row, 2, (5,), *found) == {5: 0}
-    assert _moves(row, 0, (5,), *found) == {5: 1}
-    assert _moves((-1, 2), 0, (0, 1), [0], 0, ()) == {0: 0, 1: 0}
+    assert _moves(row, 2, (5,), *found) == (0,)
+    assert _moves(row, 0, (5,), *found) == (1,)
+    assert _moves((-1, 2), 0, (0, 1), [0], 0, ()) == (0, 0)
 
 
 # the benchmark's three decide ops, the one it leaves out for time, and
@@ -707,8 +705,9 @@ def test_passes_matches_every_placement(case):
                 )
                 assert (found is not None) is brute_passes(inst, alloc, i, realloc)
                 if found is not None:
-                    moves = _moves(inst.scaled[i], i, realloc, *found)
-                    assert moves.keys() == set(realloc)
+                    owners = _moves(inst.scaled[i], i, realloc, *found)
+                    assert len(owners) == len(realloc)
+                    moves = dict(zip(realloc, owners))
                     assert is_envy_free_for(inst, alloc.reassign(moves), i)
 
 

@@ -11,8 +11,9 @@ picks themselves.
 
 The fixed-n digests were recorded from the search under the closed-form
 perturbation, where each entry's eps comes from its own prime.  They pin
-the serialized certificate and the weights, so the first hit, every
-witness and the LP vertex stay byte-identical, and each pinned output is
+the certificate in format 1 (`conftest.format1_text`, every witness
+allocation in full) and the weights, so the first hit, every witness and
+the LP vertex stay byte-identical, and each pinned output is
 checked as well: a valid certificate with |R| <= n - 1 whose base and
 witnesses are Pareto optimal by brute force.
 """
@@ -24,13 +25,10 @@ import pytest
 
 from mannafair import algorithms, fixed_n
 from mannafair.core import Allocation, Instance, validate_certificate
-from mannafair.harness import (
-    gen_identical_chores,
-    gen_paired_goods,
-    gen_random,
-    serialize_certificate,
-)
+from mannafair.harness import gen_identical_chores, gen_paired_goods, gen_random
 from mannafair.oracles import is_pareto_optimal_bruteforce
+
+from conftest import format1_text
 
 # name -> (n, m, chore_prob, seed) for gen_random with value_range 2
 RANDOM = {
@@ -240,7 +238,7 @@ FIXED_N = {
     "chores-4x5": (4, 5, 2, "1", 1),
 }
 
-# SHA-256 of search_efr_po's serialize_certificate(cert) followed by its
+# SHA-256 of search_efr_po's certificate in format 1 followed by its
 # weights, joined by spaces; the comments give |R|
 FIXED_N_PINNED = {
     'goods-2x5': (  # |R| = 1
@@ -299,7 +297,7 @@ def test_fixed_n_outputs_are_pinned(name):
     inst = build_fixed_n(name)
     alloc, cert, w = fixed_n.search_efr_po(inst)
     assert cert.base == alloc
-    text = serialize_certificate(cert) + " ".join(map(str, w.weights))
+    text = format1_text(cert) + " ".join(map(str, w.weights))
     assert hashlib.sha256(text.encode()).hexdigest() == FIXED_N_PINNED[name]
     assert validate_certificate(inst, cert)
     assert len(cert.realloc_set) <= inst.num_agents - 1

@@ -5,9 +5,10 @@
 - `efr_n_minus_1` reads each agent's best outside good from its round-2
   preference order; the reference is the O(m) scan over every item that
   the pipeline used before.
-- `parse_certificate` reads each distinct bundle list of exact ints once,
-  so a witness bundle list equal to the base's shares the base's set,
-  while a `true` or `1.0` that compares equal to an id is still rejected.
+- `parse_certificate` reads each distinct bundle list of exact ints of a
+  format-1 certificate once, so a witness bundle list equal to the base's
+  shares the base's set, while a `true` or `1.0` that compares equal to an
+  id is still rejected.
 """
 
 import json
@@ -33,12 +34,9 @@ from mannafair.core import (
     is_envy_free_for,
     profile,
 )
-from mannafair.harness import (
-    ParseError,
-    gen_random,
-    parse_certificate,
-    serialize_certificate,
-)
+from mannafair.harness import ParseError, gen_random, parse_certificate
+
+from conftest import format1_text
 
 
 def allocation(owner, n):
@@ -155,7 +153,7 @@ def old_efr_n_minus_1(inst):
         realloc.add(chosen)
         target = sink if row[chosen] < 0 else i
         witnesses.append(base.reassign({chosen: target}))
-    return EfrCertificate(base, frozenset(realloc), tuple(witnesses))
+    return EfrCertificate.of_witnesses(base, realloc, witnesses)
 
 
 TIES = Instance(((3, 3, 0, 0, -1), (3, 3, 3, -2, -1), (0, 0, 0, 0, -1)))
@@ -207,13 +205,13 @@ def test_efr_calls_drr_once_through_the_helper(monkeypatch):
     assert calls == [inst]
 
 
-# --- reading witnesses --------------------------------------------------------
+# --- reading format-1 witnesses -----------------------------------------------
 
 INST = gen_random(3, 5, 9, F(1, 2), 3)
 
 
 def cert_doc():
-    return json.loads(serialize_certificate(efr_n_minus_1(INST)))
+    return json.loads(format1_text(efr_n_minus_1(INST)))
 
 
 def read(doc):

@@ -3,7 +3,8 @@
 Each class is built positionally and by keyword, compares and hashes by
 its declared fields only, prints as `Name(field=value, ...)` and refuses
 attribute assignment.  Derived state (`Instance.scaled`,
-`PerturbedInstance._pert`) stays out of `==`, `hash` and `repr`.  A new
+`PerturbedInstance._pert` and `scaled`, `EfrCertificate.witnesses`) stays
+out of `==`, `hash` and `repr`.  A new
 `FrozenRecord` that declares only `_fields` and `__init__` gets the same.
 """
 
@@ -25,7 +26,7 @@ from mannafair.welfare import (
 INST = Instance(((1, F(-1, 2)), (0, 2)))
 ALLOC = Allocation(({0}, {1}))
 OTHER_ALLOC = Allocation(({1}, {0}))
-CERT = EfrCertificate(ALLOC, {1}, [ALLOC, OTHER_ALLOC])
+CERT = EfrCertificate(ALLOC, {1}, [[1], (0,)])
 PARAMS = PerturbParams(F(1), F(2), F(1), F(1, 8), F(1, 100))
 EPS = ((F(1, 100), F(1, 200)), (F(1, 300), F(1, 400)))
 PERT = PerturbedInstance(INST, EPS, PARAMS)
@@ -53,13 +54,11 @@ CASES = {
         "EnvyGraph(num_agents=2, edges=frozenset({(0, 1)}))",
     ),
     EfrCertificate: (
-        ("base", "realloc_set", "witnesses"),
-        (ALLOC, {1}, [ALLOC, OTHER_ALLOC]),
-        (OTHER_ALLOC, {0}, [OTHER_ALLOC, ALLOC]),
+        ("base", "realloc_set", "owners"),
+        (ALLOC, {1}, [[1], (0,)]),
+        (OTHER_ALLOC, {0}, [(0,), (0,)]),
         "EfrCertificate(base=Allocation(bundles=(frozenset({0}), "
-        "frozenset({1}))), realloc_set=frozenset({1}), "
-        "witnesses=(Allocation(bundles=(frozenset({0}), frozenset({1}))), "
-        "Allocation(bundles=(frozenset({1}), frozenset({0})))))",
+        "frozenset({1}))), realloc_set=frozenset({1}), owners=((1,), (0,)))",
     ),
     PerturbParams: (
         ("lambda_lb", "Lambda", "omega_lb", "eta", "epsilon"),
@@ -200,8 +199,12 @@ def test_constructors_normalize_their_fields():
     assert type(ALLOC.bundles) is tuple
     assert all(type(b) is frozenset for b in ALLOC.bundles)
     assert type(CERT.realloc_set) is frozenset
-    assert CERT.witnesses == (ALLOC, OTHER_ALLOC)
-    assert type(CERT.witnesses) is tuple
+    assert CERT.owners == ((1,), (0,))
+    assert type(CERT.owners) is tuple
+    assert all(type(v) is tuple for v in CERT.owners)
+    assert EfrCertificate(ALLOC, {1}, [[True], None]).owners == ((1,), None)
+    with pytest.raises(TypeError):
+        EfrCertificate(ALLOC, {1}, [[1.0], [0]])
     assert WeightVector(("1/4", 0, F(3, 4))).weights == (F(1, 4), F(0), F(3, 4))
     eps = PerturbedInstance(INST, [["1/100", 0], [0, 0]], PARAMS).eps_matrix
     assert eps == ((F(1, 100), F(0)), (F(0), F(0)))
@@ -242,6 +245,27 @@ def test_scaled_is_cached_and_outside_equality_hash_and_repr():
     assert used == fresh and fresh == used
     assert hash(used) == digest == hash(fresh)
     assert repr(used) == text
+
+
+def test_witnesses_are_cached_and_outside_equality_hash_and_repr():
+    fresh, used = EfrCertificate(*CASES[EfrCertificate][1]), copy.copy(CERT)
+    text, digest = repr(used), hash(used)
+    witnesses = used.witnesses
+    assert witnesses == (ALLOC, Allocation(({0, 1}, set())))
+    assert used.witnesses is witnesses  # built once
+    assert witnesses[0].bundles == ALLOC.bundles
+    assert used == fresh and hash(used) == digest == hash(fresh)
+    assert repr(used) == text
+    assert EfrCertificate(ALLOC, {1}, [None, (1,)]).witnesses == (None, ALLOC)
+
+
+def test_perturbed_scaled_is_built_on_first_use():
+    twin = PerturbedInstance(INST, EPS, PARAMS)
+    assert "scaled" not in vars(twin)
+    scaled = twin.scaled
+    assert scaled == ((198, -101), (-4, 2397))  # each row times its LCM
+    assert twin.scaled is scaled
+    assert twin == PERT and hash(twin) == hash(PERT) and repr(twin) == repr(PERT)
 
 
 def test_pert_is_outside_equality_hash_and_repr():

@@ -1,16 +1,18 @@
-"""Witnesses built as moves on the base, against their predecessors.
+"""Witnesses as owner vectors of R, against their predecessors.
 
 `fixed_n._efr_witnesses` scans owner vectors of R over the profile of the
-I-tuple alone, taken once per tuple, and the search builds the base and
-moves R's items on it only for the accepted candidate; the picking
-certificates move the reserve R with `Allocation.reassign`.  The references
-below are the earlier implementations: the fixed-n search built a fresh
-allocation and a full n x n profile for every placement of every item, and
-the picking witnesses were spliced from the partial bundles.  The kernel must
-agree with them on the allocation, certificate and weights, and on the
-budget units spent, the join's counted by an independent depth-first walk,
-so `BudgetExceededError` fires at the same limits with the same message.  A
-witness also shares every bundle its moves leave untouched with the base.
+I-tuple alone, taken once per tuple, and the search builds the base only
+for the accepted candidate; the picking certificates give the whole
+reserve R to agent i in agent i's vector.  The references below are the
+earlier implementations: the fixed-n search built a fresh allocation and a
+full n x n profile for every placement of every item, and the picking
+witnesses were spliced from the partial bundles.  The kernel must agree
+with them on the allocation, certificate (the references' witness
+allocations read as owner vectors) and weights, and on the budget units
+spent, the join's counted by an independent depth-first walk, so
+`BudgetExceededError` fires at the same limits with the same message.  A
+materialized witness also shares every bundle its moves leave untouched
+with the base.
 """
 
 import itertools
@@ -93,7 +95,7 @@ def ref_search_efr_po(inst, limit):
                 if w is None:
                     continue
                 alloc = ref_placement(n, [d[0] for d in demand])
-                cert = EfrCertificate(alloc, rset, tuple(witnesses))
+                cert = EfrCertificate.of_witnesses(alloc, rset, witnesses)
                 return (alloc, cert, w), limit - budget.remaining
     raise AssertionError("enumeration exhausted")
 
@@ -213,7 +215,8 @@ def assert_goods_match(inst):
     }
     for extend, base in bases.items():
         cert = solve_instance(inst, "goods", extend)
-        assert cert == EfrCertificate(base, reserved, witnesses)
+        assert cert == EfrCertificate.of_witnesses(base, reserved, witnesses)
+        assert cert.witnesses == witnesses
         assert_shares_untouched(cert, lambda i, w: dict.fromkeys(reserved, i))
 
 
