@@ -345,6 +345,9 @@ class EfrCertificate(FrozenRecord):
     @cached_property
     def witnesses(self) -> tuple:  # the witness allocations, built on first use
         items = sorted(self.realloc_set)
+        held = frozenset().union(*self.base.bundles)
+        for t in (t for t in items if t not in held):  # the first not held
+            raise ValueError(f"realloc_set item index {t} is in no base bundle")
         return tuple(
             None if v is None else self.base.reassign(dict(zip(items, v)))
             for v in self.owners

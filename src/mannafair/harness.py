@@ -322,6 +322,8 @@ def parse_allocation(text: str, inst: Instance) -> Allocation:
 
 
 def serialize_certificate(cert: EfrCertificate) -> str:
+    for i in (i for i, v in enumerate(cert.owners) if v is None):  # the first
+        raise ValueError(f"agent index {i} has no owner vector of realloc_set")
     return _dump(
         {
             "format_version": CERTIFICATE_VERSION,

@@ -22,20 +22,23 @@ whose Q-adic valuation is then +-1, so the product is not one.  Each
 prime is proven by a Proth certificate (`_proth_primes`); nothing is
 walked.
 
-`check_nondegenerate`, the independent check, walks the cycles
-depth-first over integer rows: each row is scaled by the LCM of its
-denominators (every agent of a cycle heads one numerator and one
-denominator edge, so the ratio product is unchanged), a path carries its
-running numerator and denominator, and a closing edge is one comparison of
-two integer products.  Cycles sharing a prefix share its multiplications,
-and no `Fraction` is built per step.
+`check_nondegenerate`, the independent check, reads the matrix alone and
+walks the cycles depth-first over integer rows, each scaled by the LCM of
+its denominators (every agent of a cycle heads one numerator and one
+denominator edge, so the ratio product is unchanged).  A path carries its
+ratio product modulo q, the first of 2^61 - 1 and the Proth primes above
+2^61 that divides no entry, so every entry is invertible mod q.  A closing
+index maps the residue of each closing ratio to its items, so closing a
+path is one dict lookup.  Equal products have equal residues, so no cycle
+is missed; a hit is confirmed by one exact comparison of integer
+products, so a residue alone decides nothing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from math import comb, factorial, gcd, lcm, prod
 
 from .core import (
@@ -176,24 +179,6 @@ def _spend_cycles(n: int, m: int) -> None:
     Budget(CYCLE_BUDGET, "agent-item cycle traversals").spend(total)
 
 
-def _unit_cycle(rows, top, a, num, den, free, items) -> bool:
-    """Whether a path from row `top`'s agent to agent `a`, with ratio product
-    num/den, closes into a product-one cycle, alone or through `free` agents.
-    """
-    for i, v in enumerate(rows[a]):
-        if items >> i & 1:
-            continue
-        d = den * v
-        if num * top[i] == d:
-            return True
-        for b in range(len(rows) if free else 0):
-            if free >> b & 1 and _unit_cycle(
-                rows, top, b, num * rows[b][i], d, free ^ 1 << b, items | 1 << i
-            ):
-                return True
-    return False
-
-
 def check_nondegenerate(values) -> bool:
     """Decide the two non-degeneracy conditions by exhaustive enumeration.
 
@@ -212,14 +197,41 @@ def check_nondegenerate(values) -> bool:
         return False
     _spend_cycles(n, m)
     rows = [scale_row(row)[1] for row in vals]
+    q = next(
+        p
+        for p in chain((2**61 - 1,), _proth_primes(1 << 61))
+        if all(v % p for row in rows for v in row)
+    )
+    inv = [[pow(v, -1, q) for v in row] for row in rows]
+    # step[a][b][i]: rows[b][i] / rows[a][i] mod q
+    step = [[[v * w % q for v, w in zip(row, ia)] for row in rows] for ia in inv]
+
+    def closes(a, r, num, den, free, items) -> bool:
+        """Whether a path from `top`'s agent to agent a, with ratio product
+        num/den (r mod q), extends through `free` agents into a product-one
+        cycle.  A residue hit of the closing index is confirmed exactly."""
+        agents = [b for b in range(n) if free >> b & 1]
+        for i, v in enumerate(rows[a]):
+            if not items >> i & 1:
+                for b in agents:
+                    s, used, rest = r * step[a][b][i] % q, items | 1 << i, free ^ 1 << b
+                    hits = close[b].get(s, 0) & ~used
+                    if hits or rest:
+                        nb, db = num * rows[b][i], den * v
+                        if hits and any(
+                            hits >> t & 1 and nb * top[t] == db * rows[b][t]
+                            for t in range(m)
+                        ) or rest and closes(b, s, nb, db, rest, used):
+                            return True
+        return False
+
     for first, top in enumerate(rows):
-        above = (1 << n) - (2 << first)
-        for i in range(m):
-            for b in range(first + 1, n):
-                if _unit_cycle(
-                    rows, top, b, rows[b][i], top[i], above ^ 1 << b, 1 << i
-                ):
-                    return False
+        close = [{} for _ in rows]  # residue of rows[a][i] / top[i] -> items
+        for a in range(first + 1, n):
+            for i, r in enumerate(step[first][a]):
+                close[a][r] = close[a].get(r, 0) | 1 << i
+        if closes(first, 1, 1, 1, (1 << n) - (2 << first), 0):
+            return False
     return True
 
 

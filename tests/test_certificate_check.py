@@ -342,3 +342,9 @@ def test_reassign_rebuilds_only_the_bundles_it_touches():
     assert moved.bundles[1] is alloc.bundles[1]
     assert moved.bundles[2] is alloc.bundles[2]
     assert alloc.reassign({}).bundles == alloc.bundles
+
+
+def test_witnesses_name_an_item_of_r_that_no_base_bundle_holds():
+    cert = EfrCertificate(Allocation(({0}, {1})), {0, 5}, [(0, 0), (1, 1)])
+    with pytest.raises(ValueError, match="item index 5 is in no base bundle"):
+        cert.witnesses

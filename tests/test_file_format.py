@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mannafair.algorithms import conflict_aware_picking, efr_n_minus_1
+from mannafair.core import Allocation, EfrCertificate
 from mannafair.harness import (
     ParseError,
     _dump,
@@ -239,3 +240,13 @@ class TestCertificateFiles:
         )
         with pytest.raises(ParseError, match=r"witness_owners\[1\]: " + message):
             parse_certificate(text, inst)
+
+    def test_a_certificate_without_an_owner_vector_is_not_written(self):
+        # of_witnesses reads a witness that moves two items into one bundle
+        # as None, which format 2 cannot hold
+        base = Allocation(({0}, {1}))
+        two = Allocation(({0, 1}, set()))
+        cert = EfrCertificate.of_witnesses(base, {0}, [base, two])
+        assert cert.owners == ((0,), None)
+        with pytest.raises(ValueError, match="agent index 1 has no owner vector"):
+            serialize_certificate(cert)

@@ -7,8 +7,12 @@ and walks no cycle.  Its output must pass both the integer cycle walk of
 item and agent permutations and multiplies ratios edge by edge; every eps
 must lie in (0, epsilon), and the primes must be distinct, above the bound
 and prime by trial division.  `check_nondegenerate` must agree with the
-reference on every matrix, including zeros, negatives, mixed denominators
-and planted product-one cycles of length 2 and 3.
+reference on every matrix, including zeros, negatives, mixed denominators,
+planted product-one cycles of length 2, 3 and 4, duplicated rows and
+columns (one residue of the closing index for several items), and entries
+that are multiples of 2^61 - 1, which move the check's residue prime to
+the next Proth prime.  A residue hit is only a candidate: the check
+confirms it with an exact comparison, which `Counted` entries count.
 """
 
 import hashlib
@@ -21,14 +25,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mannafair.cli import main
-from mannafair.core import BudgetExceededError, Instance, as_rational
+from mannafair import welfare
+from mannafair.core import BudgetExceededError, Instance, as_rational, scale_row
 from mannafair.harness import (
     gen_random,
     parse_perturbed,
     serialize_instance,
     serialize_perturbed,
 )
-from mannafair.welfare import check_nondegenerate, perturb_nondegenerate
+from mannafair.welfare import _proth_primes, check_nondegenerate, perturb_nondegenerate
 
 
 def ref_check_nondegenerate(values):
@@ -58,12 +63,17 @@ def ref_check_nondegenerate(values):
 VALUE = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 7]))
 
 
-def plant_cycle(draw, rows):
-    """Overwrite one entry so a drawn cycle of length 2 or 3 has product 1."""
+def plant_cycle(draw, rows, through=None):
+    """Overwrite one entry so a drawn cycle of length 2 to 4 has product 1;
+    `through`, an (agent, item) entry, is made the cycle's first edge."""
     n, m = len(rows), len(rows[0])
-    k = draw(st.integers(2, min(3, n, m)))
+    k = draw(st.integers(2, min(4, n, m)))
     agents = draw(st.permutations(range(n)))[:k]
     items = draw(st.permutations(range(m)))[:k]
+    if through is not None:
+        a, t = through
+        agents = [a] + [b for b in agents if b != a][: k - 1]
+        items = [t] + [i for i in items if i != t][: k - 1]
     # product over l of rows[a_{l+1}][i_l] / rows[a_l][i_l]; solve for the
     # last numerator rows[a_0][i_{k-1}]
     rest = F(1)
@@ -79,10 +89,45 @@ def plant_cycle(draw, rows):
 
 @st.composite
 def matrices(draw, value=VALUE):
-    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 5))
+    n, m = draw(st.integers(1, 5)), draw(st.integers(0, 5))
     rows = [[draw(value) for _ in range(m)] for _ in range(n)]
     if n >= 2 and m >= 2 and draw(st.booleans()):
         plant_cycle(draw, rows)
+    return rows
+
+
+@st.composite
+def duplicated(draw):
+    """Nonzero matrices whose columns and rows repeat, scaled or not, so
+    that one residue of the closing index maps to several items."""
+    n, m = draw(st.integers(2, 4)), draw(st.integers(2, 5))
+    rows = [[draw(VALUE.filter(bool)) for _ in range(m)] for _ in range(n)]
+    scale = st.sampled_from([F(1), F(1), F(2), F(-1), F(1, 3)])
+    for _ in range(draw(st.integers(1, 3))):
+        j, t = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        c = draw(scale)
+        for row in rows:
+            row[t] = row[j] * c
+    if draw(st.booleans()):
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        c = draw(scale)
+        rows[b] = [v * c for v in rows[a]]
+    return rows
+
+
+P61 = 2**61 - 1
+
+
+@st.composite
+def with_p61(draw):
+    """Nonzero matrices with a multiple of 2^61 - 1, and sometimes a
+    product-one cycle planted through that entry."""
+    n, m = draw(st.integers(2, 4)), draw(st.integers(2, 5))
+    rows = [[draw(VALUE.filter(bool)) for _ in range(m)] for _ in range(n)]
+    a, t = draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1))
+    rows[a][t] *= P61 * draw(st.sampled_from([1, 2, -3]))
+    if draw(st.booleans()):
+        plant_cycle(draw, rows, through=(a, t))
     return rows
 
 
@@ -93,6 +138,85 @@ def test_check_agrees_with_reference(rows):
     assert check_nondegenerate(rows) == ref_check_nondegenerate(rows)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(duplicated(), with_p61()))
+def test_check_agrees_with_reference_on_repeats_and_multiples_of_p61(rows):
+    assert check_nondegenerate(rows) == ref_check_nondegenerate(rows)
+
+
+class Counted(int):
+    """An integer entry whose products stay `Counted` and whose `==`, the
+    check's exact confirmation of a residue hit, is counted."""
+
+    eqs = 0
+
+    def __mul__(self, other):
+        return Counted(int(self) * int(other))
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        Counted.eqs += 1
+        return int(self) == int(other)
+
+    __hash__ = int.__hash__
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Make `check_nondegenerate` scale its rows to `Counted` entries."""
+    def scale(row):
+        s, ints = scale_row(row)
+        return s, [Counted(v) for v in ints]
+
+    monkeypatch.setattr(welfare, "scale_row", scale)
+    Counted.eqs = 0
+    return Counted
+
+
+def test_a_false_residue_hit_is_refuted_exactly(counted):
+    # 2 and 2 + 2^61 - 1 have one residue mod 2^61 - 1: the path through
+    # item 0 hits item 1 in the closing index, and the product 2 / (2 + P61)
+    # is not one
+    rows = [[F(1), F(1)], [F(2), F(2 + P61)]]
+    assert check_nondegenerate(rows) is True
+    assert counted.eqs == 2  # each of the two paths from agent 0 hits
+    assert ref_check_nondegenerate(rows)
+
+
+def test_a_multiple_of_p61_moves_the_residue_prime(counted):
+    # the entry P61 makes the check take the next Proth prime q, under which
+    # 2 and 2 + q collide: a false hit there, none mod 2^61 - 1
+    q = next(_proth_primes(1 << 61))
+    rows = [[F(1), F(1), F(P61)], [F(2), F(2 + q), F(3)]]
+    assert check_nondegenerate(rows) is True
+    assert counted.eqs > 0
+    assert ref_check_nondegenerate(rows)
+    counted.eqs = 0
+    rows[0][2] = F(5)
+    assert check_nondegenerate(rows) is True
+    assert counted.eqs == 0
+
+
+@pytest.mark.parametrize("shape", [(4, 8), (5, 6)])
+def test_perturbed_outputs_pass_with_no_exact_comparison(shape, counted):
+    pert = perturb_nondegenerate(gen_random(*shape, 9, F(1, 2), seed=1))
+    rows = [list(r) for r in pert.pert_values]
+    assert check_nondegenerate(rows) is True
+    assert counted.eqs == 0  # no residue hit
+    assert ref_check_nondegenerate(rows)
+    # an entry rewritten so that a 4-cycle has product one: the hit that
+    # closes it is confirmed exactly
+    a, i = (0, 1, 2, 3), (0, 1, 2, 3)
+    rest = F(1)
+    for k in range(3):
+        rest *= rows[a[k + 1]][i[k]] / rows[a[k]][i[k]]
+    rows[a[0]][i[3]] = rows[a[3]][i[3]] / rest
+    assert check_nondegenerate(rows) is False
+    assert counted.eqs >= 1
+    assert ref_check_nondegenerate(rows) is False
+
+
 def test_check_zero_entry_wins_over_budget():
     rows = [[F(1)] * 9 for _ in range(9)]
     rows[8][8] = F(0)
@@ -100,6 +224,14 @@ def test_check_zero_entry_wins_over_budget():
     rows[8][8] = F(1)
     with pytest.raises(BudgetExceededError):
         check_nondegenerate(rows)
+
+
+def test_check_budget_boundary_at_n_3():
+    # 3 x 171 has 9,912,870 cycle traversals, within CYCLE_BUDGET; 3 x 172
+    # is refused before any cycle is walked
+    welfare._spend_cycles(3, 171)
+    with pytest.raises(BudgetExceededError):
+        check_nondegenerate([[F(1)] * 172 for _ in range(3)])
 
 
 def is_prime(q):
