@@ -348,6 +348,9 @@ class EfrCertificate(FrozenRecord):
         held = frozenset().union(*self.base.bundles)
         for t in (t for t in items if t not in held):  # the first not held
             raise ValueError(f"realloc_set item index {t} is in no base bundle")
+        n = self.base.num_agents
+        for a in (a for v in self.owners if v for a in v if not 0 <= a < n):
+            raise ValueError(f"owner vector agent index {a} out of range")
         return tuple(
             None if v is None else self.base.reassign(dict(zip(items, v)))
             for v in self.owners

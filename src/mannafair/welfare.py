@@ -5,13 +5,24 @@ rational subtractions chosen deterministically so that the perturbed
 values are non-degenerate: no entry is zero and no agent-item cycle has
 an alternating value-ratio product of one.  Welfare maximization then uses
 eta-shifted weights.  A demand map (the agents each item may go to) is
-certified by an exact linear program: a weight vector under which each
-item's demanders tie and beat every other agent makes every placement
-among the demanders Pareto optimal, the weighted-welfare (fPO)
-certificate of Barman, Krishnamurthy and Vaish (EC 2018).  The LP has
-one variable per agent; its rows are built from the numerators and
-denominators of the perturbed values and decided by an exact simplex with
-fraction-free pivots, with no `Fraction` until the returned point.
+certified by exact weights: a weight vector under which each item's
+demanders tie and beat every other agent makes every placement among the
+demanders Pareto optimal, the weighted-welfare (fPO) certificate of
+Barman, Krishnamurthy and Vaish (EC 2018).
+
+The weight system is decided in closed form over the agents.  On x = w +
+eta > 0 each row (w_j+eta) vbar_j(t) <= (w_i+eta) vbar_i(t) compares two
+agents on one item: it always holds when vbar_j(t) <= 0 <= vbar_i(t),
+never when vbar_i(t) <= 0 <= vbar_j(t) (not both zero), and otherwise is
+a ratio bound x_b <= B x_a.  A closed walk of bounds gives x_a <= (its
+product) x_a, so a product below one is infeasible.  With none, x_b >=
+x_a / P[b][a] >= eta for P the least path products, and the least point
+x*_b = eta max_a 1 / P[b][a] meets every bound; every solution is above
+it, so the system is feasible exactly when sum(x*) <= 1 + n eta, and
+then x* scaled up to that sum still meets the homogeneous bounds and w =
+x - eta >= 0 sums to 1.  This is the cycle characterisation of fPO
+(Sandomirskiy and Segal-Halevi, *Efficient fair division with minimal
+sharing*, Operations Research 2022).
 
 The perturbation is non-degenerate by construction, in the spirit of
 simulation of simplicity (Edelsbrunner and Muecke, ACM TOG 1990): entry
@@ -354,69 +365,46 @@ def max_weighted_welfare(pert: PerturbedInstance, w: WeightVector) -> Allocation
     return Allocation(tuple(frozenset(b) for b in bundles))
 
 
-# --- exact linear feasibility (integer simplex) ------------------------------
+# --- the weight system as a ratio closure over the agents --------------------
 
 
-def _pivot(rows, r, e, d):
-    """Exchange row r's basic variable with column e's; return the new divisor.
+def solve_leq_system(bounds, eta: Fraction) -> list[Fraction] | None:
+    """A point w >= 0 with sum(w) = 1 and x_b <= B[a][b] x_a for x = w + eta,
+    or None.
 
-    Every row reads d * basic = row[0] - sum(row[j] * nonbasic_j), the
-    objective row included.  The fraction-free update divides by the old
-    divisor exactly, and the new one is |row[r][e]|.
+    `bounds[a][b]` is None (no bound) or a pair (p, q) of positive integers
+    for B[a][b] = p / q; the diagonal is read as 1.  Floyd-Warshall in the
+    (min, x) semiring, comparing pairs by cross-multiplying, closes B into
+    the least path products P and stops at the first diagonal entry that
+    would drop below 1; the least point is then scaled up to the simplex
+    (see the module docstring).  O(n^3) integer products.
     """
-    top = rows[r]
-    p = top[e]
-    s = 1 if p > 0 else -1
-    for row in rows:
-        if row is not top:
-            f = row[e]
-            row[:] = [s * (a * p - f * b) // d for a, b in zip(row, top)]
-            row[e] = -s * f
-    top[:] = [s * a for a in top]
-    top[e] = s * d
-    return abs(p)
-
-
-def solve_leq_system(rows, nvars: int) -> list[Fraction] | None:
-    """A point x >= 0 with c . x <= d for every integer row (d, *c), or None.
-
-    Chvatal's auxiliary problem (Linear Programming, 1983): maximize -x0
-    subject to c . x - x0 <= d and x, x0 >= 0.  x0 keeps coefficient -1 in
-    every row, so entering x0 on a row of least right-hand side gives a
-    feasible dictionary.  Bland's rule (lowest-numbered entering and
-    leaving variables, ratios compared by cross-multiplying) rules out
-    cycling; the system is feasible once the objective reaches 0.
-    """
-    rows = [[*row, -1] for row in rows]
-    point = [Fraction(0)] * nvars
-    r = min(range(len(rows)), key=lambda i: rows[i][0], default=None)
-    if r is None or rows[r][0] >= 0:
-        return point
-    # variables: x_k is k, x0 is nvars, row i's slack is nvars + 1 + i
-    cols = list(range(nvars + 1))  # column j + 1 holds variable cols[j]
-    basis = [nvars + 1 + i for i in range(len(rows))]
-    objective = [0] * (nvars + 1) + [1]  # d * w = 0 - x0, in the rows' form
-    d, e = 1, nvars + 1
-    while True:
-        d = _pivot(rows + [objective], r, e, d)
-        basis[r], cols[e - 1] = cols[e - 1], basis[r]
-        if objective[0] == 0:
-            break
-        entering = [j for j in range(1, nvars + 2) if objective[j] < 0]
-        if not entering:
-            return None
-        e = min(entering, key=lambda j: cols[j - 1])
-        r = None  # least rows[i][0] / rows[i][e] over rows[i][e] > 0, then basis
-        for i, row in enumerate(rows):
-            if row[e] > 0 and (
-                r is None
-                or (row[0] * rows[r][e], basis[i]) < (rows[r][0] * row[e], basis[r])
-            ):
-                r = i
-    for var, row in zip(basis, rows):
-        if var < nvars:
-            point[var] = Fraction(row[0], d)
-    return point
+    n = len(bounds)
+    closed = [[(1, 1) if a == b else ab for b, ab in enumerate(row)]
+              for a, row in enumerate(bounds)]
+    for k, via in enumerate(closed):
+        for a, row in enumerate(closed):
+            if row[k] is not None:
+                pk, qk = row[k]
+                for b, kb in enumerate(via):
+                    if kb is not None:
+                        p, q, ab = pk * kb[0], qk * kb[1], row[b]
+                        if ab is None or p * ab[1] < ab[0] * q:
+                            if a == b:  # a closed walk with product below 1
+                                return None
+                            row[b] = (p, q)
+    least = []  # x*_b / eta = 1 / min_a P[b][a]
+    for row in closed:
+        p, q = 1, 1
+        for ab in row:
+            if ab is not None and ab[0] * q < p * ab[1]:
+                p, q = ab
+        least.append(Fraction(q, p))
+    total = sum(least)
+    if eta * total > 1 + n * eta:
+        return None
+    scale = (1 + n * eta) / total
+    return [scale * x - eta for x in least]
 
 
 def po_certificate_lp(pert: PerturbedInstance, demand) -> WeightVector | None:
@@ -424,35 +412,41 @@ def po_certificate_lp(pert: PerturbedInstance, demand) -> WeightVector | None:
 
     `demand[t]` lists the agents item t may go to, for every t in range(m)
     (a `demand_sets` map, or any mapping with keys 0..m-1): one agent for
-    an item held alone, at least two for a reallocated one.  The system
-    { (w_j+eta) vbar_j(t) <= (w_i+eta) vbar_i(t) for each t, i in
-    demand[t], j != i;  w >= 0, sum(w) = 1 as two rows } is decided
-    exactly; two demanders of one item get both rows, so they tie.  A
-    feasible w makes every placement of the items among their demanders
-    maximize eta-shifted weighted welfare under the perturbed values, hence
-    Pareto optimal under the original values.  With vbar_a(t) = p_a / q_a
-    in lowest terms, a row times M = den(eta) q_i q_j is integral; divided
-    by the gcd of M and its entries, it is the row times the LCM of its
-    denominators.
+    an item held alone, at least two for a reallocated one; every item is
+    checked before any verdict.  The system { (w_j+eta) vbar_j(t) <=
+    (w_i+eta) vbar_i(t) for each t, i in demand[t], j != i;  w >= 0,
+    sum(w) = 1 } is decided exactly; two demanders of one item bound each
+    other both ways, so they tie.  A feasible w makes every placement of
+    the items among their demanders maximize eta-shifted weighted welfare
+    under the perturbed values, hence Pareto optimal under the original
+    values.  Each row is dropped, refutes the system, or is the ratio bound
+    x_j <= (vbar_i / vbar_j) x_i (goods) or x_i <= (vbar_j / vbar_i) x_j
+    (chores), in integer pairs from the values' numerators and
+    denominators; `solve_leq_system` reads the least bound per agent pair.
     """
     n, m = pert.base.num_agents, pert.base.num_items
     if len(demand) != m:
         raise ValueError("demand map must cover every item")
-    en, ed = pert.params.eta.numerator, pert.params.eta.denominator
-    rows = [[1] * (n + 1), [-1] * (n + 1)]
-    for t, col in enumerate(zip(*pert.pert_values)):
-        if not demand[t] or not set(demand[t]) <= set(range(n)):
+    agents = set(range(n))
+    for t in range(m):
+        if not demand[t] or not agents.issuperset(demand[t]):
             raise ValueError(f"item {t} needs demanders among the agents")
+    bounds = [[None] * n for _ in range(n)]  # bounds[a][b]: x_b <= B x_a
+    for t, col in enumerate(zip(*pert.pert_values)):
         pq = [(v.numerator, v.denominator) for v in col]
         for i in demand[t]:
             pi, qi = pq[i]
             for j, (pj, qj) in enumerate(pq):
-                if j != i:
-                    # (w_j+eta) vbar_j(t) <= (w_i+eta) vbar_i(t), times M
-                    a, b = pj * qi, pi * qj
-                    row = [0] * (n + 1)
-                    row[0], row[1 + j], row[1 + i] = en * (b - a), ed * a, -ed * b
-                    g = gcd(ed * qi * qj, *row)
-                    rows.append([x // g for x in row])
-    point = solve_leq_system(rows, n)
+                if j == i or pj <= 0 <= pi:  # the row always holds
+                    continue
+                if pi > 0 < pj:
+                    a, b, p, q = i, j, pi * qj, qi * pj
+                elif pi < 0 > pj:
+                    a, b, p, q = j, i, -pj * qi, -qj * pi
+                else:  # the row never holds
+                    return None
+                ab = bounds[a][b]
+                if ab is None or p * ab[1] < ab[0] * q:
+                    bounds[a][b] = (p, q)
+    point = solve_leq_system(bounds, pert.params.eta)
     return None if point is None else WeightVector(tuple(point))

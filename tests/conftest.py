@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 
 from mannafair import oracles
-from mannafair.core import Budget, BudgetExceededError, bundle_value, scale_row
+from mannafair.core import Budget, BudgetExceededError, bundle_value
 from mannafair.fixed_n import build_f_ij, reconstruct_I
 
 ACCEPTANCE_LINES = []
@@ -72,12 +72,6 @@ def format1_text(cert):
         "witnesses": [bundles(w) for w in cert.witnesses],
     }
     return json.dumps(doc, indent=2) + "\n"
-
-
-def leq_rows(constraints):
-    """Rational (coeffs, rhs) constraints as the integer rows (rhs, *coeffs)
-    that `welfare.solve_leq_system` reads, each times its denominators' LCM."""
-    return [scale_row([rhs, *coeffs])[1] for coeffs, rhs in constraints]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -348,3 +348,14 @@ def test_witnesses_name_an_item_of_r_that_no_base_bundle_holds():
     cert = EfrCertificate(Allocation(({0}, {1})), {0, 5}, [(0, 0), (1, 1)])
     with pytest.raises(ValueError, match="item index 5 is in no base bundle"):
         cert.witnesses
+
+
+@pytest.mark.parametrize("agent", [5, -1])
+def test_witnesses_name_an_owner_outside_the_agents(agent):
+    # a bare IndexError from `reassign` for 5; for -1 item 0 went silently
+    # to the last agent
+    inst = Instance(((F(1), F(1)), (F(1), F(1))))
+    cert = EfrCertificate(Allocation(({0}, {1})), {0}, [(agent,), (0,)])
+    assert validate_certificate(inst, cert) is False
+    with pytest.raises(ValueError, match=f"agent index {agent} out of range"):
+        cert.witnesses

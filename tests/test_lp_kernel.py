@@ -1,27 +1,61 @@
-"""The integer simplex in `welfare.solve_leq_system` against Fourier-Motzkin.
+"""The ratio closure in `welfare.po_certificate_lp` against Fourier-Motzkin.
 
-`solve_leq_system` runs Chvatal's auxiliary problem over integer rows with
-Bland's rule and returns a point x >= 0 with every c . x <= d, or None.
-The reference below is the earlier implementation, Fourier-Motzkin
-elimination over `Fraction`s, which decides {c . x <= d} over all x; the
-rows x_i >= 0 are added to its input so that both decide the same system.
-The verdicts must agree on every LP call of the fixed-n sweep and on random
-systems, and every returned point must satisfy every row exactly.
+`po_certificate_lp` reduces the weight system { (w_j+eta) vbar_j(t) <=
+(w_i+eta) vbar_i(t) for each t, i in demand[t], j != i;  w >= 0,
+sum(w) = 1 } to an n x n matrix of ratio bounds on x = w + eta, which
+`solve_leq_system` closes.  The references below are earlier
+implementations: the integer row builder that fed the simplex (each row of
+the system times the LCM of its denominators, `lp_rows`), and
+Fourier-Motzkin elimination over `Fraction`s, which decides {c . x <= d}
+over all x; the rows w_i >= 0 are added to its input.  A returned point
+must satisfy every reference row exactly, be >= 0 and sum to 1, which
+proves the system feasible; a None must be confirmed by one row that no
+point of the simplex satisfies, or by Fourier-Motzkin.  Every LP call of
+the fixed-n sweep, hypothesis demand maps with planted sign conflicts and
+2- and 3-cycles, and random bound matrices are checked.
 """
 
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mannafair import welfare
+from mannafair import fixed_n
+from mannafair.core import Instance
 from mannafair.fixed_n import search_efr_po
 from mannafair.harness import gen_random
-from mannafair.welfare import solve_leq_system
+from mannafair.welfare import (
+    PerturbedInstance,
+    compute_params,
+    perturb_nondegenerate,
+    po_certificate_lp,
+    solve_leq_system,
+)
 
-from conftest import leq_rows
 from test_fixed_n import SWEEP
+
+
+def lp_rows(pert, demand):
+    """The integer rows (d, *c), c . w <= d, of the weight system: the sum
+    as two rows, then each (t, i in demand[t], j != i) row times M =
+    den(eta) q_i q_j, divided by the gcd of M and its entries."""
+    n = pert.base.num_agents
+    en, ed = pert.params.eta.numerator, pert.params.eta.denominator
+    rows = [[1] * (n + 1), [-1] * (n + 1)]
+    for t, col in enumerate(zip(*pert.pert_values)):
+        pq = [(v.numerator, v.denominator) for v in col]
+        for i in demand[t]:
+            pi, qi = pq[i]
+            for j, (pj, qj) in enumerate(pq):
+                if j != i:
+                    a, b = pj * qi, pi * qj
+                    row = [0] * (n + 1)
+                    row[0], row[1 + j], row[1 + i] = en * (b - a), ed * a, -ed * b
+                    g = gcd(ed * qi * qj, *row)
+                    rows.append([x // g for x in row])
+    return rows
 
 
 def ref_normalize(coeffs, rhs):
@@ -44,11 +78,20 @@ def ref_dedupe(constraints):
     return [(list(c), r) for c, r in best.items()]
 
 
-def ref_solve_leq_system(constraints, nvars):
-    layers = []
+def ref_is_feasible(constraints, nvars):
+    """Fourier-Motzkin: whether some x satisfies every c . x <= d.  Each
+    step eliminates the variable with the fewest lower-upper pairs."""
     current = ref_dedupe(constraints)
-    for var in range(nvars - 1, -1, -1):
-        lowers, uppers, keep = [], [], []
+    left = set(range(nvars))
+    while left:
+        signs = {v: [0, 0] for v in left}
+        for coeffs, _ in current:
+            for v in left:
+                if coeffs[v]:
+                    signs[v][coeffs[v] > 0] += 1
+        var = min(left, key=lambda v: (signs[v][0] * signs[v][1], v))
+        left.remove(var)
+        lowers, uppers, merged = [], [], []
         for coeffs, rhs in current:
             c = coeffs[var]
             if c > 0:
@@ -56,174 +99,195 @@ def ref_solve_leq_system(constraints, nvars):
             elif c < 0:
                 lowers.append(([x / -c for x in coeffs], rhs / -c))
             else:
-                keep.append((coeffs, rhs))
-        layers.append((var, lowers, uppers))
-        merged = list(keep)
+                merged.append((coeffs, rhs))
         for lc, lr in lowers:
             for uc, ur in uppers:
-                coeffs = [lc[i] + uc[i] for i in range(nvars)]
+                coeffs = [a + b for a, b in zip(lc, uc)]
                 coeffs[var] = F(0)
                 merged.append((coeffs, lr + ur))
         current = ref_dedupe(merged)
-    for coeffs, rhs in current:
-        if rhs < 0:
-            return None
-    point = [F(0)] * nvars
-    for var, lowers, uppers in reversed(layers):
-        lo, hi = None, None
-        for coeffs, rhs in lowers:
-            rest = sum(coeffs[i] * point[i] for i in range(nvars) if i != var)
-            bound = rest - rhs
-            lo = bound if lo is None or bound > lo else lo
-        for coeffs, rhs in uppers:
-            rest = sum(coeffs[i] * point[i] for i in range(nvars) if i != var)
-            bound = rhs - rest
-            hi = bound if hi is None or bound < hi else hi
-        if lo is not None and hi is not None:
-            point[var] = (lo + hi) / 2
-        elif lo is not None:
-            point[var] = lo
-        elif hi is not None:
-            point[var] = hi
-        else:
-            point[var] = F(0)
-    return point
+    return all(rhs >= 0 for _, rhs in current)
 
 
-def check_against_reference(constraints, nvars, point):
-    """`point` is exact and x >= 0, and None exactly when FM finds no point."""
-    nonneg = [
-        ([F(-int(k == i)) for k in range(nvars)], F(0)) for i in range(nvars)
-    ]
-    reference = ref_solve_leq_system(
-        [(list(map(F, c)), F(d)) for c, d in constraints] + nonneg, nvars
-    )
-    assert (point is None) == (reference is None), constraints
+def check_rows(rows, nvars, point):
+    """`point` is None, or a point of the simplex satisfying every integer
+    row (d, *c) exactly; a None is confirmed exactly."""
     if point is not None:
         assert len(point) == nvars and all(x >= 0 for x in point)
-        for coeffs, rhs in constraints:
-            assert sum(c * x for c, x in zip(coeffs, point)) <= rhs
+        assert sum(point) == 1
+        for d, *coeffs in rows:
+            assert sum(c * x for c, x in zip(coeffs, point)) <= d, (d, coeffs)
+        return
+    # a row that no vertex of the simplex satisfies refutes the system
+    if any(min(coeffs) > d for d, *coeffs in rows):
+        return
+    nonneg = [([F(-int(k == i)) for k in range(nvars)], F(0)) for i in range(nvars)]
+    constraints = [(list(map(F, coeffs)), F(d)) for d, *coeffs in rows]
+    assert not ref_is_feasible(constraints + nonneg, nvars), rows
+
+
+def check_against_reference(pert, demand, w):
+    """`w`, `po_certificate_lp`'s answer, against the reference rows."""
+    n = pert.base.num_agents
+    check_rows(lp_rows(pert, demand), n, None if w is None else list(w.weights))
+
+
+def lp_calls_of_search(inst):
+    calls = []
+
+    def recording(pert, demand):
+        w = po_certificate_lp(pert, demand)
+        calls.append((pert, dict(demand), w))
+        return w
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fixed_n, "po_certificate_lp", recording)
+        search_efr_po(inst)
+    return calls
 
 
 @pytest.mark.parametrize("n,m", SWEEP)
-def test_every_search_lp_call_matches_fourier_motzkin(n, m, monkeypatch):
+def test_every_search_lp_call_matches_fourier_motzkin(n, m):
     calls = []
-
-    def recording(rows, nvars):
-        point = solve_leq_system(rows, nvars)
-        calls.append(([(row[1:], row[0]) for row in rows], nvars, point))
-        return point
-
-    monkeypatch.setattr(welfare, "solve_leq_system", recording)
     for chore_prob in (F(0), F(1, 2), F(1)):
         for seed in range(10):
-            search_efr_po(gen_random(n, m, 9, chore_prob, seed))
+            calls += lp_calls_of_search(gen_random(n, m, 9, chore_prob, seed))
     assert calls
-    for constraints, nvars, point in calls:
-        check_against_reference(constraints, nvars, point)
+    for pert, demand, w in calls:
+        check_against_reference(pert, demand, w)
 
 
-def systems(entries):
-    return st.integers(1, 4).flatmap(
-        lambda nvars: st.tuples(
-            st.lists(
-                st.tuples(st.lists(entries, min_size=nvars, max_size=nvars), entries),
-                max_size=7,
-            ),
-            st.just(nvars),
-        )
-    )
+# --- hypothesis demand maps with planted structure ---------------------------
+
+
+def built(values, exact):
+    """`values` perturbed, or with zero eps so that ratios can tie."""
+    inst = Instance(tuple(map(tuple, values)))
+    if not exact:
+        return perturb_nondegenerate(inst)
+    zeros = [[F(0)] * len(row) for row in values]
+    return PerturbedInstance(inst, zeros, compute_params(inst))
+
+
+@st.composite
+def planted_maps(draw):
+    """(kind, pert, demand) at n = 1-5.  "sign": a demander of some item
+    values it as a chore and another agent as a good.  "2-cycle" and
+    "3-cycle": agents each demanding one item that the next agent on the
+    cycle values with the same sign, so their bounds close a cycle whose
+    product the drawn values decide.  "free": no planted structure."""
+    n = draw(st.integers(1, 5))
+    kinds = ["free"] + ["sign", "2-cycle"] * (n >= 2) + ["3-cycle"] * (n >= 3)
+    kind = draw(st.sampled_from(kinds))
+    need = {"free": 1, "sign": 1, "2-cycle": 2, "3-cycle": 3}[kind]
+    m = draw(st.integers(need, max(need, 4 if n < 5 else 3)))
+    value = st.integers(-3, 3)
+    values = [[draw(value) for _ in range(m)] for _ in range(n)]
+    demanders = st.sets(st.integers(0, n - 1), min_size=1, max_size=2)
+    demand = [set(draw(demanders)) for _ in range(m)]
+    if kind == "sign":
+        t = draw(st.integers(0, m - 1))
+        i, j = draw(st.permutations(range(n)))[:2]
+        values[i][t] = -draw(st.integers(1, 3))
+        values[j][t] = draw(st.integers(1, 3))
+        demand[t].add(i)
+    elif kind != "free":
+        k = need
+        agents = draw(st.permutations(range(n)))[:k]
+        items = draw(st.permutations(range(m)))[:k]
+        for a, b, t in zip(agents, agents[1:] + agents[:1], items):
+            sign = draw(st.sampled_from([1, -1]))
+            values[a][t] = sign * draw(st.integers(1, 3))
+            values[b][t] = sign * draw(st.integers(1, 3))
+            demand[t] = {a}
+    pert = built(values, draw(st.booleans()))
+    return kind, pert, [tuple(sorted(d)) for d in demand]
 
 
 @settings(max_examples=300, deadline=None)
-@given(systems(st.integers(-6, 6)))
+@given(planted_maps())
+def test_planted_demand_maps_match_fourier_motzkin(case):
+    kind, pert, demand = case
+    w = po_certificate_lp(pert, demand)
+    if kind == "sign":
+        assert w is None
+    check_against_reference(pert, demand, w)
+
+
+def test_planted_cycles_decide_both_ways():
+    # agent 0 demands item 0 and agent 1 item 1, all goods: x_1 <= (v_0(0)
+    # / v_1(0)) x_0 and x_0 <= (v_1(1) / v_0(1)) x_1, a 2-cycle of product
+    # v_0(0) v_1(1) / (v_1(0) v_0(1)); zero eps keeps the ratios exact
+    for values, feasible in (
+        ([[1, 3], [3, 1]], False),  # product 1/9
+        ([[2, 1], [2, 1]], True),  # product 1: the pair ties on both items
+        ([[3, 1], [1, 3]], True),  # product 9
+    ):
+        pert = built(values, True)
+        w = po_certificate_lp(pert, [(0,), (1,)])
+        assert (w is not None) == feasible
+        check_against_reference(pert, [(0,), (1,)], w)
+    # chores: each agent's cheapest chore on its own is feasible; shifted
+    # by one, agent 1 demands item 0 (x_1 <= x_0 / 2), agent 2 item 1 (x_2
+    # <= x_1 / 2) and agent 0 item 2 (x_0 <= x_2 / 2), a 3-cycle of 1/8
+    values = [[-1, -9, -2], [-2, -1, -9], [-9, -2, -1]]
+    pert = built(values, True)
+    assert po_certificate_lp(pert, [(0,), (1,), (2,)]) is not None
+    assert po_certificate_lp(pert, [(1,), (2,), (0,)]) is None
+    check_against_reference(pert, [(1,), (2,), (0,)], None)
+
+
+# --- `solve_leq_system` on bound matrices -------------------------------------
+
+
+def bound_rows(bounds, eta):
+    """The rows (d, *c) of x_b <= (p / q) x_a for x = w + eta, times q:
+    q w_b - p w_a <= (p - q) eta; with the sum as two rows."""
+    n = len(bounds)
+    rows = [[F(1)] * (n + 1), [F(-1)] * (n + 1)]
+    for a, row in enumerate(bounds):
+        for b, pq in enumerate(row):
+            if pq is not None and a != b:
+                p, q = pq
+                new = [(p - q) * eta] + [F(0)] * n
+                new[1 + b] += q
+                new[1 + a] -= p
+                rows.append(new)
+    return rows
+
+
+def bound_matrices(entries):
+    def matrix(n):
+        bound = st.one_of(st.none(), entries)
+        return st.lists(
+            st.lists(bound, min_size=n, max_size=n), min_size=n, max_size=n
+        ).map(lambda rows: [[None if a == b else pq for b, pq in enumerate(row)]
+                            for a, row in enumerate(rows)])
+
+    etas = st.fractions(F(1, 50), F(1, 2)).filter(lambda e: e > 0)
+    return st.tuples(st.integers(1, 4).flatmap(matrix), etas)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bound_matrices(st.tuples(st.integers(1, 6), st.just(1))))
 def test_integer_systems_match_fourier_motzkin(system):
-    constraints, nvars = system
-    point = solve_leq_system(leq_rows(constraints), nvars)
-    check_against_reference(constraints, nvars, point)
+    bounds, eta = system
+    check_rows(bound_rows(bounds, eta), len(bounds), solve_leq_system(bounds, eta))
 
 
-@settings(max_examples=150, deadline=None)
-@given(systems(st.fractions(-6, 6, max_denominator=12)))
+@settings(max_examples=300, deadline=None)
+@given(bound_matrices(st.tuples(st.integers(1, 12), st.integers(1, 12))))
 def test_rational_systems_match_fourier_motzkin(system):
-    constraints, nvars = system
-    point = solve_leq_system(leq_rows(constraints), nvars)
-    check_against_reference(constraints, nvars, point)
-
-
-# Chvatal, Linear Programming (1983), chapter 3: maximize c . x subject to
-# A x <= b, x >= 0.  From the slack basis every pivot of the largest-
-# coefficient rule is degenerate, and the sixth returns to the start.
-CYCLING_A = [
-    [F(1, 2), F(-11, 2), F(-5, 2), 9],
-    [F(1, 2), F(-3, 2), F(-1, 2), 1],
-    [1, 0, 0, 0],
-]
-CYCLING_B = [0, 0, 1]
-CYCLING_C = [10, -57, -9, -24]
-
-
-def largest_coefficient_bases(a, b, c, pivots):
-    """Bases visited by the textbook dictionary simplex without Bland's rule.
-
-    Enters the variable of largest objective coefficient and leaves, among
-    the rows of least ratio, the lowest-numbered basic variable; variables
-    0..n-1 are x and n.. the slacks.
-    """
-    n = len(c)
-    rows = {n + i: (F(bi), {j: F(-v) for j, v in enumerate(ai)})
-            for i, (ai, bi) in enumerate(zip(a, b))}
-    obj = {j: F(v) for j, v in enumerate(c)}
-    bases = [sorted(rows)]
-    for _ in range(pivots):
-        enter = max(obj, key=lambda j: (obj[j], -j))
-        leave = min(
-            (k for k in rows if rows[k][1].get(enter, 0) < 0),
-            key=lambda k: (rows[k][0] / -rows[k][1][enter], k),
-        )
-        const, expr = rows.pop(leave)
-        scale = -expr.pop(enter)
-        solved = {j: v / scale for j, v in expr.items()}
-        solved[leave] = F(-1) / scale
-        for k, (ck, ek) in list(rows.items()):
-            f = ek.pop(enter, F(0))
-            for j, v in solved.items():
-                ek[j] = ek.get(j, F(0)) + f * v
-            rows[k] = (ck + f * const / scale, ek)
-        rows[enter] = (const / scale, solved)
-        f = obj.pop(enter)
-        for j, v in solved.items():
-            obj[j] = obj.get(j, F(0)) + f * v
-        bases.append(sorted(rows))
-    return bases
-
-
-def test_textbook_cycling_example_terminates(monkeypatch):
-    bases = largest_coefficient_bases(CYCLING_A, CYCLING_B, CYCLING_C, 6)
-    assert bases[6] == bases[0] and len(set(map(tuple, bases[:6]))) == 6
-    # as a feasibility system: c . x >= 1, then each row of A less c . x,
-    # all doubled to integers.  The rows tie at the auxiliary problem's
-    # first pivot, whose dictionary is the example's plus one column (the
-    # first row's slack); every later pivot but the last is degenerate
-    system = [([-2 * v for v in CYCLING_C], -2)] + [
-        ([2 * (u - v) for u, v in zip(row, CYCLING_C)], 2 * (rhs - 1))
-        for row, rhs in zip(CYCLING_A, CYCLING_B)
-    ]
-    objectives = []
-    pivot = welfare._pivot
-
-    def recording(rows, r, e, d):
-        d = pivot(rows, r, e, d)
-        objectives.append(F(rows[-1][0], d))
-        return d
-
-    monkeypatch.setattr(welfare, "_pivot", recording)
-    point = solve_leq_system(leq_rows(system), 4)
-    check_against_reference(system, 4, point)
-    assert point is not None and objectives[-1] == 0
-    assert objectives[1:-1] == [objectives[0]] * (len(objectives) - 2)
-    assert len(objectives) >= 4  # a run of degenerate pivots
+    bounds, eta = system
+    check_rows(bound_rows(bounds, eta), len(bounds), solve_leq_system(bounds, eta))
 
 
 def test_negative_bound_on_a_nonnegative_variable_is_infeasible():
-    assert solve_leq_system(leq_rows([([1], -1)]), 1) is None
+    # x_0 <= x_1 / 10 with x >= eta = 1/4 puts x_1 >= 10/4, so w_1 >= 9/4
+    # and w_0 = 1 - w_1 < 0; with eta = 1/40 the least point (1/40, 1/4)
+    # fits the simplex, and scaled by 42/11 to sum 1 + 2 eta it is the point;
+    # at eta = 1/9 the least point sums to exactly 1 + 2 eta: w = (0, 1)
+    bounds = [[None, None], [(1, 10), None]]
+    assert solve_leq_system(bounds, F(1, 4)) is None
+    assert solve_leq_system(bounds, F(1, 40)) == [F(31, 440), F(409, 440)]
+    assert solve_leq_system(bounds, F(1, 9)) == [0, 1]

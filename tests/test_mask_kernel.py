@@ -5,19 +5,18 @@
 cross-products of `PerturbedInstance.scaled` and returns each separator
 option's F_ij as an item bitmask; `reconstruct_I` intersects the masks;
 `fixed_n._join` walks the I_i depth first, both charged for the work they
-do; `po_certificate_lp` builds its rows from the integer rows, and
-`solve_leq_system` compares ratios by cross-multiplying.  The references
-below are the earlier implementations: `Fraction` ratios sorted once and
-read through `bisect`, the product of frozensets, the product join,
-`Fraction` constraint rows scaled by `scale_row`, and a `Fraction`-keyed
-ratio test.  The kernel must return the same sets in the same order, the
-same LP rows and the same points, ties included, so the search's first hit
-and weights cannot move.
+do.  The references below are the earlier implementations: `Fraction`
+ratios sorted once and read through `bisect`, the product of frozensets,
+the product join, and `Fraction` constraint rows scaled by `scale_row`.
+The kernel must return the same sets in the same order, ties included, so
+the search's first hit cannot move.  `po_certificate_lp` is checked
+against the weight system's rows: the integer row builder of
+`test_lp_kernel` must give exactly the `Fraction` rows, and the LP's
+answer must satisfy them or be refuted by them.
 """
 
 import itertools
 import math
-import random
 from bisect import bisect_right
 from fractions import Fraction as F
 
@@ -25,19 +24,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mannafair import fixed_n, welfare
+from mannafair import welfare
 from mannafair.core import Budget, BudgetExceededError, Instance, scale_row
-from mannafair.fixed_n import _join, build_f_ij, reconstruct_I, search_efr_po
+from mannafair.fixed_n import _join, build_f_ij, reconstruct_I
 from mannafair.harness import gen_random
 from mannafair.welfare import (
     PerturbedInstance,
     compute_params,
     perturb_nondegenerate,
     po_certificate_lp,
-    solve_leq_system,
 )
 
 from conftest import intersection_charges, items_of, join_nodes
+from test_lp_kernel import check_against_reference, lp_calls_of_search, lp_rows
 from test_perturb_kernel import VALUE, degenerate_instances
 
 # --- references: the earlier implementations ---------------------------------
@@ -111,42 +110,6 @@ def ref_lp_rows(pert, demand):
     return [list(scale_row([rhs, *coeffs])[1]) for coeffs, rhs in constraints]
 
 
-TIES = []  # one entry per ratio test that had two rows of least ratio
-
-
-def ref_solve_leq_system(rows, nvars):
-    """The simplex with the `Fraction`-keyed ratio test."""
-    rows = [list(row) + [-1] for row in rows]
-    point = [F(0)] * nvars
-    r = min(range(len(rows)), key=lambda i: rows[i][0], default=None)
-    if r is None or rows[r][0] >= 0:
-        return point
-    cols = list(range(nvars + 1))
-    basis = [nvars + 1 + i for i in range(len(rows))]
-    objective = [0] * (nvars + 1) + [1]
-    d, e = 1, nvars + 1
-    while True:
-        d = welfare._pivot(rows + [objective], r, e, d)
-        basis[r], cols[e - 1] = cols[e - 1], basis[r]
-        if objective[0] == 0:
-            break
-        entering = [j for j in range(1, nvars + 2) if objective[j] < 0]
-        if not entering:
-            return None
-        e = min(entering, key=lambda j: cols[j - 1])
-        ratios = [F(row[0], row[e]) for row in rows if row[e] > 0]
-        if ratios.count(min(ratios)) > 1:
-            TIES.append(1)
-        r = min(
-            (i for i, row in enumerate(rows) if row[e] > 0),
-            key=lambda i: (F(rows[i][0], rows[i][e]), basis[i]),
-        )
-    for var, row in zip(basis, rows):
-        if var < nvars:
-            point[var] = F(row[0], d)
-    return point
-
-
 # --- checks -------------------------------------------------------------------
 
 
@@ -184,22 +147,8 @@ def assert_join_matches(per_agent, m):
 
 
 def assert_lp_matches(pert, demand):
-    rows = []
-
-    def recording(lp_rows, nvars):
-        rows.append([list(row) for row in lp_rows])
-        return solve_leq_system(lp_rows, nvars)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(welfare, "solve_leq_system", recording)
-        w = po_certificate_lp(pert, demand)
-    (got_rows,) = rows
-    assert got_rows == ref_lp_rows(pert, demand)
-    point = ref_solve_leq_system(got_rows, pert.base.num_agents)
-    assert solve_leq_system(got_rows, pert.base.num_agents) == point
-    assert (w is None) == (point is None)
-    if w is not None:
-        assert list(w.weights) == point
+    assert lp_rows(pert, demand) == ref_lp_rows(pert, demand)
+    check_against_reference(pert, demand, po_certificate_lp(pert, demand))
 
 
 def directly_built(rows, eps):
@@ -294,19 +243,6 @@ def test_join_on_a_shape_with_several_r_groups():
     assert_join_matches(per_agent, 6)
 
 
-def lp_calls_of_search(inst):
-    calls = []
-
-    def recording(pert, demand):
-        calls.append((pert, dict(demand)))
-        return po_certificate_lp(pert, demand)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fixed_n, "po_certificate_lp", recording)
-        search_efr_po(inst)
-    return calls
-
-
 @pytest.mark.parametrize(
     "inst",
     [
@@ -321,7 +257,7 @@ def lp_calls_of_search(inst):
 def test_every_search_lp_call_matches_reference(inst):
     calls = lp_calls_of_search(inst)
     assert calls
-    for pert, demand in calls:
+    for pert, demand, _ in calls:
         assert_lp_matches(pert, demand)
 
 
@@ -332,68 +268,6 @@ def test_lp_matches_reference_on_random_demand_maps(pert, data):
     agents = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
     demand = [tuple(sorted(data.draw(agents))) for _ in range(m)]
     assert_lp_matches(pert, demand)
-
-
-def random_systems(seed, count):
-    rng = random.Random(seed)
-    for _ in range(count):
-        nvars = rng.randint(1, 4)
-        rows = [
-            [rng.randint(-3, 3) for _ in range(nvars + 1)]
-            for _ in range(rng.randint(1, 7))
-        ]
-        yield rows, nvars
-
-
-def pivots_of(solver, rows, nvars):
-    """`solver`'s point and its (row, column) pivots, in order."""
-    pivots = []
-
-    def recording(all_rows, r, e, d):
-        pivots.append((r, e))
-        return pivot(all_rows, r, e, d)
-
-    pivot = welfare._pivot
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(welfare, "_pivot", recording)
-        point = solver(rows, nvars)
-    return point, pivots
-
-
-# ratio ties that the lowest basic variable decides, where the first tied
-# row would lead to another point
-BASIS_DECIDES = [
-    ([[-2, -2, -2, 0, 3], [-3, -1, 1, -1, 3], [-2, 1, 0, 0, -3], [1, -2, 1, -3, 0]], 4),
-]
-
-
-def test_simplex_pivots_match_reference_with_ratio_ties():
-    """Small integer systems tie often in the ratio test; `basis` breaks the
-    tie in both versions, so every pivot and the point are the same."""
-    TIES.clear()
-    for rows, nvars in [*random_systems(1, 600), *BASIS_DECIDES]:
-        got = pivots_of(solve_leq_system, rows, nvars)
-        assert got == pivots_of(ref_solve_leq_system, rows, nvars), rows
-    assert len(TIES) >= 20
-    rows, nvars = BASIS_DECIDES[0]
-    assert solve_leq_system(rows, nvars) == [4, 0, 5, 2]
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.integers(1, 4).flatmap(
-        lambda nvars: st.tuples(
-            st.lists(
-                st.lists(st.integers(-6, 6), min_size=nvars + 1, max_size=nvars + 1),
-                max_size=7,
-            ),
-            st.just(nvars),
-        )
-    )
-)
-def test_simplex_points_match_reference(system):
-    rows, nvars = system
-    assert solve_leq_system(rows, nvars) == ref_solve_leq_system(rows, nvars)
 
 
 # --- the record built from the parts the perturbation holds -----------------

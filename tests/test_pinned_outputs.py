@@ -13,9 +13,12 @@ The fixed-n digests were recorded from the search under the closed-form
 perturbation, where each entry's eps comes from its own prime.  They pin
 the certificate in format 1 (`conftest.format1_text`, every witness
 allocation in full) and the weights, so the first hit, every witness and
-the LP vertex stay byte-identical, and each pinned output is
+the certified weight vector stay byte-identical, and each pinned output is
 checked as well: a valid certificate with |R| <= n - 1 whose base and
-witnesses are Pareto optimal by brute force.
+witnesses are Pareto optimal by brute force.  The weights are the least
+point of the ratio closure scaled up to the simplex; `mixed-3x5` and
+`mixed-4x4` were re-pinned when it replaced the simplex, whose vertex
+differed there, with their format-1 certificates unchanged.
 """
 
 import hashlib
@@ -254,7 +257,7 @@ FIXED_N_PINNED = {
         'e0096a3ce3865502b76e9760a95342dcd6cc147f796919d1f012f4a901379c8a'
     ),
     'mixed-3x5': (  # |R| = 0
-        'f0d0ee8960c845498b1d4d58a5fa69bd6ca4d1919e098ac7da049e3f6c6931ff'
+        '01864df89bde067661291bc0f85f7b0e3c6edd241b4ae63b60bc4b777eb6858e'
     ),
     'chores-3x5': (  # |R| = 1
         'bf7e17964054ad262e25cf7efc94bfa47a7acc2f24179bf5b1302faca305a1c2'
@@ -269,7 +272,7 @@ FIXED_N_PINNED = {
         '299bcdd5af61f8d828624ba1765ade22f8d5f6ce9fb317868bae6f8273e3efbc'
     ),
     'mixed-4x4': (  # |R| = 1
-        '017025cb97d667e216c91d465c7efc1b86ec430cff5d569fb590e6d075cc0758'
+        'c41f28eec7417de4f48af741702c25ba2e9b9ac1787b2bd53cbf5fff7100601d'
     ),
     'chores-4x5': (  # |R| = 1
         'c354c76a34c03ec1833aaaf64143d4ab9802ac9cb7f271463d2445797a299511'

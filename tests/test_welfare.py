@@ -29,8 +29,6 @@ from mannafair.welfare import (
 )
 from mannafair.harness import gen_identical_chores, gen_random
 
-from conftest import leq_rows
-
 
 def make_instance(rows):
     return Instance(tuple(tuple(F(v) for v in row) for row in rows))
@@ -330,28 +328,26 @@ class TestEnvyPreservation:
 
 
 class TestSolveLeqSystem:
+    """Bounds x_b <= B[a][b] x_a on x = w + eta, as pairs (p, q) for p / q."""
+
     def test_simple_feasible_box(self):
-        # 0 <= x <= 1, 0 <= y <= 1, x + y <= 3/2
-        cons = [
-            ([F(1), F(0)], F(1)),
-            ([F(-1), F(0)], F(0)),
-            ([F(0), F(1)], F(1)),
-            ([F(0), F(-1)], F(0)),
-            ([F(1), F(1)], F(3, 2)),
-        ]
-        point = solve_leq_system(leq_rows(cons), 2)
-        assert point is not None
-        for coeffs, rhs in cons:
-            assert sum(c * x for c, x in zip(coeffs, point)) <= rhs
+        # 1/2 <= x_1 / x_0 <= 2: the least point (eta, eta) scales to the
+        # uniform point
+        bounds = [[None, (2, 1)], [(2, 1), None]]
+        assert solve_leq_system(bounds, F(1, 10)) == [F(1, 2), F(1, 2)]
 
     def test_infeasible_system(self):
-        cons = [([F(1)], F(0)), ([F(-1)], F(-1))]  # x <= 0 and x >= 1
-        assert solve_leq_system(leq_rows(cons), 1) is None
+        # x_1 <= x_0 / 2 and x_0 <= x_1: a cycle of product 1/2
+        assert solve_leq_system([[None, (1, 2)], [(1, 1), None]], F(1, 10)) is None
 
     def test_equality_encoded_as_two_inequalities(self):
-        cons = [([F(1)], F(2)), ([F(-1)], F(-2))]  # x = 2
-        point = solve_leq_system(leq_rows(cons), 1)
-        assert point == [F(2)]
+        # x_1 = 2 x_0 as a cycle of product 1, x_2 unbounded: the least
+        # point (eta, 2 eta, eta) scaled by 13/4 to sum 1 + 3 eta
+        bounds = [[None, (2, 1), None], [(1, 2), None, None], [None] * 3]
+        point = solve_leq_system(bounds, F(1, 10))
+        assert point == [F(9, 40), F(22, 40), F(9, 40)]
+        eta = F(1, 10)
+        assert point[1] + eta == 2 * (point[0] + eta)
 
 
 class TestPoCertificateLp:
@@ -413,6 +409,14 @@ class TestPoCertificateLp:
         for demand in ([(0,)], [(0,), ()], [(0,), (2,)], [(0, 1), (-1,)]):
             with pytest.raises(ValueError):
                 po_certificate_lp(pert, demand)
+
+    def test_every_item_is_checked_before_a_verdict(self):
+        # item 0 is a chore for its demander 0 and a good for agent 1, so
+        # the system is infeasible; the last item's demander is no agent
+        pert = perturb_nondegenerate(make_instance([[-1, 2, 2], [1, 3, 4]]))
+        assert po_certificate_lp(pert, [(0,), (1,), (1,)]) is None
+        with pytest.raises(ValueError, match="item 2 needs demanders"):
+            po_certificate_lp(pert, [(0,), (1,), (2,)])
 
 
 class TestParamValidation:
