@@ -49,7 +49,8 @@ def _set_entry(text: str) -> int:
 
 # gen_random's parameters by the flags that set them
 _RANDOM_FLAGS = {
-    "n": "--n", "m": "--m", "value_range": "--values", "chore_prob": "--chore-prob"
+    "n": "--n", "m": "--m", "value_range": "--values", "chore_prob": "--chore-prob",
+    "seed": "--seed",
 }
 
 

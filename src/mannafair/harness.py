@@ -86,6 +86,12 @@ def gen_random(
     Each value is drawn uniformly and independently negated with
     probability `chore_prob`.  A range error's message starts with the
     parameter's name.
+
+    The draws are `rng.randint(1, value_range)` and then
+    `rng.randrange(chore_prob.denominator) < chore_prob.numerator`, made
+    here as the rejection loops over `getrandbits` that those calls run
+    (`Random._randbelow_with_getrandbits`), so each seed gives the
+    instance they give, without their three Python frames per draw.
     """
     import random  # only this generator needs it
 
@@ -98,16 +104,23 @@ def gen_random(
     chore_prob = as_rational(chore_prob)
     if not 0 <= chore_prob <= 1:
         raise ValueError(f"chore_prob must lie in [0, 1], got {chore_prob}")
-    rng = random.Random(seed)
+    # Random seeds from abs(seed), and from the OS for None
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"seed must be an integer at least 0, got {short_repr(seed)}")
+    getrandbits = random.Random(seed).getrandbits
+    num, den = chore_prob.numerator, chore_prob.denominator
+    kv, kc = value_range.bit_length(), den.bit_length()
     rows = []
     for _ in range(n):
         row = []
         for _ in range(m):
-            v = rng.randint(1, value_range)
-            # exact Bernoulli(chore_prob) from an integer draw
-            if rng.randrange(chore_prob.denominator) < chore_prob.numerator:
-                v = -v
-            row.append(v)
+            v = getrandbits(kv)
+            while v >= value_range:
+                v = getrandbits(kv)
+            c = getrandbits(kc)  # exact Bernoulli(chore_prob): c < num
+            while c >= den:
+                c = getrandbits(kc)
+            row.append(-1 - v if c < num else v + 1)
         rows.append(tuple(row))
     return Instance(tuple(rows))
 
@@ -116,7 +129,7 @@ def gen_random(
 
 
 def _rational_out(v: Fraction):
-    return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+    return v.numerator if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
 def _rational_in(raw, where: str) -> Fraction:

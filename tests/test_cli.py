@@ -113,15 +113,26 @@ class TestGen:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--n", "0"), ("--m", "-1"), ("--values", "0"), ("--chore-prob", "3/2")],
+        [
+            ("--n", "0"),
+            ("--m", "-1"),
+            ("--values", "0"),
+            ("--chore-prob", "3/2"),
+            # the generator seeds from abs(seed), so -1 would draw the
+            # instance of 1 and record "seed": -1
+            ("--seed", "-1"),
+        ],
     )
     def test_random_range_error_names_the_flag(
         self, tmp_path, capsys, flag, value
     ):
         out = tmp_path / "x.json"
-        args = {"--n": "2", "--m": "3", "--values": "9", "--chore-prob": "1/2"}
+        args = {
+            "--n": "2", "--m": "3", "--values": "9", "--chore-prob": "1/2",
+            "--seed": "1",
+        }
         args[flag] = value
-        argv = ["gen", "--family", "random", "--seed", "1", "-o", str(out)]
+        argv = ["gen", "--family", "random", "-o", str(out)]
         assert run([*argv, *(x for kv in args.items() for x in kv)]) == 3
         assert capsys.readouterr().err.startswith(f"input error: {flag}: ")
         assert not out.exists()

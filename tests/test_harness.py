@@ -2,9 +2,12 @@
 
 import itertools
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mannafair.core import Allocation, Instance
 from mannafair.oracles import decide_efr_k, min_efr_k, solve_partition
@@ -146,6 +149,68 @@ class TestGenRandom:
         with pytest.raises(ValueError, match="n must be at least 1"):
             gen_random(0, 3, 9, F(1, 2), seed=1)
         assert gen_random(1, 0, 9, F(1, 2), seed=1).num_items == 0
+
+    @pytest.mark.parametrize("seed", [-7, -1, None, True, "7"])
+    def test_rejects_a_seed_that_is_no_integer_at_least_0(self, seed):
+        # Random seeds from abs(seed), so -7 would draw the instance of 7
+        with pytest.raises(ValueError, match="^seed must be an integer at least 0"):
+            gen_random(3, 5, 9, F(1, 2), seed)
+        assert gen_random(3, 5, 9, F(1, 2), 0).num_items == 5
+
+
+def ref_gen_random(n, m, value_range, chore_prob, seed):
+    """The values drawn by `rng.randint` and `rng.randrange`, the loop that
+    `gen_random` ran before it called `getrandbits` itself."""
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(m):
+            v = rng.randint(1, value_range)
+            if rng.randrange(chore_prob.denominator) < chore_prob.numerator:
+                v = -v
+            row.append(v)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+# each side of a power of two, where the rejection loops draw most often
+RANGES = [1, 2, 3, 9, 2**31, 2**32, 2**32 + 1, 2**40 + 3]
+DENOMINATORS = [2, 3, 7, 2**33 + 1]
+
+
+def assert_draws_match(n, m, value_range, chore_prob, seed):
+    values = gen_random(n, m, value_range, chore_prob, seed).values
+    assert all(v.denominator == 1 for row in values for v in row)
+    ints = tuple(tuple(v.numerator for v in row) for row in values)
+    assert ints == ref_gen_random(n, m, value_range, chore_prob, seed)
+
+
+class TestGenRandomDraws:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        m=st.integers(0, 30),
+        value_range=st.sampled_from(RANGES) | st.integers(1, 2**41),
+        chore_prob=st.sampled_from([F(0), F(1)])
+        | st.sampled_from(DENOMINATORS).flatmap(
+            lambda d: st.integers(0, d).map(lambda k: F(k, d))
+        ),
+        seed=st.integers(0, 2**64),
+    )
+    @example(n=4, m=30, value_range=2**40 + 3, chore_prob=F(1, 2**33 + 1), seed=2**64)
+    def test_same_values_as_randint_and_randrange(
+        self, n, m, value_range, chore_prob, seed
+    ):
+        assert_draws_match(n, m, value_range, chore_prob, seed)
+
+    @pytest.mark.parametrize("value_range", RANGES)
+    @pytest.mark.parametrize(
+        "chore_prob", [F(0), F(1), F(1, 2), F(2, 3), F(3, 7), F(2**32, 2**33 + 1)]
+    )
+    def test_same_values_on_every_pinned_range(self, value_range, chore_prob):
+        for seed in (0, 1, 2**32, 2**64):
+            assert_draws_match(3, 20, value_range, chore_prob, seed)
 
 
 class TestInstanceFormat:

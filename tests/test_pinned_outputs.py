@@ -19,6 +19,10 @@ witnesses are Pareto optimal by brute force.  The weights are the least
 point of the ratio closure scaled up to the simplex; `mixed-3x5` and
 `mixed-4x4` were re-pinned when it replaced the simplex, whose vertex
 differed there, with their format-1 certificates unchanged.
+
+The instance digests pin `gen_random` itself, byte for byte through
+`serialize_instance`, so a change to how it draws cannot change an
+instance unseen.
 """
 
 import hashlib
@@ -28,7 +32,12 @@ import pytest
 
 from mannafair import algorithms, fixed_n
 from mannafair.core import Allocation, Instance, validate_certificate
-from mannafair.harness import gen_identical_chores, gen_paired_goods, gen_random
+from mannafair.harness import (
+    gen_identical_chores,
+    gen_paired_goods,
+    gen_random,
+    serialize_instance,
+)
 from mannafair.oracles import is_pareto_optimal_bruteforce
 
 from conftest import format1_text
@@ -306,3 +315,36 @@ def test_fixed_n_outputs_are_pinned(name):
     assert len(cert.realloc_set) <= inst.num_agents - 1
     for placed in (alloc, *cert.witnesses):
         assert is_pareto_optimal_bruteforce(inst, placed)
+
+
+# SHA-256 of serialize_instance(gen_random(n, m, value_range, chore_prob,
+# seed)), recorded from the generator that drew through `randint` and
+# `randrange`: the benchmark's four large instances, its 3 x 5 CLI instance
+# and a 200 x 5000 instance
+INSTANCE_PINNED = {
+    (20, 500, 9, "1/2", 1): (
+        "c5c5b479ffe5cdec800a72d146822d70441327a2fedf15d39e7ce42fe18015d6"
+    ),
+    (40, 700, 9, "1/2", 1): (
+        "41465f31d532879f6f9b4c2b09496ebcaff3310b73d535d1428d6435e6afbc4c"
+    ),
+    (20, 500, 9, "0", 1): (
+        "a4de52529a20614be4f055078941b754e8bebc6d6c81f53d0f4dec3fff731a41"
+    ),
+    (40, 700, 9, "0", 1): (
+        "a6f1d191ac0e3dd6bdab4337d7f1c710ddbe305c019c9cce77950c3f1d10cd71"
+    ),
+    (3, 5, 9, "1/2", 1): (
+        "9af6afb264c1f5f6ae7205a5b5f9339555f90cf7016f95cbc832af491663f70c"
+    ),
+    (200, 5000, 9, "1/2", 1): (
+        "36de86b192055db4ff329b5f8e0ef0ca1b4a332bec569ac47f306b7f36ae9e37"
+    ),
+}
+
+
+@pytest.mark.parametrize("params", sorted(INSTANCE_PINNED))
+def test_random_instances_are_pinned(params):
+    n, m, value_range, chore_prob, seed = params
+    text = serialize_instance(gen_random(n, m, value_range, F(chore_prob), seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == INSTANCE_PINNED[params]
