@@ -53,7 +53,6 @@ _EXPORTS = {
         "max_weighted_welfare",
         "perturb_nondegenerate",
         "po_certificate_lp",
-        "tie_graph_is_forest",
     ),
     "fixed_n": ("build_f_ij", "reconstruct_I", "search_efr_po"),
 }

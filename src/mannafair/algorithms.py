@@ -77,8 +77,9 @@ def _double_round_robin(inst: Instance):
     order: every item that is not a shared chore, best first."""
     n, m = inst.num_agents, inst.num_items
     rows = inst.scaled
-    shared = [t for t in range(m) if all(row[t] < 0 for row in rows)]
-    rest = [t for t in range(m) if not all(row[t] < 0 for row in rows)]
+    shared, rest = [], []
+    for t in range(m):
+        (shared if all(row[t] < 0 for row in rows) else rest).append(t)
     bundles = [set() for _ in range(n)]
 
     remaining = set(shared)

@@ -16,16 +16,23 @@ every owner vector maximizes eta-shifted welfare under the perturbed
 values, so the base (each item on its first demander, built for the
 accepted candidate alone) and the witnesses are Pareto optimal.
 
+Candidates are generated in that order: the join runs once per size of
+R, after every candidate of the smaller sizes failed, and the demand sets
+of R keep only tie forests (`_tie_forests`), since under the
+non-degenerate perturbed values the LP refutes every tie cycle.
+
 The budget is charged for the work about to run: each pair's
-intersections, each join node's scan of its agent's sets and each
-screened candidate.  The search takes at most `HARD_AGENT_CAP` = 4 agents:
-each agent's separator product grows like m^(2(n-1)).
+intersections, each join node's scan of its agent's sets, each lookup of
+the last agent's set and each screened candidate.  The search takes at
+most `HARD_AGENT_CAP` = 4 agents: each agent's separator product grows
+like m^(2(n-1)).
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cmp_to_key, reduce
+from math import comb
 
 from .core import (
     DEFAULT_MAX_CANDIDATES,
@@ -95,34 +102,75 @@ def reconstruct_I(pert: PerturbedInstance, i: int, budget: Budget) -> list[int]:
     return list(dict.fromkeys([0, *level]))
 
 
-def _join(per_agent, m: int, budget: Budget) -> dict[frozenset, list]:
+def _join(per_agent, m: int, budget: Budget):
     """The pairwise disjoint tuples of one I_i mask per agent leaving fewer
-    than n items uncovered, in `itertools.product` order, as frozensets
-    grouped by the uncovered R.  A depth-first walk skips each set meeting
-    the claimed items and cuts a node once n or more items lie outside them
-    and `reach` (every set of the agents still to place).  Each node spends
-    one unit per set of its agent before it scans them."""
+    than n items uncovered, as frozensets: yields (R, tuples) by |R|, then
+    R lexicographic, tuples in `itertools.product` order.
+
+    Per size k = |R|, once the sizes before it are used up, a depth-first
+    walk places agents 0..n-2, skipping each set meeting the claimed items
+    and cutting a node once more than k items lie outside them and `reach`
+    (every set of the agents still to place); a node spends one unit per
+    set of its agent before it scans them.  The last agent's set is the
+    free items less R: one lookup, and one unit, per k-subset of them."""
     n, full = len(per_agent), (1 << m) - 1
     reach = [0] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        reach[k] = reduce(int.__or__, per_agent[k], reach[k + 1])
-    kept: dict[int, list] = {}
+    for a in range(n - 1, -1, -1):
+        reach[a] = reduce(int.__or__, per_agent[a], reach[a + 1])
+    last = set(per_agent[-1])
 
-    def walk(k, claimed, picked):
-        budget.spend(len(per_agent[k]))
-        for s in per_agent[k]:
-            c = claimed | s
-            if not s & claimed and (full ^ (c | reach[k + 1])).bit_count() < n:
-                if k + 1 < n:
-                    walk(k + 1, c, (*picked, s))
-                else:
-                    kept.setdefault(full ^ c, []).append((*picked, s))
+    def walk(a, claimed, picked, k, kept):
+        if a < n - 1:
+            budget.spend(len(per_agent[a]))
+            for s in per_agent[a]:
+                c = claimed | s
+                if not s & claimed and (full ^ (c | reach[a + 1])).bit_count() <= k:
+                    walk(a + 1, c, (*picked, s), k, kept)
+            return
+        free = full ^ claimed
+        bits = [1 << t for t in range(m) if free >> t & 1] if k else ()
+        if len(bits) < k:
+            return
+        budget.spend(comb(len(bits), k))
+        for r in itertools.combinations(bits, k):
+            r = sum(r)
+            if free ^ r in last:
+                kept.setdefault(r, []).append((*picked, free ^ r))
 
-    walk(0, 0, ())
-    flat = itertools.chain.from_iterable
-    masks = {*kept, *flat(flat(kept.values()))}
-    sets = {s: frozenset(t for t in range(m) if s >> t & 1) for s in masks}
-    return {sets[r]: [tuple(map(sets.get, t)) for t in ts] for r, ts in kept.items()}
+    for k in range(n):
+        kept: dict[int, list] = {}
+        walk(0, 0, (), k, kept)
+        flat = itertools.chain.from_iterable
+        masks = {*kept, *flat(flat(kept.values()))}
+        sets = {s: frozenset(t for t in range(m) if s >> t & 1) for s in masks}
+        for r in sorted(kept, key=lambda r: sorted(sets[r])):
+            yield sets[r], [tuple(map(sets.get, t)) for t in kept[r]]
+
+
+def _tie_forests(n: int, options):
+    """The demand combinations of `itertools.product(*options)`, each
+    option a tuple of agents, whose tie graph is a forest, in product order.
+
+    The tie graph joins each item with two or more demanders to each of
+    them.  A depth-first walk over the items carries each agent's component
+    label and cuts a prefix once an item's demanders already share one:
+    that closes a cycle, which every completion keeps.  Around a tie cycle
+    the agents' weight ratios multiply to one, which non-degenerate values
+    forbid, so `po_certificate_lp` refutes every candidate the cut drops.
+    """
+
+    def walk(k, comp, picked):
+        if k == len(options):
+            yield picked
+            return
+        for d in options[k]:
+            roots = {comp[a] for a in d}
+            if len(roots) == len(d):
+                low = min(roots)
+                joined = tuple(low if c in roots else c for c in comp)
+                yield from walk(k + 1, joined, (*picked, d))
+
+    return walk(0, tuple(range(n)), ())
 
 
 def _efr_witnesses(rows, prof, realloc, demand_combo):
@@ -153,8 +201,9 @@ def search_efr_po(inst: Instance, max_candidates: int = DEFAULT_MAX_CANDIDATES):
     witnesses are the screen's owner vectors of R.  The perturbation scales
     rational values to integers, which preserves EF, EFR and PO.
     One unit of `max_candidates` is one set intersection in
-    `reconstruct_I`, one set tested at a join node or one screened
-    (R, demand, I-tuple) candidate, each spent before that work runs;
+    `reconstruct_I`, one set tested at a join node, one lookup of the last
+    agent's set or one screened (R, demand, I-tuple) candidate, each spent
+    before that work runs;
     running out raises BudgetExceededError.  Existence is guaranteed, so
     exhausting the full candidate space indicates an implementation bug.
     """
@@ -170,15 +219,14 @@ def search_efr_po(inst: Instance, max_candidates: int = DEFAULT_MAX_CANDIDATES):
     # outcomes depend only on the demand map and R is forced; product
     # order over distinct sets is their first-seen separator-product order
     per_agent = [reconstruct_I(pert, i, budget) for i in range(n)]
-    by_realloc = _join(per_agent, m, budget)
 
     # demand sets: agent subsets of size >= 2, by size then lexicographic
     sizes = range(2, n + 1)
     demand_opts = [c for k in sizes for c in itertools.combinations(range(n), k)]
-    for rset in sorted(by_realloc, key=lambda r: (len(r), sorted(r))):
-        realloc, tuples = sorted(rset), by_realloc[rset]
+    for rset, tuples in _join(per_agent, m, budget):
+        realloc = sorted(rset)
         profs = [None] * len(tuples)  # each I-tuple's profile, R unassigned
-        for demand_combo in itertools.product(demand_opts, repeat=len(realloc)):
+        for demand_combo in _tie_forests(n, [demand_opts] * len(realloc)):
             for k, item_sets in enumerate(tuples):
                 budget.spend()
                 prof = profs[k] = profs[k] or profile(inst, Allocation(item_sets))

@@ -326,33 +326,6 @@ def demand_sets(pert: PerturbedInstance, w: WeightVector) -> tuple:
     return tuple(demand)
 
 
-def tie_graph_is_forest(demand) -> bool:
-    """Whether the bipartite graph joining each tied item of a demand map to
-    its demanders has no cycle.
-
-    Union-find over the agents: a tied item closes a cycle exactly when two
-    of its demanders are already connected, and otherwise joins them all.
-    A forest on n agents has at most n-1 tied items.
-    """
-    parent: dict[int, int] = {}
-
-    def find(i):
-        while parent.setdefault(i, i) != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for agents in demand:
-        if len(agents) > 1:
-            roots = {find(i) for i in agents}
-            if len(roots) < len(agents):
-                return False
-            first = roots.pop()
-            for r in roots:
-                parent[r] = first
-    return True
-
-
 def max_weighted_welfare(pert: PerturbedInstance, w: WeightVector) -> Allocation:
     """Allocation maximizing shifted weighted welfare under perturbed values.
 

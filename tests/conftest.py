@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from unittest import mock
 
 import pytest
@@ -38,25 +39,45 @@ def intersection_charges(pert, i):
     return charges
 
 
-def join_nodes(per_agent, m):
-    """The agent of each node of a depth-first join of item sets, in
-    visiting order.  A node of agent k tries each of its sets; one that
-    misses the claimed items and leaves fewer than n items outside them
-    and every set of the agents after k opens a node of agent k + 1."""
-    n, nodes = len(per_agent), []
+def product_join(per_agent, m):
+    """The pairwise disjoint tuples of `itertools.product(*per_agent)`, item
+    sets as frozensets, that leave fewer than n items uncovered, grouped by
+    the uncovered R in first-seen order."""
+    n, by_realloc = len(per_agent), {}
+    all_items = frozenset(range(m))
+    for item_sets in itertools.product(*per_agent):
+        claimed = frozenset().union(*item_sets)
+        if sum(map(len, item_sets)) == len(claimed) and m - len(claimed) < n:
+            by_realloc.setdefault(all_items - claimed, []).append(item_sets)
+    return by_realloc
+
+
+def join_charges(per_agent, m, k):
+    """The (agent, units) charge of each node of a depth-first join of item
+    sets for |R| = k, in visiting order.  A node of agent a < n - 1 costs
+    its sets and tries each: one that misses the claimed items and leaves
+    at most k items outside them and every set of the agents after a opens
+    a node of agent a + 1.  A node of the last agent costs one lookup per
+    k-subset of the unclaimed items, and is skipped when fewer than k are
+    unclaimed."""
+    n, charges = len(per_agent), []
     reach = [
-        frozenset().union(*itertools.chain(*per_agent[k:])) for k in range(n + 1)
+        frozenset().union(*itertools.chain(*per_agent[a:])) for a in range(n + 1)
     ]
 
-    def visit(k, claimed):
-        nodes.append(k)
-        for s in per_agent[k]:
+    def visit(a, claimed):
+        if a == n - 1:
+            if m - len(claimed) >= k:
+                charges.append((a, math.comb(m - len(claimed), k)))
+            return
+        charges.append((a, len(per_agent[a])))
+        for s in per_agent[a]:
             c = claimed | s
-            if k + 1 < n and not s & claimed and m - len(c | reach[k + 1]) < n:
-                visit(k + 1, c)
+            if not s & claimed and m - len(c | reach[a + 1]) <= k:
+                visit(a + 1, c)
 
     visit(0, frozenset())
-    return nodes
+    return charges
 
 
 def format1_text(cert):

@@ -33,7 +33,6 @@ from mannafair.welfare import (
     demand_sets,
     max_weighted_welfare,
     perturb_nondegenerate,
-    tie_graph_is_forest,
 )
 from mannafair.fixed_n import search_efr_po
 from mannafair.cli import main
@@ -49,6 +48,7 @@ from conftest import (
     picking_invariant_violation,
     separators_recover,
 )
+from test_welfare import forest_by_counting
 
 
 def report(num, title, ok, elapsed=None):
@@ -215,7 +215,7 @@ def test_07_tie_graphs_acyclic_with_small_tie_sets():
     for n, _, pert in _welfare_suite():
         for w in weight_suite(n, 5):
             demand = demand_sets(pert, w)
-            ok = ok and tie_graph_is_forest(demand)
+            ok = ok and forest_by_counting(demand)
             ok = ok and sum(len(d) > 1 for d in demand) <= n - 1
         if not ok:
             break

@@ -1,6 +1,7 @@
 """Enumeration search for allocations that are both EFR-(n-1) and PO."""
 
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +21,7 @@ from mannafair.welfare import (
     demand_sets,
     max_weighted_welfare,
     perturb_nondegenerate,
+    po_certificate_lp,
 )
 from mannafair.harness import gen_random
 
@@ -27,9 +29,12 @@ from conftest import (
     f_ij_sets,
     i_sets,
     intersection_charges,
-    join_nodes,
+    join_charges,
+    product_join,
     separators_recover,
 )
+from test_welfare import forest_by_counting
+from test_witness_kernel import ref_demand_options
 
 
 def recording_budget(events):
@@ -307,14 +312,17 @@ class TestSearchEfrPo:
     def test_search_charges_each_join_node_before_its_scan_then_candidates(
         self, monkeypatch
     ):
-        inst = gen_random(3, 4, 9, F(1, 2), seed=2)  # 8 screened candidates
+        # three agents and three chores: the first hit has |R| = 2, so the
+        # search walks the join for |R| = 0, 1 and 2 and screens each size's
+        # candidates before it walks the next
+        inst = gen_random(3, 3, 9, F(1), seed=3)
         events = []
         join, screen = fixed_n._join, fixed_n._efr_witnesses
 
         def logging_join(per_agent, m, budget):
             events.append(("join", None))
             per_agent = [logged_masks(events, k, s) for k, s in enumerate(per_agent)]
-            return join(per_agent, m, budget)
+            yield from join(per_agent, m, budget)
 
         def logging_screen(*args):
             events.append(("screen", None))
@@ -327,20 +335,41 @@ class TestSearchEfrPo:
         full = assert_each_charge_precedes_its_work(run, events)
         pert = perturb_nondegenerate(inst)
         per_agent = [i_sets(pert, i, Budget(10**9, "c")) for i in range(3)]
-        start, first = full.index(("join", None)), full.index(("screen", None))
         # each agent's pairs are charged first
         charges = [c for i in range(3) for c in intersection_charges(pert, i)]
+        start = full.index(("join", None))
         assert full[:start] == [("spend", c) for c in charges]
-        # then one charge per node of the depth-first join, each for its
-        # agent's sets and right before the node tests the first of them
-        joined = full[start + 1 : first - 1]
-        nodes = join_nodes(per_agent, 4)
-        at = [e for e, (kind, _) in enumerate(joined) if kind == "spend"]
-        assert [joined[e] for e in at] == [("spend", len(per_agent[k])) for k in nodes]
-        assert [joined[e + 1] for e in at] == [("and", k) for k in nodes]
-        assert len(joined) == len(nodes) + sum(len(per_agent[k]) for k in nodes)
-        # then one unit right before each screened candidate
-        assert full[first - 1 :] == [("spend", 1), ("screen", None)] * 8
+        # then per size k: one charge per node of a depth-first join, each
+        # right before its scan of the agent's sets or, at the last agent,
+        # its lookups, which test no set; then one unit right before each
+        # screen of a forest candidate of size k
+        groups, opts = product_join(per_agent, 3), ref_demand_options(3)
+        want, nodes = [], []
+        for k in range(3):
+            walked = join_charges(per_agent, 3, k)
+            nodes += walked
+            want += [("spend", units) for _, units in walked]
+            size = sum(len(ts) for r, ts in groups.items() if len(r) == k)
+            combos = itertools.product(opts, repeat=k)
+            screens = size * sum(map(forest_by_counting, combos))
+            want += [("spend", 1), ("screen", None)] * screens
+        tail = full[start + 1 :]
+        charged = [e for e in tail if e[0] != "and"]
+        hit = len(charged) - len(want)  # the last size stops at its first hit
+        assert hit < 0 and charged == want[:hit]
+        assert want[hit:] == [("spend", 1), ("screen", None)] * (-hit // 2)
+        # a join charge is never right before a screen
+        at = [
+            e
+            for e, (kind, _) in enumerate(tail)
+            if kind == "spend" and tail[e + 1] != ("screen", None)
+        ]
+        assert len(at) == len(nodes)
+        for e, (a, _) in zip(at, nodes):
+            if a < 2:
+                assert tail[e + 1] == ("and", a)
+        tests = sum(len(per_agent[a]) for a, _ in nodes if a < 2)
+        assert len(tail) - len(charged) == tests
 
     def test_join_is_charged_by_nodes_not_its_product(self):
         # the product of the per-agent set counts is 231,840 here; the
@@ -393,3 +422,43 @@ def test_search_output_is_supported_by_its_weights(n, m, chore_prob):
             ), (seed, placed)
             assert is_pareto_optimal_bruteforce(inst, placed), (seed, placed)
 
+
+def cut_prefixes(n):
+    """Every prefix that the forest walk cuts for |R| <= n - 1: demand
+    options whose tie graph is a forest until the last item closes a
+    cycle, by the edge count."""
+    opts = ref_demand_options(n)
+    return [
+        prefix
+        for size in range(1, n)
+        for prefix in itertools.product(opts, repeat=size)
+        if forest_by_counting(prefix[:-1]) and not forest_by_counting(prefix)
+    ]
+
+
+@pytest.mark.parametrize("chore_prob", [F(0), F(1, 2), F(1)], ids=str)
+@pytest.mark.parametrize("n", [3, 4])
+def test_the_lp_refutes_every_cut_prefix(n, chore_prob):
+    """The cut drops only candidates that the LP refutes: under the
+    perturbation every cyclic prefix, on any items and with any demand
+    sets on the other items, leaves the weight system infeasible."""
+    rng = random.Random(n)
+    for seed, prefix in enumerate(cut_prefixes(n)):
+        m = rng.randint(len(prefix), 6)
+        pert = perturb_nondegenerate(gen_random(n, m, 9, chore_prob, seed % 7))
+        demand = [
+            tuple(sorted(rng.sample(range(n), rng.randint(1, n)))) for _ in range(m)
+        ]
+        for t, d in zip(rng.sample(range(m), len(prefix)), prefix):
+            demand[t] = d
+        assert po_certificate_lp(pert, demand) is None, (prefix, demand)
+
+
+def test_the_walk_keeps_the_spanning_trees_at_full_size():
+    # n - 1 tied items on n agents form a forest only as a spanning tree
+    # of pairs: n^(n-2) trees (Cayley) in (n-1)! item orders
+    for n, trees in ((3, 3 * 2), (4, 16 * 6), (5, 125 * 24)):
+        opts = ref_demand_options(n)
+        kept = list(fixed_n._tie_forests(n, [opts] * (n - 1)))
+        assert len(kept) == trees
+        assert all(len(d) == 2 for combo in kept for d in combo)

@@ -18,7 +18,8 @@ from mannafair import cli, core
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # `mannafair.__all__` as it was when the package imported every layer,
-# with the `TieGraph` record since replaced by `tie_graph_is_forest`
+# less the `TieGraph` record, whose forest test became the fixed-n
+# search's cut (`fixed_n._tie_forests`)
 OLD_ALL = (
     "Allocation", "Budget", "BudgetExceededError", "EfrCertificate",
     "EfrDecision", "EnvyGraph", "IncompleteCertificateError", "Instance",
@@ -31,7 +32,7 @@ OLD_ALL = (
     "is_pareto_optimal_bruteforce", "max_weighted_welfare", "min_efr_k",
     "oracles", "perturb_nondegenerate", "po_certificate_lp", "reconstruct_I",
     "resolve_top_trading_cycles", "run_picking_rounds", "search_efr_po",
-    "solve_partition", "tie_graph_is_forest", "validate_certificate",
+    "solve_partition", "validate_certificate",
     "welfare",
 )
 

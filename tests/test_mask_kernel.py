@@ -4,17 +4,19 @@
 `build_f_ij` orders a pair's common goods and chores by integer
 cross-products of `PerturbedInstance.scaled` and returns each separator
 option's F_ij as an item bitmask; `reconstruct_I` intersects the masks;
-`fixed_n._join` walks the I_i depth first, both charged for the work they
-do.  The references below are the earlier implementations: `Fraction`
-ratios sorted once and read through `bisect`, the product of frozensets,
-the product join, and `Fraction` constraint rows scaled by `scale_row`.
-The kernel must return the same sets in the same order, ties included, so
+`fixed_n._join` walks the I_i depth first once per size of R, both
+charged for the work they do.  The references below are the earlier
+implementations: `Fraction` ratios sorted once and read through `bisect`,
+the product of frozensets, the product join, the single walk that joined
+every size of R at once, and `Fraction` constraint rows scaled by
+`scale_row`.  The kernel must return the same sets in the same order, ties included, so
 the search's first hit cannot move.  `po_certificate_lp` is checked
 against the weight system's rows: the integer row builder of
 `test_lp_kernel` must give exactly the `Fraction` rows, and the LP's
 answer must satisfy them or be refuted by them.
 """
 
+import functools
 import itertools
 import math
 from bisect import bisect_right
@@ -35,7 +37,7 @@ from mannafair.welfare import (
     po_certificate_lp,
 )
 
-from conftest import intersection_charges, items_of, join_nodes
+from conftest import intersection_charges, items_of, join_charges, product_join
 from test_lp_kernel import check_against_reference, lp_calls_of_search, lp_rows
 from test_perturb_kernel import VALUE, degenerate_instances
 
@@ -83,15 +85,29 @@ def ref_reconstruct_I(pert, i):
     return list(seen)
 
 
-def ref_join(per_agent, m):
-    n = len(per_agent)
-    by_realloc = {}
-    all_items = frozenset(range(m))
-    for item_sets in itertools.product(*per_agent):
-        claimed = frozenset().union(*item_sets)
-        if sum(map(len, item_sets)) == len(claimed) and m - len(claimed) < n:
-            by_realloc.setdefault(all_items - claimed, []).append(item_sets)
-    return by_realloc
+def walk_join(per_agent, m):
+    """The single depth-first join that the staged one replaced: every
+    |R| < n in one walk over all n agents, each node scanning its agent's
+    sets, grouped by R in first-seen order and tuples in product order."""
+    n, full = len(per_agent), (1 << m) - 1
+    reach = [0] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        reach[k] = functools.reduce(int.__or__, per_agent[k], reach[k + 1])
+    kept = {}
+
+    def walk(k, claimed, picked):
+        for s in per_agent[k]:
+            c = claimed | s
+            if not s & claimed and (full ^ (c | reach[k + 1])).bit_count() < n:
+                if k + 1 < n:
+                    walk(k + 1, c, (*picked, s))
+                else:
+                    kept.setdefault(full ^ c, []).append((*picked, s))
+
+    walk(0, 0, ())
+    return {
+        items_of(r): [tuple(map(items_of, t)) for t in ts] for r, ts in kept.items()
+    }
 
 
 def ref_lp_rows(pert, demand):
@@ -130,20 +146,24 @@ def assert_filters_match(pert, join_limit=20_000):
             assert [items_of(mask) for mask in got] == ref_reconstruct_I(pert, i)
 
 
+def by_size(groups):
+    """A join's groups (R -> tuples) as (R, tuples) pairs by |R|, then R
+    in lexicographic order, the order the search screens them in."""
+    return sorted(groups.items(), key=lambda group: (len(group[0]), sorted(group[0])))
+
+
 def assert_join_matches(per_agent, m):
-    """The product join's groups, charged one unit per set at each node of
-    an independent depth-first join, and refused one unit short."""
+    """The product join's groups split by |R|, each size charged one unit
+    per set at each node and one per last-agent lookup of an independent
+    depth-first join, and refused one unit short."""
     sets = [[items_of(s) for s in masks] for masks in per_agent]
-    charge = sum(len(sets[k]) for k in join_nodes(sets, m))
+    charge = sum(u for k in range(len(sets)) for _, u in join_charges(sets, m, k))
     with pytest.raises(BudgetExceededError):
-        _join(per_agent, m, Budget(charge - 1, "join set tests"))
+        list(_join(per_agent, m, Budget(charge - 1, "join set tests")))
     budget = Budget(charge, "join set tests")
-    got = _join(per_agent, m, budget)
+    got = list(_join(per_agent, m, budget))
     assert budget.remaining == 0
-    want = ref_join(sets, m)
-    assert list(got) == list(want)  # the same R keys, first seen in order
-    for rset, tuples in want.items():
-        assert got[rset] == tuples  # the same tuples, in product order
+    assert got == by_size(product_join(sets, m))
 
 
 def assert_lp_matches(pert, demand):
@@ -221,7 +241,7 @@ def test_equal_ratios_share_one_prefix_mask():
 def mask_lists(draw):
     """Per-agent lists of distinct masks, the empty set first, as
     `reconstruct_I` returns them, with no ratio structure behind them."""
-    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 8))
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 10))
     sets = st.integers(0, (1 << m) - 1)
     return [
         list(dict.fromkeys([0, *draw(st.lists(sets, max_size=6 if n < 4 else 4))]))
@@ -235,11 +255,20 @@ def test_join_matches_product_join(case):
     assert_join_matches(*case)
 
 
+@settings(max_examples=300, deadline=None)
+@given(mask_lists())
+def test_staged_join_splits_the_single_walk_by_size(case):
+    per_agent, m = case
+    got = list(_join(per_agent, m, Budget(10**9, "c")))
+    assert got == by_size(walk_join(per_agent, m))
+
+
 def test_join_on_a_shape_with_several_r_groups():
     pert = perturb_nondegenerate(gen_random(3, 6, 9, F(1, 2), 2))
     per_agent = [reconstruct_I(pert, i, Budget(10**9, "c")) for i in range(3)]
-    groups = _join(per_agent, 6, Budget(10**9, "c"))
+    groups = dict(_join(per_agent, 6, Budget(10**9, "c")))
     assert len(groups) > 3 and max(map(len, groups.values())) > 1
+    assert len({len(r) for r in groups}) > 1
     assert_join_matches(per_agent, 6)
 
 

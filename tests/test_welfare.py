@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mannafair.core import (
@@ -13,6 +13,7 @@ from mannafair.core import (
     bundle_value,
     is_envy_free_for,
 )
+from mannafair.fixed_n import _tie_forests
 from mannafair.oracles import is_pareto_optimal_bruteforce
 from mannafair.welfare import (
     PerturbedInstance,
@@ -25,7 +26,6 @@ from mannafair.welfare import (
     perturb_nondegenerate,
     po_certificate_lp,
     solve_leq_system,
-    tie_graph_is_forest,
 )
 from mannafair.harness import gen_identical_chores, gen_random
 
@@ -189,12 +189,18 @@ def forest_by_counting(demand):
     return edges == len(adj) - components
 
 
+def walk_keeps(n, demand):
+    """Whether the search's forest walk keeps `demand`, read as a product
+    of one option per item."""
+    return list(_tie_forests(n, [[d] for d in demand])) == [tuple(demand)]
+
+
 class TestDemandSets:
     def test_single_agent_demands_everything(self):
         pert = perturb_nondegenerate(make_instance([[1, 2, 3]]))
         demand = demand_sets(pert, WeightVector((F(1),)))
         assert demand == ((0,), (0,), (0,))
-        assert tie_graph_is_forest(demand)
+        assert walk_keeps(1, demand)
 
     def test_identical_rows_tie_everywhere_without_perturbation(self):
         # hand-built perturbed instance with eps = 0 is degenerate on
@@ -207,7 +213,7 @@ class TestDemandSets:
         )
         demand = demand_sets(pert, WeightVector((F(1, 2), F(1, 2))))
         assert demand == ((0, 1), (0, 1))
-        assert not tie_graph_is_forest(demand)
+        assert not walk_keeps(2, demand)
         assert not forest_by_counting(demand)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -217,7 +223,7 @@ class TestDemandSets:
         pert = perturb_nondegenerate(inst)
         for w in weight_grid(n):
             demand = demand_sets(pert, w)
-            assert tie_graph_is_forest(demand)
+            assert walk_keeps(n, demand)
             assert sum(len(d) > 1 for d in demand) <= n - 1
 
     @pytest.mark.parametrize("seed", range(6))
@@ -233,25 +239,45 @@ class TestDemandSets:
                 assert demand_sets(pert, w) == argmax_demand(pert, w)
 
 
-class TestTieGraphIsForest:
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.integers(1, 4).flatmap(
-            lambda n: st.lists(
-                st.sets(st.integers(0, n - 1), min_size=1).map(sorted).map(tuple),
-                max_size=6,
-            )
-        )
-    )
-    def test_agrees_with_edge_counting(self, demand):
-        assert tie_graph_is_forest(demand) == forest_by_counting(demand)
+SUBSETS = {
+    n: [c for k in range(1, n + 1) for c in itertools.combinations(range(n), k)]
+    for n in range(2, 7)
+}
 
-    def test_cycles_and_forests(self):
-        assert tie_graph_is_forest(())
-        assert tie_graph_is_forest(((0,), (1,), (0, 1)))
-        assert tie_graph_is_forest(((0, 1), (1, 2), (2, 3)))
-        assert not tie_graph_is_forest(((0, 1), (1, 2), (0, 2)))
-        assert not tie_graph_is_forest(((0, 1, 2), (0, 2)))
+
+@st.composite
+def option_lists(draw):
+    """(n, options): n 2-6 agents and 1-4 items, each item's demand options
+    in product order, with a product of at most 20,000.  Either every
+    agent subset of size >= 2 per item, as the search walks them, or a
+    drawn list of subsets, untied singletons included."""
+    n, size = draw(st.integers(2, 6)), draw(st.integers(1, 4))
+    tied = [d for d in SUBSETS[n] if len(d) > 1]
+    if len(tied) ** size <= 20_000 and draw(st.booleans()):
+        return n, [tied] * size
+    most = min(len(SUBSETS[n]), int(20_000 ** (1 / size)))
+    options = st.lists(
+        st.sampled_from(SUBSETS[n]), min_size=1, max_size=most, unique=True
+    )
+    return n, [draw(options) for _ in range(size)]
+
+
+class TestTieGraphIsForest:
+    """The search's forest walk keeps exactly the demand combinations whose
+    tie graph is a forest by the edge count."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(option_lists())
+    @example((2, []))  # no item: the empty combination
+    @example((2, [[(0, 1)]] * 2))  # a double edge is a cycle
+    @example((3, [[(0,)], [(1,)], [(0, 1)]]))
+    @example((4, [[(0, 1)], [(1, 2)], [(2, 3)]]))
+    @example((3, [[(0, 1)], [(1, 2)], [(0, 2)]]))
+    @example((3, [[(0, 1, 2)], [(0, 2)]]))
+    def test_agrees_with_edge_counting(self, case):
+        n, options = case
+        kept = filter(forest_by_counting, itertools.product(*options))
+        assert list(_tie_forests(n, options)) == list(kept)
 
 
 class TestMaxWeightedWelfare:

@@ -9,7 +9,8 @@ full n x n profile for every placement of every item, and the picking
 witnesses were spliced from the partial bundles.  The kernel must agree
 with them on the allocation, certificate (the references' witness
 allocations read as owner vectors) and weights, and on the budget units
-spent, the join's counted by an independent depth-first walk, so
+spent, each size of R's join counted by an independent depth-first walk
+and only the demand combinations whose tie graph is a forest screened, so
 `BudgetExceededError` fires at the same limits with the same message.  A
 materialized witness also shares every bundle its moves leave untouched
 with the base.
@@ -37,7 +38,8 @@ from mannafair.fixed_n import search_efr_po
 from mannafair.harness import gen_identical_chores, gen_paired_goods, gen_random
 from mannafair.welfare import perturb_nondegenerate, po_certificate_lp
 
-from conftest import assert_budget_is_own_spend, i_sets, join_nodes
+from conftest import assert_budget_is_own_spend, i_sets, join_charges
+from test_welfare import forest_by_counting
 
 WHAT = "fixed-n set intersections, join set tests and candidates"
 
@@ -63,12 +65,13 @@ def ref_efr_witnesses(inst, demand):
 
 
 def ref_search_efr_po(inst, limit):
-    """(allocation, certificate, weights) and the budget units spent."""
+    """(allocation, certificate, weights) and the budget units spent.  Per
+    size k of R, the join is charged by an independent depth-first walk,
+    then each forest demand combination of size k is screened."""
     n, m = inst.num_agents, inst.num_items
     pert = perturb_nondegenerate(inst)
     budget = Budget(limit, WHAT)
     per_agent = [i_sets(pert, i, budget) for i in range(n)]
-    budget.spend(sum(len(per_agent[k]) for k in join_nodes(per_agent, m)))
     by_realloc: Dict[frozenset, list] = {}
     all_items = frozenset(range(m))
     for item_sets in itertools.product(*per_agent):
@@ -80,23 +83,26 @@ def ref_search_efr_po(inst, limit):
                     held[t] = (i,)
             by_realloc.setdefault(all_items - claimed, []).append(held)
     demand_opts = ref_demand_options(n)
-    for rset in sorted(by_realloc, key=lambda r: (len(r), sorted(r))):
-        realloc = sorted(rset)
-        for demand_combo in itertools.product(demand_opts, repeat=len(realloc)):
-            for held in by_realloc[rset]:
-                budget.spend()
-                demand = list(held)
-                for t, d in zip(realloc, demand_combo):
-                    demand[t] = d
-                witnesses = ref_efr_witnesses(inst, demand)
-                if witnesses is None:
-                    continue
-                w = po_certificate_lp(pert, demand)
-                if w is None:
-                    continue
-                alloc = ref_placement(n, [d[0] for d in demand])
-                cert = EfrCertificate.of_witnesses(alloc, rset, witnesses)
-                return (alloc, cert, w), limit - budget.remaining
+    for k in range(n):
+        budget.spend(sum(units for _, units in join_charges(per_agent, m, k)))
+        for rset in sorted((r for r in by_realloc if len(r) == k), key=sorted):
+            realloc = sorted(rset)
+            combos = itertools.product(demand_opts, repeat=k)
+            for demand_combo in filter(forest_by_counting, combos):
+                for held in by_realloc[rset]:
+                    budget.spend()
+                    demand = list(held)
+                    for t, d in zip(realloc, demand_combo):
+                        demand[t] = d
+                    witnesses = ref_efr_witnesses(inst, demand)
+                    if witnesses is None:
+                        continue
+                    w = po_certificate_lp(pert, demand)
+                    if w is None:
+                        continue
+                    alloc = ref_placement(n, [d[0] for d in demand])
+                    cert = EfrCertificate.of_witnesses(alloc, rset, witnesses)
+                    return (alloc, cert, w), limit - budget.remaining
     raise AssertionError("enumeration exhausted")
 
 
