@@ -282,10 +282,6 @@ class EnvyGraph(FrozenRecord):
         enviers = {a for (a, _) in self.edges}
         return [i for i in range(self.num_agents) if i not in enviers]
 
-    def is_acyclic(self) -> bool:
-        order = self.topological_order()
-        return order is not None
-
     def topological_order(self):
         """Kahn topological order (enviers first), lowest index breaking ties.
 

@@ -19,7 +19,9 @@ accepted candidate alone) and the witnesses are Pareto optimal.
 Candidates are generated in that order: the join runs once per size of
 R, after every candidate of the smaller sizes failed, and the demand sets
 of R keep only tie forests (`_tie_forests`), since under the
-non-degenerate perturbed values the LP refutes every tie cycle.
+non-degenerate perturbed values the LP refutes every tie cycle.  The
+forests depend on |R| alone: each size is walked once, and a later R of
+that size replays what the walk has yielded (`_replay`).
 
 The budget is charged for the work about to run: each pair's
 intersections, each join node's scan of its agent's sets, each lookup of
@@ -173,6 +175,15 @@ def _tie_forests(n: int, options):
     return walk(0, tuple(range(n)), ())
 
 
+def _replay(walk, seen: list):
+    """The items `seen` holds, then those of `walk`, each appended to
+    `seen` as it is drawn: a later call replays them before it goes on."""
+    yield from seen
+    for item in walk:
+        seen.append(item)
+        yield item
+
+
 def _efr_witnesses(rows, prof, realloc, demand_combo):
     """Each agent's first envy-free owner vector of R, or None if some
     agent has none.  A vector gives each item of R (`realloc`) one of its
@@ -223,10 +234,14 @@ def search_efr_po(inst: Instance, max_candidates: int = DEFAULT_MAX_CANDIDATES):
     # demand sets: agent subsets of size >= 2, by size then lexicographic
     sizes = range(2, n + 1)
     demand_opts = [c for k in sizes for c in itertools.combinations(range(n), k)]
+    forests = {}  # |R| -> (its walk, the combinations it has yielded so far)
     for rset, tuples in _join(per_agent, m, budget):
         realloc = sorted(rset)
         profs = [None] * len(tuples)  # each I-tuple's profile, R unassigned
-        for demand_combo in _tie_forests(n, [demand_opts] * len(realloc)):
+        size = len(realloc)
+        if size not in forests:
+            forests[size] = _tie_forests(n, [demand_opts] * size), []
+        for demand_combo in _replay(*forests[size]):
             for k, item_sets in enumerate(tuples):
                 budget.spend()
                 prof = profs[k] = profs[k] or profile(inst, Allocation(item_sets))

@@ -31,7 +31,12 @@ above M / epsilon, M the largest max(|v|, 1).  In any cycle the largest
 prime divides one denominator and no other factor of the ratio product,
 whose Q-adic valuation is then +-1, so the product is not one.  Each
 prime is proven by a Proth certificate (`_proth_primes`); nothing is
-walked.
+walked.  The perturbation stays in integers: each perturbed value is kept
+as its numerator over its own prime.  The fixed-n separator masks read
+those rows scaled by the product of their primes (`PerturbedInstance.
+scaled`), the weight closure reads their columns as integer pairs, and its
+sum test cross-multiplies; a Fraction is built only for a weight vector
+found, or when `pert_values` or `eps_matrix` is read.
 
 `check_nondegenerate`, the independent check, reads the matrix alone and
 walks the cycles depth-first over integer rows, each scaled by the LCM of
@@ -119,20 +124,20 @@ class WeightVector(FrozenRecord):
     def n(self) -> int:
         return len(self.weights)
 
-    def support(self):
-        return [i for i, w in enumerate(self.weights) if w > 0]
-
 
 class PerturbedInstance(FrozenRecord):
     """An instance plus its perturbation matrix and parameters.
 
-    The perturbed values `_pert` and their integer rows `scaled` (as
-    `Instance.scaled`, built on first use) are derived, so they stay out of
-    `==`, `hash` and `repr`.
+    The perturbation is held as integer rows: entry (i, t) of the perturbed
+    values is `_nums[i][t] / _dens[i][t]` in lowest terms.  What the rows
+    give is derived on first read and cached: the Fraction views
+    `pert_values` and `eps_matrix`, and the integer rows `scaled` (as
+    `Instance.scaled`).  Only the fields enter `==`, `hash` and `repr`.
     """
 
     # eps_matrix: tuple[tuple[Fraction, ...], ...]
     _fields = ("base", "eps_matrix", "params")
+    _primes = False  # whether each row's denominators are distinct primes
 
     def __init__(self, base: Instance, eps_matrix, params: PerturbParams):
         eps = rational_rows(eps_matrix)
@@ -144,24 +149,42 @@ class PerturbedInstance(FrozenRecord):
             tuple(v - e for v, e in zip(vals, row))
             for vals, row in zip(base.values, eps)
         )
-        self._fill(base, eps, params, pert)
+        vars(self).update(
+            base=base,
+            eps_matrix=eps,
+            params=params,
+            pert_values=pert,
+            _nums=tuple(tuple(v.numerator for v in row) for row in pert),
+            _dens=tuple(tuple(v.denominator for v in row) for row in pert),
+        )
 
-    def _fill(self, *parts):
-        """Set the fields and `_pert`, with no check."""
-        vars(self).update(zip((*self._fields, "_pert"), parts))
-
-    scaled = cached_property(lambda self: tuple(scale_row(r)[1] for r in self._pert))
-
-    @property
+    @cached_property
     def pert_values(self) -> tuple:
-        return self._pert
+        return tuple(tuple(map(Fraction, *row)) for row in zip(self._nums, self._dens))
 
-    def pert_value(self, agent: int, item: int) -> Fraction:
-        return self._pert[agent][item]
+    @cached_property
+    def eps_matrix(self) -> tuple:
+        # read unset only on a `perturb_nondegenerate` record, whose base is
+        # integer: eps = v - p / q = (v q - p) / q
+        return tuple(
+            tuple(Fraction(v * q - p, q) for v, p, q in zip(*row))
+            for row in zip(self.base.scaled, self._nums, self._dens)
+        )
 
-    def pert_bundle_value(self, agent: int, bundle) -> Fraction:
-        row = self._pert[agent]
-        return sum((row[t] for t in bundle), Fraction(0))
+    @cached_property
+    def scaled(self) -> tuple:
+        """Each row times its scale: the product of its denominators when
+        they are distinct primes (their LCM), else their LCM."""
+        rows = []
+        for nums, dens in zip(self._nums, self._dens):
+            d = prod(dens) if self._primes else lcm(*dens)
+            rows.append(tuple(p * (d // q) for p, q in zip(nums, dens)))
+        return tuple(rows)
+
+    @cached_property
+    def _columns(self) -> tuple:
+        """Per item, each agent's (numerator, denominator) pair."""
+        return tuple(zip(*(tuple(zip(*row)) for row in zip(self._nums, self._dens))))
 
 
 def compute_params(inst: Instance) -> PerturbParams:
@@ -287,10 +310,11 @@ def perturb_nondegenerate(inst: Instance) -> PerturbedInstance:
     divides the denominator of its own entry and no other factor of the
     ratio product: not |v| < Q, not Q' +- 1 < Q for a smaller (odd) prime
     Q', not Q +- 1.  So the product has Q-adic valuation +-1 and is never
-    1.  Nothing is walked and no budget applies.  The integer rows
-    `scaled` are built on first use, by the fixed-n search alone.
+    1.  Nothing is walked and no budget applies.  The record holds each
+    row's numerators (v - eps) Q and primes Q alone; `PerturbedInstance`
+    builds every other view from them on first read.
     """
-    n, m = inst.num_agents, inst.num_items
+    m = inst.num_items
     scale = lcm(*(v.denominator for row in inst.values for v in row))
     if scale > 1:
         inst = Instance(tuple(tuple(v * scale for v in row) for row in inst.values))
@@ -298,15 +322,16 @@ def perturb_nondegenerate(inst: Instance) -> PerturbedInstance:
     epsilon = params.epsilon
     top = max((abs(v) for row in inst.scaled for v in row), default=1) or 1
     primes = _proth_primes(top * epsilon.denominator // epsilon.numerator)
-    eps_rows, pert_rows = [], []
+    nums, dens = [], []
     for row in inst.scaled:
-        qs = list(islice(primes, m))
-        es = [abs(v) or 1 for v in row]  # eps numerators
-        nums = [v * q - e for v, q, e in zip(row, qs, es)]  # (v - eps) * Q
-        eps_rows.append(tuple(map(Fraction, es, qs)))
-        pert_rows.append(tuple(map(Fraction, nums, qs)))
+        qs = tuple(islice(primes, m))
+        # (v - eps) * Q, eps = |v| / Q or 1 / Q
+        nums.append(tuple(v * q - (abs(v) or 1) for v, q in zip(row, qs)))
+        dens.append(qs)
     out = object.__new__(PerturbedInstance)  # every part is checked and built
-    out._fill(inst, tuple(eps_rows), params, tuple(pert_rows))
+    vars(out).update(
+        base=inst, params=params, _nums=tuple(nums), _dens=tuple(dens), _primes=True
+    )
     return out
 
 
@@ -350,7 +375,8 @@ def solve_leq_system(bounds, eta: Fraction) -> list[Fraction] | None:
     (min, x) semiring, comparing pairs by cross-multiplying, closes B into
     the least path products P and stops at the first diagonal entry that
     would drop below 1; the least point is then scaled up to the simplex
-    (see the module docstring).  O(n^3) integer products.
+    (see the module docstring).  O(n^3) integer products: the sum test
+    cross-multiplies, and Fractions are built for a feasible point alone.
     """
     n = len(bounds)
     closed = [[(1, 1) if a == b else ab for b, ab in enumerate(row)]
@@ -366,18 +392,21 @@ def solve_leq_system(bounds, eta: Fraction) -> list[Fraction] | None:
                             if a == b:  # a closed walk with product below 1
                                 return None
                             row[b] = (p, q)
-    least = []  # x*_b / eta = 1 / min_a P[b][a]
+    least = []  # x*_b / eta = q / p = 1 / min_a P[b][a]
     for row in closed:
         p, q = 1, 1
         for ab in row:
             if ab is not None and ab[0] * q < p * ab[1]:
                 p, q = ab
-        least.append(Fraction(q, p))
-    total = sum(least)
-    if eta * total > 1 + n * eta:
+        least.append((p, q))
+    den = prod(p for p, _ in least)
+    num = sum(q * (den // p) for p, q in least)  # sum(x*) / eta = num / den
+    ep, eq = eta.numerator, eta.denominator
+    top = eq + n * ep  # (1 + n eta) eq
+    if ep * num > top * den:  # eta sum(x*) > 1 + n eta, times eq den
         return None
-    scale = (1 + n * eta) / total
-    return [scale * x - eta for x in least]
+    # w_b = (1 + n eta) x*_b / sum(x*) - eta, over the denominator eq num
+    return [Fraction(top * q * (den // p) - ep * num, eq * num) for p, q in least]
 
 
 def po_certificate_lp(pert: PerturbedInstance, demand) -> WeightVector | None:
@@ -405,8 +434,7 @@ def po_certificate_lp(pert: PerturbedInstance, demand) -> WeightVector | None:
         if not demand[t] or not agents.issuperset(demand[t]):
             raise ValueError(f"item {t} needs demanders among the agents")
     bounds = [[None] * n for _ in range(n)]  # bounds[a][b]: x_b <= B x_a
-    for t, col in enumerate(zip(*pert.pert_values)):
-        pq = [(v.numerator, v.denominator) for v in col]
+    for t, pq in enumerate(pert._columns):
         for i in demand[t]:
             pi, qi = pq[i]
             for j, (pj, qj) in enumerate(pq):

@@ -107,22 +107,22 @@ def true_separators(pert, true_i, i, j):
     common_goods = [
         t
         for t in true_i[i]
-        if pert.pert_value(i, t) > 0 and pert.pert_value(j, t) > 0
+        if pert.pert_values[i][t] > 0 and pert.pert_values[j][t] > 0
     ]
     common_chores = [
         t
         for t in true_i[i]
-        if pert.pert_value(i, t) < 0 and pert.pert_value(j, t) < 0
+        if pert.pert_values[i][t] < 0 and pert.pert_values[j][t] < 0
     ]
     good = max(
         common_goods,
-        key=lambda t: (pert.pert_value(j, t) / pert.pert_value(i, t), -t),
+        key=lambda t: (pert.pert_values[j][t] / pert.pert_values[i][t], -t),
         default=None,
     )
     chore = max(
         common_chores,
         key=lambda t: (
-            abs(pert.pert_value(i, t)) / abs(pert.pert_value(j, t)), -t
+            abs(pert.pert_values[i][t]) / abs(pert.pert_values[j][t]), -t
         ),
         default=None,
     )

@@ -41,7 +41,7 @@ class SeparatorGuess:
 def ref_sign_sets(pert, i, j):
     plus, minus, q = [], [], []
     for t in range(pert.base.num_items):
-        vi, vj = pert.pert_value(i, t), pert.pert_value(j, t)
+        vi, vj = pert.pert_values[i][t], pert.pert_values[j][t]
         if vi > 0 and vj > 0:
             plus.append(t)
         elif vi < 0 and vj < 0:
@@ -58,17 +58,17 @@ def ref_build_f_ij(pert, i, j, guess):
     if g is not None:
         if g not in plus:
             raise ValueError(f"separating good {g} is not a common good")
-        bound = F(pert.pert_value(j, g)) / pert.pert_value(i, g)
+        bound = F(pert.pert_values[j][g]) / pert.pert_values[i][g]
         for t in plus:
-            if F(pert.pert_value(j, t)) / pert.pert_value(i, t) <= bound:
+            if F(pert.pert_values[j][t]) / pert.pert_values[i][t] <= bound:
                 out.add(t)
     c = guess.chores.get((i, j))
     if c is not None:
         if c not in minus:
             raise ValueError(f"separating chore {c} is not a common chore")
-        bound = F(abs(pert.pert_value(i, c))) / abs(pert.pert_value(j, c))
+        bound = F(abs(pert.pert_values[i][c])) / abs(pert.pert_values[j][c])
         for t in minus:
-            ratio = F(abs(pert.pert_value(i, t))) / abs(pert.pert_value(j, t))
+            ratio = F(abs(pert.pert_values[i][t])) / abs(pert.pert_values[j][t])
             if ratio <= bound:
                 out.add(t)
     return frozenset(out)

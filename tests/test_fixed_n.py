@@ -101,7 +101,7 @@ class TestBuildFij:
         inst = make_instance([[1, 2, 3], [5, 2, 1]])
         pert = perturb_nondegenerate(inst)
         ratios = {
-            t: pert.pert_value(1, t) / pert.pert_value(0, t) for t in range(3)
+            t: pert.pert_values[1][t] / pert.pert_values[0][t] for t in range(3)
         }
         gmax = max(range(3), key=lambda t: (ratios[t], -t))
         assert f_ij_sets(pert, 0, 1)[gmax, None] == frozenset({0, 1, 2})
@@ -112,11 +112,11 @@ class TestBuildFij:
         sets = f_ij_sets(pert, 0, 1)
         assert list(sets) == [(g, None) for g in [None, *range(6)]]
         for g in range(6):
-            bound = pert.pert_value(1, g) / pert.pert_value(0, g)
+            bound = pert.pert_values[1][g] / pert.pert_values[0][g]
             expected = frozenset(
                 t
                 for t in range(6)
-                if pert.pert_value(1, t) / pert.pert_value(0, t) <= bound
+                if pert.pert_values[1][t] / pert.pert_values[0][t] <= bound
             )
             assert sets[g, None] == expected
 
@@ -126,11 +126,11 @@ class TestBuildFij:
         sets = f_ij_sets(pert, 0, 1)
         assert list(sets) == [(None, c) for c in [None, *range(6)]]
         for c in range(6):
-            bound = abs(pert.pert_value(0, c)) / abs(pert.pert_value(1, c))
+            bound = abs(pert.pert_values[0][c]) / abs(pert.pert_values[1][c])
             expected = frozenset(
                 t
                 for t in range(6)
-                if abs(pert.pert_value(0, t)) / abs(pert.pert_value(1, t))
+                if abs(pert.pert_values[0][t]) / abs(pert.pert_values[1][t])
                 <= bound
             )
             assert sets[None, c] == expected

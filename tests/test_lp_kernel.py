@@ -14,7 +14,10 @@ must satisfy every reference row exactly, be >= 0 and sum to 1, which
 proves the system feasible; a None must be confirmed by one row that no
 point of the simplex satisfies, or by Fourier-Motzkin.  Every LP call of
 the fixed-n sweep, hypothesis demand maps with planted sign conflicts and
-2- and 3-cycles, and random bound matrices are checked.
+2- and 3-cycles, and random bound matrices are checked.  The sum test
+of `solve_leq_system`, which cross-multiplies integers, is checked against
+its `Fraction` form, at the eta where it holds with equality among
+others.
 """
 
 from fractions import Fraction as F
@@ -324,3 +327,72 @@ def test_negative_bound_on_a_nonnegative_variable_is_infeasible():
     assert solve_leq_system(bounds, F(1, 4)) is None
     assert solve_leq_system(bounds, F(1, 40)) == [F(31, 440), F(409, 440)]
     assert solve_leq_system(bounds, F(1, 9)) == [0, 1]
+
+
+# --- the integer sum test against its `Fraction` form -------------------------
+
+
+def ref_least_point(bounds):
+    """x* / eta by a `Fraction` closure: L_b = max_a 1 / P[b][a], or None
+    when a closed walk multiplies to less than 1."""
+    n = len(bounds)
+    P = [[F(1) if a == b else ab and F(*ab) for b, ab in enumerate(row)]
+         for a, row in enumerate(bounds)]
+    for k in range(n):
+        for a in range(n):
+            for b in range(n):
+                if P[a][k] is not None and P[k][b] is not None:
+                    via = P[a][k] * P[k][b]
+                    if P[a][b] is None or via < P[a][b]:
+                        P[a][b] = via
+    if any(P[a][a] < 1 for a in range(n)):
+        return None
+    return [max(1 / p for p in row if p is not None) for row in P]
+
+
+def ref_solve_leq_system(bounds, eta):
+    """The sum test eta sum(x*) <= 1 + n eta and the scaled point, in
+    `Fraction`s."""
+    least = ref_least_point(bounds)
+    if least is None:
+        return None
+    n, total = len(bounds), sum(least)
+    if eta * total > 1 + n * eta:
+        return None
+    return [(1 + n * eta) / total * x - eta for x in least]
+
+
+def tight_eta(bounds):
+    """The eta at which eta sum(x*) == 1 + n eta, if one exists."""
+    least = ref_least_point(bounds)
+    if least is not None and sum(least) > len(bounds):
+        return 1 / (sum(least) - len(bounds))
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    bound_matrices(st.tuples(st.integers(1, 12), st.integers(1, 12))),
+    st.fractions(F(1, 1000), F(3, 2)).filter(lambda e: e > 0 and e.numerator > 1),
+)
+def test_sum_test_matches_its_fraction_form(system, other_eta):
+    bounds, eta = system
+    etas = [eta, other_eta]
+    tight = tight_eta(bounds)
+    if tight is not None:
+        # the equality case is feasible; a hair above it is not
+        assert solve_leq_system(bounds, tight) is not None
+        assert solve_leq_system(bounds, tight * F(1001, 1000)) is None
+        etas += [tight, tight * F(999, 1000), tight * F(1001, 1000)]
+    for e in etas:
+        assert solve_leq_system(bounds, e) == ref_solve_leq_system(bounds, e)
+
+
+def test_sum_test_at_equality_with_a_numerator_above_one():
+    # x_1 >= (7/2) x_0: the least point is eta (1, 7/2), which sums to 1 + 2
+    # eta exactly at eta = 2/5, where w = (0, 1); just above, it sums to more
+    bounds = [[None, None], [(2, 7), None]]
+    assert tight_eta(bounds) == F(2, 5)
+    assert solve_leq_system(bounds, F(2, 5)) == [0, 1]
+    assert solve_leq_system(bounds, F(2, 5) + F(1, 10**9)) is None
+    assert solve_leq_system(bounds, F(3, 10)) == ref_solve_leq_system(bounds, F(3, 10))

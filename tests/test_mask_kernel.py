@@ -13,7 +13,10 @@ every size of R at once, and `Fraction` constraint rows scaled by
 the search's first hit cannot move.  `po_certificate_lp` is checked
 against the weight system's rows: the integer row builder of
 `test_lp_kernel` must give exactly the `Fraction` rows, and the LP's
-answer must satisfy them or be refuted by them.
+answer must satisfy them or be refuted by them.  A perturbation's integer
+rows must give the same record, `scaled` rows, perturbed values and
+weights as the public constructor and a file round trip do, and a fresh
+perturbation must hold no `Fraction` view until one is read.
 """
 
 import functools
@@ -29,10 +32,12 @@ from hypothesis import strategies as st
 from mannafair import welfare
 from mannafair.core import Budget, BudgetExceededError, Instance, scale_row
 from mannafair.fixed_n import _join, build_f_ij, reconstruct_I
-from mannafair.harness import gen_random
+from mannafair.harness import gen_random, parse_perturbed, serialize_perturbed
 from mannafair.welfare import (
     PerturbedInstance,
+    WeightVector,
     compute_params,
+    demand_sets,
     perturb_nondegenerate,
     po_certificate_lp,
 )
@@ -116,7 +121,7 @@ def ref_lp_rows(pert, demand):
     eta = pert.params.eta
     constraints = [([1] * n, 1), ([-1] * n, -1)]
     for t in range(m):
-        col = [pert.pert_value(a, t) for a in range(n)]
+        col = [pert.pert_values[a][t] for a in range(n)]
         for i in demand[t]:
             for j in range(n):
                 if j != i:
@@ -332,3 +337,48 @@ def test_perturbation_record_equals_public_construction(n, m, chore_prob, seed):
 @given(degenerate_instances())
 def test_perturbation_record_equals_public_construction_on_degenerate_rows(inst):
     assert_constructions_agree(perturb_nondegenerate(inst))
+
+
+# --- the integer rows against the two public construction paths --------------
+
+ENTRY = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3]))
+CHORE = st.builds(F, st.integers(-6, -1), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def perturbations(draw):
+    """`perturb_nondegenerate` of n x m values, n 1-4 and m 0-8, with zeros,
+    halves and thirds, some rows all chores."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 8))
+    rows = [
+        draw(st.lists(draw(st.sampled_from([ENTRY, CHORE])), min_size=m, max_size=m))
+        for _ in range(n)
+    ]
+    return perturb_nondegenerate(Instance(tuple(map(tuple, rows))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbations(), st.data())
+def test_integer_rows_agree_with_both_construction_paths(pert, data):
+    # a fresh record holds its integer rows alone; each view waits for a read
+    assert not {"eps_matrix", "pert_values", "scaled"} & vars(pert).keys()
+    eps = pert.eps_matrix
+    assert "pert_values" not in vars(pert)
+    public = PerturbedInstance(pert.base, eps, pert.params)
+    parsed = parse_perturbed(serialize_perturbed(pert))
+    for other in (public, parsed):
+        assert other == pert and hash(other) == hash(pert)
+        assert repr(other) == repr(pert)
+        assert other.scaled == pert.scaled
+        assert other.pert_values == pert.pert_values
+    n, m = pert.base.num_agents, pert.base.num_items
+    shares = data.draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    w = WeightVector([F(k, sum(shares)) for k in shares])
+    agents = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+    maps = [demand_sets(pert, w)]  # feasible: w itself certifies it
+    maps += [[tuple(sorted(data.draw(agents))) for _ in range(m)] for _ in range(3)]
+    for demand in maps:
+        found = po_certificate_lp(pert, demand)
+        assert po_certificate_lp(public, demand) == found
+        assert po_certificate_lp(parsed, demand) == found
+    assert po_certificate_lp(pert, maps[0]) is not None

@@ -211,5 +211,5 @@ class TestParetoImpliesEnvySink:
             for alloc in all_allocations(3, 4):
                 if is_pareto_optimal_bruteforce(inst, alloc):
                     graph = build_envy_graph(inst, alloc)
-                    assert graph.is_acyclic()
+                    assert graph.topological_order() is not None
                     assert graph.sinks()
